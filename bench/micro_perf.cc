@@ -6,11 +6,13 @@
  * speed, and compilation cost. These guard against performance
  * regressions in the simulator itself.
  *
- * `--json-out FILE` switches to the issue-engine comparison: every
- * workload is run under the reference Scan engine and the wakeup-driven
- * Event engine (identical cycle counts, by the lockstep tests) and the
- * simulated-cycles-per-second of each, plus the speedup, is written as
- * JSON. scripts/ci.sh stores the result as BENCH_core.json.
+ * `--json-out FILE` switches to the cycle-kernel throughput table:
+ * every workload is run in the default wake-gated mode and in the
+ * reference mode (ProcessorConfig::idleSkip = false; identical cycle
+ * counts, by the lockstep tests), and the simulated cycles per second
+ * plus host ns per simulated cycle of each is written as JSON. The
+ * reference column is the idle-skip ablation. scripts/ci.sh stores the
+ * result as BENCH_core.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -169,28 +171,26 @@ BM_WorkloadGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadGeneration)->Unit(benchmark::kMicrosecond);
 
-// --- issue-engine throughput comparison (--json-out) -----------------
+// --- cycle-kernel throughput (--json-out) ----------------------------
 
-struct EngineSample
+struct KernelSample
 {
     double cyclesPerSecond = 0.0;
     Cycle cycles = 0;
     std::uint64_t instructions = 0;
 };
 
-EngineSample
-measureEngine(const prog::MachProgram &binary,
-              const isa::RegisterMap &map,
-              core::ProcessorConfig::IssueEngine engine,
-              std::uint64_t max_insts)
+KernelSample
+measureKernel(const prog::MachProgram &binary, const isa::RegisterMap &map,
+              bool idle_skip, std::uint64_t max_insts)
 {
-    EngineSample best;
+    KernelSample best;
     // Best-of-3: the simulator is deterministic, so the fastest
     // repetition is the least-perturbed measurement.
     for (int rep = 0; rep < 3; ++rep) {
         auto cfg = core::ProcessorConfig::dualCluster8();
         cfg.regMap = map;
-        cfg.issueEngine = engine;
+        cfg.idleSkip = idle_skip;
         StatGroup stats("perf");
         exec::ProgramTrace trace(binary, 42, max_insts);
         core::Processor cpu(cfg, trace, stats);
@@ -211,18 +211,15 @@ measureEngine(const prog::MachProgram &binary,
 }
 
 int
-runEngineComparison(const std::string &json_out)
+runKernelThroughput(const std::string &json_out)
 {
     constexpr std::uint64_t kMaxInsts = 50'000;
-    using IssueEngine = core::ProcessorConfig::IssueEngine;
 
     struct Row
     {
         std::string workload;
-        EngineSample scan;
-        EngineSample event;
-        prog::MachProgram binary;
-        isa::RegisterMap map;
+        KernelSample wake;
+        KernelSample noskip;
     };
     std::vector<Row> rows;
 
@@ -232,22 +229,17 @@ runEngineComparison(const std::string &json_out)
         copt.scheduler = compiler::SchedulerKind::Local;
         copt.numClusters = 2;
         const auto out = compiler::compile(program, copt);
+        const isa::RegisterMap map = out.hardwareMap(2);
         Row row;
         row.workload = name;
-        row.binary = out.binary;
-        row.map = out.hardwareMap(2);
-        row.scan = measureEngine(row.binary, row.map, IssueEngine::Scan,
-                                 kMaxInsts);
-        row.event = measureEngine(row.binary, row.map,
-                                  IssueEngine::Event, kMaxInsts);
-        std::cout << name << ": scan "
-                  << static_cast<std::uint64_t>(row.scan.cyclesPerSecond)
-                  << " cyc/s, event "
+        row.wake = measureKernel(out.binary, map, true, kMaxInsts);
+        row.noskip = measureKernel(out.binary, map, false, kMaxInsts);
+        std::cout << name << ": "
+                  << static_cast<std::uint64_t>(row.wake.cyclesPerSecond)
+                  << " cyc/s, reference mode "
                   << static_cast<std::uint64_t>(
-                         row.event.cyclesPerSecond)
-                  << " cyc/s ("
-                  << row.event.cyclesPerSecond / row.scan.cyclesPerSecond
-                  << "x, " << row.scan.cycles << " cycles)\n";
+                         row.noskip.cyclesPerSecond)
+                  << " cyc/s (" << row.wake.cycles << " cycles)\n";
         rows.push_back(std::move(row));
     };
 
@@ -267,41 +259,12 @@ runEngineComparison(const std::string &json_out)
     rp.loopTrip = 2000;
     addWorkload("random7", workloads::makeRandomProgram(rp));
 
-    // Regression gate: the event engine must not lose to the reference
-    // scan engine on tomcatv (its issue-saturated inner loop once made
-    // the wakeup bookkeeping a net loss — the saturated-mode fallback
-    // in EventScheduler fixes that). The comparison is a ratio of two
-    // wall-clock rates on a shared machine, so re-measure both engines
-    // a few times before declaring a real regression.
-    for (auto &row : rows) {
-        if (row.workload != "tomcatv")
-            continue;
-        for (int attempt = 0;
-             attempt < 5 &&
-             row.event.cyclesPerSecond < row.scan.cyclesPerSecond;
-             ++attempt) {
-            std::cout << "tomcatv event/scan below 1.0, re-measuring ("
-                      << attempt + 1 << "/5)\n";
-            row.scan = measureEngine(row.binary, row.map,
-                                     IssueEngine::Scan, kMaxInsts);
-            row.event = measureEngine(row.binary, row.map,
-                                      IssueEngine::Event, kMaxInsts);
-        }
-        if (row.event.cyclesPerSecond < row.scan.cyclesPerSecond) {
-            std::cerr << "FAIL: tomcatv event engine slower than scan ("
-                      << row.event.cyclesPerSecond / 1e6 << " vs "
-                      << row.scan.cyclesPerSecond / 1e6
-                      << " Mcyc/s) after 5 re-measurements\n";
-            return 1;
-        }
-    }
-
     std::ofstream out(json_out, std::ios::trunc);
     if (!out) {
         std::cerr << "cannot write " << json_out << "\n";
         return 1;
     }
-    out << "{\n  \"benchmark\": \"issue_engine_throughput\",\n"
+    out << "{\n  \"benchmark\": \"cycle_kernel_throughput\",\n"
         << "  \"machine\": \"dual8\",\n"
         << "  \"max_insts\": " << kMaxInsts << ",\n"
         << "  \"workloads\": [\n";
@@ -315,18 +278,13 @@ runEngineComparison(const std::string &json_out)
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         out << "    {\"workload\": \"" << r.workload << "\", "
-            << "\"cycles\": " << r.scan.cycles << ", "
-            << "\"instructions\": " << r.scan.instructions << ", "
-            << "\"scan_cycles_per_sec\": " << r.scan.cyclesPerSecond
+            << "\"cycles\": " << r.wake.cycles << ", "
+            << "\"instructions\": " << r.wake.instructions << ", "
+            << "\"cycles_per_sec\": " << r.wake.cyclesPerSecond << ", "
+            << "\"ns_per_cycle\": " << nsPerCycle(r.wake.cyclesPerSecond)
             << ", "
-            << "\"event_cycles_per_sec\": " << r.event.cyclesPerSecond
-            << ", "
-            << "\"scan_ns_per_cycle\": "
-            << nsPerCycle(r.scan.cyclesPerSecond) << ", "
-            << "\"event_ns_per_cycle\": "
-            << nsPerCycle(r.event.cyclesPerSecond) << ", "
-            << "\"speedup\": "
-            << r.event.cyclesPerSecond / r.scan.cyclesPerSecond << "}"
+            << "\"noskip_ns_per_cycle\": "
+            << nsPerCycle(r.noskip.cyclesPerSecond) << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -348,7 +306,7 @@ main(int argc, char **argv)
             pass.push_back(argv[i]);
     }
     if (!json_out.empty())
-        return runEngineComparison(json_out);
+        return runKernelThroughput(json_out);
     int pargc = static_cast<int>(pass.size());
     benchmark::Initialize(&pargc, pass.data());
     if (benchmark::ReportUnrecognizedArguments(pargc, pass.data()))

@@ -57,10 +57,10 @@ python3 scripts/check_trace.py /tmp/mca_ci_trace.json \
     /tmp/mca_ci_stats.json
 
 # Paranoid smoke: replay ora with every-cycle invariant checking of the
-# rename maps, free lists, and transfer-buffer bookkeeping, on both
-# issue engines.
+# rename maps, free lists, transfer-buffer bookkeeping, and the
+# scheduler's oldest-unissued cursor, in both scheduler modes.
 "$SIM" --benchmark ora --max-insts 5000 --paranoid --quiet >/dev/null
-"$SIM" --benchmark ora --max-insts 5000 --paranoid --issue-engine scan \
+"$SIM" --benchmark ora --max-insts 5000 --paranoid --no-idle-skip \
     --quiet >/dev/null
 
 # Verified-compile smoke: every pass's output passes prog::verifyIR on
@@ -88,8 +88,9 @@ echo "$SUMMARY" | grep -q "compiles: 12 (6 shared)" || {
     exit 1
 }
 
-# Simulator-throughput benchmark: Scan vs Event issue engine, recorded
-# at the repo root for regression tracking (see EXPERIMENTS.md).
+# Simulator-throughput benchmark: cycle-kernel throughput with and
+# without the idle skips, recorded at the repo root for regression
+# tracking (see EXPERIMENTS.md).
 "$BUILD/bench/micro_perf" --json-out "$ROOT/BENCH_core.json"
 
 # Compile-cache benchmark: Table-2 campaign wall clock with vs without
@@ -145,8 +146,8 @@ python3 scripts/check_ckpt.py "$SIM"
     --no-cache --quiet >/dev/null
 
 # Sampled-simulation benchmark: full detailed run vs SMARTS-style
-# sampled estimate; fails unless one benchmark reaches a 10x effective
-# speedup with <= 2% CPI error (see EXPERIMENTS.md).
+# sampled estimate; fails unless one benchmark reaches a 7x per-core
+# effective speedup with <= 2% CPI error (see EXPERIMENTS.md).
 "$BUILD/bench/sampled_speedup" --json-out "$ROOT/BENCH_sample.json"
 
 # Host-profiler smoke (docs/profiling.md): a profiled gcc1 run must
@@ -173,6 +174,11 @@ python3 scripts/prof_report.py --diff /tmp/mca_ci_prof1.json \
     --quiet >/dev/null 2>&1
 python3 scripts/check_telemetry.py /tmp/mca_ci_telemetry.jsonl \
     --expect-total 4
+
+# End-to-end benchmark smoke: one untimed trial of every workload in
+# BENCHMARK.json; fails unless each reproduces its pinned seed-42
+# digest, so simulated results stay bit-identical (bench/e2e/README.md).
+python3 bench/e2e/run.py --check
 
 # Throughput-regression gate: the fresh benches above vs the copies
 # saved before regeneration.

@@ -7,7 +7,7 @@ aggregate throughput metrics (geometric means, so no single workload
 dominates) and fails when a fresh metric regresses by more than the
 allowed fraction:
 
-  BENCH_core.json     scan/event simulated cycles per second   (15%)
+  BENCH_core.json     simulated cycles per second              (15%)
   BENCH_compile.json  Table-2 campaign jobs per second         (15%)
   BENCH_sample.json   sampled-simulation effective speedup     (35%)
 
@@ -19,8 +19,9 @@ BENCH_mem.json conservation/determinism, BENCH_sample.json target_met
 and per-row conservation, BENCH_partition.json multilevel-vs-roundrobin
 cut and multilevel-vs-local IPC geomeans.
 
-A missing previous file skips that comparison (first run on a branch);
-a missing fresh file is an error.
+A missing previous file skips that comparison (first run on a branch),
+as does a previous file written under an older schema (its metrics are
+not comparable); a missing fresh file is an error.
 
 Usage: perf_gate.py PREV_DIR FRESH_DIR [--threshold FRAC]
 """
@@ -48,48 +49,44 @@ def load(path):
 
 def core_metrics(doc):
     rows = doc["workloads"]
-    return {
-        "core.scan_cps": geomean(
-            [r["scan_cycles_per_sec"] for r in rows]),
-        "core.event_cps": geomean(
-            [r["event_cycles_per_sec"] for r in rows]),
-    }
+    if not rows or "cycles_per_sec" not in rows[0]:
+        return None  # an older schema (per-engine columns)
+    return {"core.cps": geomean([r["cycles_per_sec"] for r in rows])}
 
 
 def print_ns_per_cycle(prev_dir, fresh_dir):
-    """Informational: host cost per simulated cycle, per workload,
-    with the per-workload delta against the pre-run baseline.
+    """Informational: host cost per simulated cycle, per workload, in
+    the default mode with the delta against the pre-run baseline, and
+    in the reference mode (the idle-skip ablation).
 
-    The reciprocal of the gated cycles-per-second metrics, in the units
-    docs/profiling.md works in. Older BENCH_core.json files predate the
-    fields, so absence is not an error; a negative delta means the
-    fresh run spends fewer host ns per simulated cycle (faster).
+    The reciprocal of the gated cycles-per-second metric, in the units
+    docs/profiling.md works in. A negative delta means the fresh run
+    spends fewer host ns per simulated cycle (faster).
     """
     path = fresh_dir / "BENCH_core.json"
     if not path.exists():
         return
     rows = load(path).get("workloads", [])
-    if not rows or "event_ns_per_cycle" not in rows[0]:
+    if not rows or "ns_per_cycle" not in rows[0]:
         return
     prev_rows = {}
     prev_path = prev_dir / "BENCH_core.json"
     if prev_path.exists():
         for r in load(prev_path).get("workloads", []):
-            if r.get("event_ns_per_cycle", 0.0) > 0:
+            if r.get("ns_per_cycle", 0.0) > 0:
                 prev_rows[r["workload"]] = r
-    print("  host ns per simulated cycle (event engine, "
-          "delta vs pre-run baseline):")
+    print("  host ns per simulated cycle (delta vs pre-run baseline; "
+          "reference mode without skips):")
     for r in rows:
         prev = prev_rows.get(r["workload"])
         if prev:
-            delta = (r["event_ns_per_cycle"] /
-                     prev["event_ns_per_cycle"] - 1.0) * 100.0
+            delta = (r["ns_per_cycle"] / prev["ns_per_cycle"] - 1.0) * 100.0
             delta_col = "%+7.1f%%" % delta
         else:
             delta_col = "     n/a"
-        print("    %-10s %8.1f ns/cycle (scan %8.1f)  %s"
-              % (r["workload"], r["event_ns_per_cycle"],
-                 r.get("scan_ns_per_cycle", 0.0), delta_col))
+        print("    %-10s %8.1f ns/cycle %s  (reference %8.1f)"
+              % (r["workload"], r["ns_per_cycle"], delta_col,
+                 r.get("noskip_ns_per_cycle", 0.0)))
 
 
 def compile_metrics(doc):
@@ -176,6 +173,13 @@ def main():
             continue
         prev = extract(load(prev_path))
         fresh = extract(load(fresh_path))
+        if fresh is None:
+            failures.append("%s: fresh file has an unknown schema" % name)
+            continue
+        if prev is None:
+            print("  %-20s previous copy predates the current schema, "
+                  "skipping" % name)
+            continue
         for metric in sorted(prev):
             p, f = prev[metric], fresh.get(metric, 0.0)
             ratio = f / p if p > 0 else 1.0

@@ -7,7 +7,7 @@
  * machine that produced it. The on-disk format is:
  *
  *   bytes  0..7   magic "MCACKPT1"
- *   bytes  8..11  format version (little-endian u32, currently 1)
+ *   bytes  8..11  format version (little-endian u32, currently 2)
  *   bytes 12..19  configuration hash (u64)
  *   bytes 20..27  payload length (u64)
  *   ...           payload
@@ -31,8 +31,12 @@
 namespace mca::ckpt
 {
 
-/** Current on-disk format version. */
-inline constexpr std::uint32_t kFormatVersion = 1;
+/**
+ * Current on-disk format version. Version 2 dropped the issue
+ * scheduler's wake state from the CORE section (a restored scheduler
+ * starts from a full scan instead).
+ */
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 struct Snapshot
 {

@@ -93,23 +93,13 @@ struct ProcessorConfig
     bool paranoid = false;
 
     /**
-     * Issue-scheduler engine. Both engines are cycle-exact with each
-     * other (tests/lockstep_test.cc); they differ only in simulation
-     * speed. Scan is the original reference (every cluster's queue
-     * scanned every cycle); Event skips clusters with no pending
-     * wakeup (src/core/scheduler.hh).
-     */
-    enum class IssueEngine
-    {
-        Scan,
-        Event,
-    };
-    IssueEngine issueEngine = IssueEngine::Event;
-    /**
-     * Let Processor::run() fast-forward across cycles in which no
-     * stage can make progress, accounting statistics for the skipped
-     * cycles in bulk. Only effective with the Event engine; step()
-     * always advances one exact cycle regardless.
+     * Skip work that cannot change the outcome: the scheduler scans
+     * only clusters with a matured wakeup, and Processor::run()
+     * fast-forwards across whole cycles in which no stage can make
+     * progress, accounting statistics for the skipped cycles in bulk.
+     * False selects the reference mode — every cluster scanned every
+     * cycle, every cycle stepped — which is cycle-exact with the
+     * default (tests/lockstep_test.cc). step() never fast-forwards.
      */
     bool idleSkip = true;
 

@@ -30,14 +30,14 @@ struct Processor::Impl
 {
     Impl(const ProcessorConfig &config, exec::TraceSource &trace_src,
          StatGroup &sg)
-        : m(config, sg), fetch(m, trace_src), sched(makeScheduler(m)),
-          retire(m, fetch), dispatch(m, fetch, *sched), stats(&sg)
+        : m(config, sg), fetch(m, trace_src), sched(m), retire(m, fetch),
+          dispatch(m, fetch, sched), stats(&sg)
     {
     }
 
     MachineState m;
     FetchUnit fetch;
-    std::unique_ptr<Scheduler> sched;
+    Scheduler sched;
     RetireUnit retire;
     DispatchUnit dispatch;
     StatGroup *stats;
@@ -182,7 +182,7 @@ Processor::Impl::replayFromIndex(std::size_t keep)
         MCA_PANIC("replay exceptions are not making progress (seq ",
                   m.rob.empty() ? 0 : m.pool.get(m.rob.front()).di.seq,
                   ")");
-    sched->onSquash();
+    sched.reset();
 }
 
 void
@@ -336,7 +336,16 @@ Processor::Impl::checkInvariants()
                            "memory-dependence handle names a non-store "
                            "or younger instruction at cycle ", m.now);
     }
-    // The fetch buffer must as well.
+    // The scheduler's cursor must name the oldest instruction with
+    // unissued work, as an independent walk of the window finds it.
+    InstSeq oldest = kNoSeq;
+    for (std::size_t i = 0; i < m.rob.size() && oldest == kNoSeq; ++i)
+        if (!m.pool.get(m.rob.at(i)).allIssued())
+            oldest = m.pool.get(m.rob.at(i)).di.seq;
+    MCA_ASSERT(sched.oldestUnissued() == oldest,
+               "scheduler cursor names seq ", sched.oldestUnissued(),
+               ", oldest unissued is ", oldest, " at cycle ", m.now);
+    // The fetch buffer must hold program order as well.
     const auto &fb = fetch.buffer();
     for (std::size_t i = 1; i < fb.size(); ++i)
         MCA_ASSERT(fb[i - 1].seq < fb[i].seq,
@@ -434,15 +443,7 @@ Processor::Impl::classifyStall() const
 Cycle
 Processor::Impl::fastForward(Cycle next, Cycle limit)
 {
-    if (m.cfg.issueEngine != ProcessorConfig::IssueEngine::Event)
-        return next;
-    if (m.activityThisCycle || pipelineEmpty())
-        return next;
-    // An idle cycle ends any issue-saturated phase (the event engine
-    // drops out of its full-scan mode so wakeups — and this skip — can
-    // take over again).
-    sched->onIdleCycle();
-    if (!m.cfg.idleSkip)
+    if (!m.cfg.idleSkip || m.activityThisCycle || pipelineEmpty())
         return next;
 
     // Earliest future cycle any stage can act: a scheduler wakeup, a
@@ -453,7 +454,7 @@ Processor::Impl::fastForward(Cycle next, Cycle limit)
         if (at != kNoCycle && at < e)
             e = at;
     };
-    fold(sched->nextWakeCycle());
+    fold(sched.nextWakeCycle());
     fold(retire.nextEventCycle());
     fold(fetch.nextEventCycle());
     if (!m.rob.empty())
@@ -631,12 +632,12 @@ Processor::stepImpl()
         MaybeProfScope<WithProf> ps(kRegRetire);
         const unsigned n_retired = im.retire.tick();
         if (n_retired > 0)
-            im.sched->onRetired(n_retired);
+            im.sched.onRetired(n_retired);
         im.retire.resolveBranches();
     }
     {
         MaybeProfScope<WithProf> ps(kRegSchedule);
-        im.sched->tick();
+        im.sched.tick();
         im.serviceReplayRequest();
     }
     {
@@ -985,7 +986,6 @@ Processor::configHash() const
     w.u32(c.bufferBlockThreshold);
     w.u32(c.replayPenalty);
     w.b(c.reserveOldestEntry);
-    w.u8(static_cast<std::uint8_t>(c.issueEngine));
     encodeRegMap(w, c.regMap);
     w.u64(c.mapSchedule.size());
     for (const auto &map : c.mapSchedule)
@@ -1105,7 +1105,6 @@ Processor::saveState(ckpt::SnapshotBuilder &b) const
             w.u64(c);
     }
     im.fetch.saveState(w);
-    im.sched->saveState(w);
 
     b.section("TRAC");
     im.fetch.trace().saveState(w);
@@ -1257,7 +1256,8 @@ Processor::loadState(ckpt::SnapshotParser &p)
             c = r.u64();
     }
     im.fetch.loadState(r);
-    im.sched->loadState(r);
+    // Snapshots carry no scheduler state: restart it conservatively.
+    im.sched.reset();
 
     p.section("TRAC");
     im.fetch.trace().loadState(r);

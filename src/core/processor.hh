@@ -96,10 +96,10 @@ class Processor
     void observe(obs::CycleObs &out) const;
 
     /**
-     * Run to completion (or the cycle bound). With config.idleSkip and
-     * the Event issue engine, cycles in which no stage can make
-     * progress are fast-forwarded in bulk (statistics included); the
-     * result is cycle-exact either way (tests/lockstep_test.cc).
+     * Run to completion (or the cycle bound). With config.idleSkip,
+     * cycles in which no stage can make progress are fast-forwarded in
+     * bulk (statistics included); the result is cycle-exact either way
+     * (tests/lockstep_test.cc).
      */
     SimResult run(Cycle max_cycles = ~Cycle{0});
 

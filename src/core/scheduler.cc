@@ -16,12 +16,10 @@ Scheduler::masterReady(const InFlightInst &inst, const CopyState &copy,
 {
     const Cycle now = m_.now;
     auto blockedAt = [&](Cycle at) {
-        if (earliest)
-            *earliest = at;
+        *earliest = at;
         return false;
     };
-    if (buffer_blocked)
-        *buffer_blocked = false;
+    *buffer_blocked = false;
     // Local register reads. A readyAt of kNoCycle means the value is
     // still awaiting its writer's issue — an event, not a time bound.
     for (const auto &rd : copy.reads) {
@@ -83,8 +81,7 @@ Scheduler::masterReady(const InFlightInst &inst, const CopyState &copy,
         if (!sl.isMaster && sl.role.receivesResult &&
             !bufferAvailable(m_.clusters[sl.cluster].rtb, inst,
                              oldest_unissued)) {
-            if (buffer_blocked)
-                *buffer_blocked = true;
+            *buffer_blocked = true;
             // Buffer frees mature one cycle behind issue/squash
             // events, posted as broadcasts: the blocked master and the
             // freeing slave can be in unrelated clusters.
@@ -277,9 +274,8 @@ Scheduler::issueResultSlave(InFlightInst &inst, CopyState &copy,
     wakeAll(now + 1);
 }
 
-void
-Scheduler::scanCluster(unsigned c, InstSeq oldest_unissued,
-                       Cycle *wake_out)
+Cycle
+Scheduler::scanCluster(unsigned c, InstSeq oldest_unissued)
 {
     Cluster &cl = m_.clusters[c];
     const Cycle now = m_.now;
@@ -287,10 +283,8 @@ Scheduler::scanCluster(unsigned c, InstSeq oldest_unissued,
     isa::IssueSlots slots(m_.cfg.issueRules);
     slots.newCycle();
 
-    auto fold = [&](Cycle at) {
-        if (wake_out && at != kNoCycle && at < *wake_out)
-            *wake_out = at;
-    };
+    Cycle bound = kNoCycle;
+    auto fold = [&](Cycle at) { bound = std::min(bound, at); };
 
     // Issued/removed slots are compacted out in place (two-pointer,
     // order-preserving); the issue actions never touch the queue
@@ -320,7 +314,7 @@ Scheduler::scanCluster(unsigned c, InstSeq oldest_unissued,
             Cycle earliest = kNoCycle;
             const bool ready =
                 masterReady(inst, copy, oldest_unissued, &buffer_blocked,
-                            wake_out ? &earliest : nullptr);
+                            &earliest);
             if (ready && slots.tryConsume(isa::opClass(inst.di.mi.op))) {
                 issueMaster(inst, copy);
                 *m_.st.issueDisorder += older_unissued;
@@ -442,50 +436,13 @@ Scheduler::scanCluster(unsigned c, InstSeq oldest_unissued,
         }
     }
     cl.queue.resize(out);
+    return bound;
 }
 
-// --- scan engine ------------------------------------------------------
-
 void
-ScanScheduler::tick()
+Scheduler::tick()
 {
-    // The oldest instruction with unissued work: if a full transfer
-    // buffer blocks *it*, no older instruction exists to drain the
-    // buffer, so the block is a deadlock.
-    InstSeq oldest_unissued = kNoSeq;
-    for (std::size_t i = 0; i < m_.rob.size(); ++i) {
-        const InFlightInst &inst = m_.pool.get(m_.rob.at(i));
-        if (!inst.allIssued()) {
-            oldest_unissued = inst.di.seq;
-            break;
-        }
-    }
-
-    for (unsigned c = 0; c < m_.clusters.size(); ++c)
-        scanCluster(c, oldest_unissued, nullptr);
-}
-
-// --- event engine -----------------------------------------------------
-
-void
-EventScheduler::tick()
-{
-    // Advance the monotone cursor over the fully-issued prefix (issued
-    // flags are only ever set; squash clamps the cursor instead).
-    while (cursor_ < m_.rob.size() &&
-           m_.pool.get(m_.rob.at(cursor_)).allIssued())
-        ++cursor_;
-    const InstSeq oldest =
-        cursor_ < m_.rob.size() ? m_.pool.get(m_.rob.at(cursor_)).di.seq
-                                : kNoSeq;
-
-    // Saturated: behave exactly like the scan engine and skip the
-    // wakeup bookkeeping entirely (wakeAll/wakeCluster are no-ops).
-    if (saturated_) {
-        for (unsigned c = 0; c < m_.clusters.size(); ++c)
-            scanCluster(c, oldest, nullptr);
-        return;
-    }
+    const InstSeq oldest = oldestUnissued();
 
     // Deliver a matured broadcast to every cluster that is event-gated
     // NOW (each flag is fresh as of that cluster's latest scan, which
@@ -502,40 +459,39 @@ EventScheduler::tick()
     // entries another cluster's copies wait on) then merge into a
     // clean slot and survive the tick — clearing per cluster mid-loop
     // would erase a same-tick posting that had min-merged with an
-    // already-matured value.
+    // already-matured value. Reference mode matures every cluster.
+    const bool scan_all = !m_.cfg.idleSkip;
     for (unsigned c = 0; c < m_.clusters.size(); ++c) {
-        matured_[c] = wake_[c] <= m_.now;
+        matured_[c] = scan_all || wake_[c] <= m_.now;
         if (matured_[c])
             wake_[c] = kNoCycle;
     }
-    bool all_matured = true;
     for (unsigned c = 0; c < m_.clusters.size(); ++c) {
-        if (!matured_[c]) {
-            all_matured = false;
+        if (!matured_[c])
             continue;
-        }
-        Cycle bound = kNoCycle;
-        scanCluster(c, oldest, &bound);
+        const Cycle bound = scanCluster(c, oldest);
         eventGated_[c] = scanLeftEventGated_;
         // Wakeups posted during the scan stay; keep the earlier of
         // them and the scan's own time bound.
-        if (bound < wake_[c])
-            wake_[c] = bound;
-    }
-
-    if (all_matured) {
-        if (++saturatedStreak_ >= kSaturationStreak)
-            saturated_ = true;
-    } else {
-        saturatedStreak_ = 0;
+        wake_[c] = std::min(wake_[c], bound);
     }
 }
 
-Cycle
-EventScheduler::nextWakeCycle() const
+InstSeq
+Scheduler::oldestUnissued()
 {
-    if (saturated_)
-        return m_.now + 1; // full scan every cycle, like the scan engine
+    // Advance over the fully-issued prefix (issued flags are only ever
+    // set; retire shifts the cursor and reset() rewinds it instead).
+    while (cursor_ < m_.rob.size() &&
+           m_.pool.get(m_.rob.at(cursor_)).allIssued())
+        ++cursor_;
+    return cursor_ < m_.rob.size() ? m_.pool.get(m_.rob.at(cursor_)).di.seq
+                                   : kNoSeq;
+}
+
+Cycle
+Scheduler::nextWakeCycle() const
+{
     // Conservatively include a pending broadcast even if no cluster is
     // currently gated on it; broadcasts only arise from issue actions,
     // so they never throttle a genuinely idle stretch.
@@ -546,7 +502,7 @@ EventScheduler::nextWakeCycle() const
 }
 
 void
-EventScheduler::onDispatched(const InFlightInst &inst)
+Scheduler::onDispatched(const InFlightInst &inst)
 {
     // Freshly dispatched copies become eligible next cycle.
     for (const auto &copy : inst.copies)
@@ -554,116 +510,12 @@ EventScheduler::onDispatched(const InFlightInst &inst)
 }
 
 void
-EventScheduler::onRetired(unsigned count)
+Scheduler::reset()
 {
-    cursor_ = cursor_ > count ? cursor_ - count : 0;
-}
-
-void
-EventScheduler::onSquash()
-{
-    exitSaturation();
-    saturatedStreak_ = 0;
-    if (cursor_ > m_.rob.size())
-        cursor_ = m_.rob.size();
-    // Squash frees transfer-buffer entries (usable from now+1), undoes
-    // renames, and can move the oldest-unissued instruction anywhere:
-    // wake every cluster regardless of its gating state, and stay
-    // conservative until the next scan recomputes the flags.
-    const Cycle at = m_.now + 1;
-    for (Cycle &w : wake_)
-        w = std::min(w, at);
-    std::fill(eventGated_.begin(), eventGated_.end(), char(1));
-}
-
-void
-EventScheduler::onIdleCycle()
-{
-    // An idle cycle means the machine is no longer issue-bound: the
-    // wakeup machinery (and the idle fast-forward it feeds) earns its
-    // keep again.
-    exitSaturation();
-    saturatedStreak_ = 0;
-}
-
-void
-EventScheduler::exitSaturation()
-{
-    if (!saturated_)
-        return;
-    saturated_ = false;
-    // Conservative re-entry into event-driven mode: wake every cluster
-    // next cycle and assume event gating everywhere; the next scans
-    // recompute the real bounds and flags.
-    const Cycle at = m_.now + 1;
-    for (Cycle &w : wake_)
-        w = std::min(w, at);
+    cursor_ = 0;
+    std::fill(wake_.begin(), wake_.end(), Cycle{0});
     std::fill(eventGated_.begin(), eventGated_.end(), char(1));
     broadcastAt_ = kNoCycle;
-}
-
-void
-EventScheduler::wakeAll(Cycle at)
-{
-    if (saturated_)
-        return; // every cluster scans every cycle anyway
-    // Issue-path broadcast: it only concerns clusters left event-gated
-    // by their last scan (a copy blocked on a full buffer or an
-    // unissued store), so it is held in broadcastAt_ and matched
-    // against the gating flags when it matures — time-bounded copies
-    // have their maturity folded into wake_, and an issue never makes
-    // a finite bound arrive sooner.
-    broadcastAt_ = std::min(broadcastAt_, at);
-}
-
-void
-EventScheduler::wakeCluster(unsigned c, Cycle at)
-{
-    if (saturated_)
-        return;
-    wake_[c] = std::min(wake_[c], at);
-}
-
-void
-EventScheduler::saveState(ckpt::Writer &w) const
-{
-    w.u64(cursor_);
-    w.u64(wake_.size());
-    // Saturation is transient host-side state: snapshots record the
-    // conservative exit values instead (same byte layout), so a
-    // restored run re-enters event-driven mode with every cluster
-    // woken and re-saturates on its own if the workload still
-    // qualifies. Resaving a restored snapshot reproduces these bytes.
-    const Cycle at = m_.now + 1;
-    for (Cycle c : wake_)
-        w.u64(saturated_ ? std::min(c, at) : c);
-    for (char g : eventGated_)
-        w.u8(saturated_ ? std::uint8_t{1} : static_cast<std::uint8_t>(g));
-    w.u64(saturated_ ? kNoCycle : broadcastAt_);
-}
-
-void
-EventScheduler::loadState(ckpt::Reader &r)
-{
-    cursor_ = static_cast<std::size_t>(r.u64());
-    const std::uint64_t n = r.u64();
-    MCA_ASSERT(n == wake_.size(),
-               "restored scheduler cluster count mismatch");
-    for (Cycle &c : wake_)
-        c = r.u64();
-    for (char &g : eventGated_)
-        g = static_cast<char>(r.u8());
-    broadcastAt_ = r.u64();
-    saturated_ = false;
-    saturatedStreak_ = 0;
-}
-
-std::unique_ptr<Scheduler>
-makeScheduler(MachineState &m)
-{
-    if (m.cfg.issueEngine == ProcessorConfig::IssueEngine::Scan)
-        return std::make_unique<ScanScheduler>(m);
-    return std::make_unique<EventScheduler>(m);
 }
 
 } // namespace mca::core

@@ -1,93 +1,89 @@
 /**
  * @file
- * Issue schedulers of the multicluster core.
+ * Issue scheduler of the multicluster core.
  *
- * The Scheduler base class owns the issue mechanics shared by both
- * engines — the age-ordered per-cluster queue scan under the Table-1
+ * One engine: the age-ordered per-cluster queue scan under the Table-1
  * slot rules, master-readiness evaluation, and the master/slave issue
- * actions — so the two engines cannot drift apart semantically. They
- * differ only in *when* a cluster's queue is scanned:
+ * actions, driven by per-cluster wakeups. A cluster's queue is scanned
+ * only when it has a matured wakeup. Wakeups are posted by a narrow
+ * event interface (dispatch, any issue, squash) and by time bounds
+ * computed during a scan from the first failing constraint of each
+ * blocked copy (register readyAt maturity, operand transit, divider
+ * release, buffer-block timers). The oldest-unissued instruction is
+ * tracked by a monotone cursor over the retire window.
  *
- *  - ScanScheduler (reference): scans every cluster every cycle and
- *    walks the ROB for the oldest-unissued instruction, exactly like
- *    the original monolithic Processor::Impl::doIssue.
- *
- *  - EventScheduler: keeps a per-cluster wakeup cycle and skips the
- *    scan of any cluster with no matured wakeup. Wakeups are posted by
- *    a narrow event interface (dispatch, any issue, squash) and by
- *    time bounds computed during a scan from the first failing
- *    constraint of each blocked copy (register readyAt maturity,
- *    operand transit, divider release, buffer-block timers). The
- *    oldest-unissued ROB walk is replaced by a monotone cursor.
- *
- * The engines are cycle-exact with each other: tests/lockstep_test.cc
- * runs them in lockstep on all workloads and paper scenarios and
+ * Reference mode (ProcessorConfig::idleSkip = false) treats every
+ * cluster as matured on every cycle, i.e. a full scan of every queue
+ * every cycle. A full scan is a superset of any wake-driven scan, so
+ * the two modes are cycle-exact with each other: tests/lockstep_test.cc
+ * steps them side by side on all workloads and paper scenarios and
  * asserts identical per-cycle decisions, timelines, and statistics.
  */
 
 #ifndef MCA_CORE_SCHEDULER_HH
 #define MCA_CORE_SCHEDULER_HH
 
-#include <memory>
+#include <algorithm>
 #include <vector>
 
-#include "ckpt/io.hh"
 #include "core/machine.hh"
 
 namespace mca::core
 {
 
-class Scheduler : public ckpt::Checkpointable
+class Scheduler final
 {
   public:
-    explicit Scheduler(MachineState &m) : m_(m) {}
-    ~Scheduler() override = default;
+    explicit Scheduler(MachineState &m)
+        : m_(m), wake_(m.clusters.size(), 0),
+          matured_(m.clusters.size(), 0),
+          eventGated_(m.clusters.size(), 1)
+    {
+    }
 
-    /** Run one issue cycle over all clusters. */
-    virtual void tick() = 0;
+    /** Run one issue cycle over the clusters with matured wakeups. */
+    void tick();
+
+    /** Earliest future cycle any cluster has a pending wakeup; used by
+     *  the idle fast-forward. */
+    Cycle nextWakeCycle() const;
 
     /**
-     * Earliest future cycle any cluster has a pending wakeup; used by
-     * the idle fast-forward. The scan engine re-evaluates every cycle,
-     * so its next event is always the next cycle.
+     * The oldest instruction with unissued work (kNoSeq if none),
+     * found by advancing the monotone cursor. The paranoid invariant
+     * sweep checks it against an independent walk of the retire window.
      */
-    virtual Cycle nextWakeCycle() const { return m_.now + 1; }
+    InstSeq oldestUnissued();
 
     // --- event interface (posted by the other pipeline stages) -------
     /** An instruction entered the dispatch queues this cycle. */
-    virtual void onDispatched(const InFlightInst &inst)
-    {
-        static_cast<void>(inst);
-    }
+    void onDispatched(const InFlightInst &inst);
     /** `count` instructions left the head of the retire window. */
-    virtual void onRetired(unsigned count) { static_cast<void>(count); }
-    /** A replay squashed the tail of the retire window. */
-    virtual void onSquash() {}
-    /**
-     * The cycle just stepped had no activity in any stage (the idle
-     * fast-forward is about to consider skipping ahead). The event
-     * engine uses this as the exit signal of its saturated mode.
-     */
-    virtual void onIdleCycle() {}
-
-    /** Engine-local state; the scan engine is stateless. */
-    void saveState(ckpt::Writer &w) const override
+    void
+    onRetired(unsigned count)
     {
-        static_cast<void>(w);
+        cursor_ = cursor_ > count ? cursor_ - count : 0;
     }
-    void loadState(ckpt::Reader &r) override { static_cast<void>(r); }
+    /**
+     * Forget all wake state: every cluster scans at the next tick with
+     * fresh gating flags, no broadcast is pending, and the cursor
+     * rewalks the window. Posted by a squash (which frees buffer
+     * entries, undoes renames, and can move the oldest-unissued
+     * instruction anywhere) and after a snapshot restore (snapshots
+     * carry no scheduler state). Exact for the same reason reference
+     * mode is: a full scan is a superset of any wake-driven scan.
+     */
+    void reset();
 
-  protected:
+  private:
     /**
      * Scan one cluster's queue in age order, issuing every eligible
-     * copy (the shared mechanics of both engines). When `wake_out` is
-     * non-null, it is folded down to the earliest future cycle any
-     * blocked copy in this cluster could become issuable on its own
-     * (time-bound constraints only; event-gated copies contribute
-     * nothing because the triggering event posts a wakeup itself).
+     * copy. Returns the earliest future cycle any blocked copy in this
+     * cluster could become issuable on its own (time-bound constraints
+     * only; event-gated copies contribute nothing because the
+     * triggering event posts a wakeup itself), or kNoCycle.
      */
-    void scanCluster(unsigned c, InstSeq oldest_unissued,
-                     Cycle *wake_out);
+    Cycle scanCluster(unsigned c, InstSeq oldest_unissued);
 
     /** Entries of `buf` available to this instruction this cycle. */
     bool
@@ -106,11 +102,11 @@ class Scheduler : public ckpt::Checkpointable
 
     /**
      * Whether the master copy can issue this cycle, evaluating the
-     * constraints in the fixed order of the original scan (the d-cache
-     * MSHR poll is a counted cache event, so the call pattern is part
-     * of the architectural contract). On failure, `*earliest` (when
-     * non-null) receives the first failing constraint's maturity
-     * cycle, or kNoCycle if it resolves through an event.
+     * constraints in a fixed order (the d-cache MSHR poll is a counted
+     * cache event, so the call pattern is part of the architectural
+     * contract). On failure, `*earliest` receives the first failing
+     * constraint's maturity cycle, or kNoCycle if it resolves through
+     * an event.
      */
     bool masterReady(const InFlightInst &inst, const CopyState &copy,
                      InstSeq oldest_unissued, bool *buffer_blocked,
@@ -122,66 +118,41 @@ class Scheduler : public ckpt::Checkpointable
                           bool is_wake);
 
     /**
-     * Set by scanCluster: the scan left at least one copy blocked on
-     * an *event* rather than a time bound (a full transfer buffer, an
-     * unissued operand writer, slave, or store). Only such clusters
-     * need the issue-path wakeAll — a copy blocked on a time bound has
-     * that bound folded into the cluster's wakeup, and no issue can
-     * make a finite maturity arrive sooner.
+     * Issue-path broadcast: it only concerns clusters left event-gated
+     * by their last scan (a copy blocked on a full buffer or an
+     * unissued store), so it is held in broadcastAt_ and matched
+     * against the gating flags when it matures — time-bounded copies
+     * have their maturity folded into wake_, and an issue never makes
+     * a finite bound arrive sooner. Every issue action posts
+     * wakeAll(now+1) — nothing an issue enables matures sooner — plus
+     * targeted later wakeups for result maturities.
      */
-    bool scanLeftEventGated_ = false;
-
-    // Wakeup posting, no-ops in the scan engine. Every issue action
-    // posts wakeAll(now+1) — nothing an issue enables matures sooner —
-    // plus targeted later wakeups for result maturities.
-    virtual void wakeAll(Cycle at) { static_cast<void>(at); }
-    virtual void
+    void
+    wakeAll(Cycle at)
+    {
+        broadcastAt_ = std::min(broadcastAt_, at);
+    }
+    void
     wakeCluster(unsigned c, Cycle at)
     {
-        static_cast<void>(c);
-        static_cast<void>(at);
+        wake_[c] = std::min(wake_[c], at);
     }
 
     MachineState &m_;
-};
 
-/** Reference engine: full scan of every cluster, every cycle. */
-class ScanScheduler final : public Scheduler
-{
-  public:
-    using Scheduler::Scheduler;
-    void tick() override;
-};
-
-/** Wakeup-driven engine: scans only clusters with matured wakeups. */
-class EventScheduler final : public Scheduler
-{
-  public:
-    explicit EventScheduler(MachineState &m)
-        : Scheduler(m), wake_(m.clusters.size(), 0),
-          matured_(m.clusters.size(), 0),
-          eventGated_(m.clusters.size(), 1)
-    {
-    }
-
-    void tick() override;
-    Cycle nextWakeCycle() const override;
-    void onDispatched(const InFlightInst &inst) override;
-    void onRetired(unsigned count) override;
-    void onSquash() override;
-    void onIdleCycle() override;
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
-
-  protected:
-    void wakeAll(Cycle at) override;
-    void wakeCluster(unsigned c, Cycle at) override;
-
-  private:
+    /**
+     * Set by scanCluster: the scan left at least one copy blocked on
+     * an *event* rather than a time bound (a full transfer buffer, an
+     * unissued operand writer, slave, or store). Only such clusters
+     * need the issue-path broadcast — a copy blocked on a time bound
+     * has that bound folded into the cluster's wakeup, and no issue can
+     * make a finite maturity arrive sooner.
+     */
+    bool scanLeftEventGated_ = false;
     /**
      * Index of the first retire-window entry with an unissued copy.
      * Monotone within a cycle (issued flags only ever set); adjusted
-     * when the window shrinks at retire or squash.
+     * when the window shrinks at retire, rewound by reset().
      */
     std::size_t cursor_ = 0;
     /** Per-cluster earliest pending wakeup; <= now means scan. */
@@ -204,29 +175,7 @@ class EventScheduler final : public Scheduler
      * its flag is only fresh once its own scan has run.
      */
     Cycle broadcastAt_ = kNoCycle;
-
-    /**
-     * Saturated mode: on issue-bound workloads every cluster matures a
-     * wakeup every cycle (issue broadcasts re-arm all gated clusters at
-     * now+1), so the wakeup bookkeeping is pure overhead on top of a de
-     * facto full scan. After kSaturationStreak consecutive ticks in
-     * which every cluster scanned, the engine degenerates to the scan
-     * engine's behavior — scan all clusters, skip the wake/broadcast
-     * accounting — which is cycle-exact by the same proof as the scan
-     * engine (a full scan is a superset of any wakeup-driven scan).
-     * The first idle cycle (onIdleCycle) or squash exits back to
-     * event-driven mode with every cluster conservatively woken.
-     * Transient host-side state: never serialized (saveState writes
-     * the conservative post-exit values instead).
-     */
-    static constexpr unsigned kSaturationStreak = 64;
-    void exitSaturation();
-    unsigned saturatedStreak_ = 0;
-    bool saturated_ = false;
 };
-
-/** Build the engine selected by cfg.issueEngine. */
-std::unique_ptr<Scheduler> makeScheduler(MachineState &m);
 
 } // namespace mca::core
 

@@ -15,7 +15,7 @@ namespace mca::harness
 namespace
 {
 
-/** One engine's full observable output. */
+/** One leg's full observable output. */
 struct Observed
 {
     Cycle cycles = 0;
@@ -118,7 +118,7 @@ runLockstep(const prog::MachProgram &binary, const isa::RegisterMap &map,
     LockstepResult out;
     out.workload = binary.name;
 
-    // Build one (engine, idleSkip) leg. The StatGroup name is shared so
+    // Build one leg. The StatGroup name is shared so
     // the JSON dumps are byte-comparable.
     struct Leg
     {
@@ -149,60 +149,58 @@ runLockstep(const prog::MachProgram &binary, const isa::RegisterMap &map,
         Observed obs;
     };
 
-    core::ProcessorConfig scanCfg = base;
-    scanCfg.issueEngine = core::ProcessorConfig::IssueEngine::Scan;
-    scanCfg.idleSkip = false;
-    core::ProcessorConfig eventCfg = base;
-    eventCfg.issueEngine = core::ProcessorConfig::IssueEngine::Event;
+    core::ProcessorConfig refCfg = base;
+    refCfg.idleSkip = false;
+    core::ProcessorConfig wakeCfg = base;
+    wakeCfg.idleSkip = true;
 
-    // ---- Proof 1: stepwise lockstep, Scan vs Event -------------------
+    // ---- Proof 1: stepwise lockstep, reference vs wake-gated ---------
     {
-        Leg scan(binary, scanCfg, trace_seed, max_insts);
-        Leg event(binary, eventCfg, trace_seed, max_insts);
+        Leg ref(binary, refCfg, trace_seed, max_insts);
+        Leg wake(binary, wakeCfg, trace_seed, max_insts);
         bool drained = false;
         for (Cycle cycle = 0; cycle < max_cycles; ++cycle) {
-            const bool scanLive = scan.cpu.step();
-            const bool eventLive = event.cpu.step();
-            if (scanLive != eventLive) {
+            const bool refLive = ref.cpu.step();
+            const bool wakeLive = wake.cpu.step();
+            if (refLive != wakeLive) {
                 std::ostringstream oss;
-                oss << "stepwise: engines disagree on pipeline-empty at "
-                    << "cycle " << cycle << " (scan " << scanLive
-                    << ", event " << eventLive << ")";
+                oss << "stepwise: modes disagree on pipeline-empty at "
+                    << "cycle " << cycle << " (reference " << refLive
+                    << ", wake-gated " << wakeLive << ")";
                 out.divergence = oss.str();
                 break;
             }
-            if (scan.cpu.retiredInstructions() !=
-                event.cpu.retiredInstructions()) {
+            if (ref.cpu.retiredInstructions() !=
+                wake.cpu.retiredInstructions()) {
                 std::ostringstream oss;
                 oss << "stepwise: retired "
-                    << event.cpu.retiredInstructions() << " (event) != "
-                    << scan.cpu.retiredInstructions()
-                    << " (scan) after cycle " << cycle;
+                    << wake.cpu.retiredInstructions()
+                    << " (wake-gated) != " << ref.cpu.retiredInstructions()
+                    << " (reference) after cycle " << cycle;
                 out.divergence = oss.str();
                 break;
             }
-            if (!scanLive) {
+            if (!refLive) {
                 drained = true;
                 break;
             }
         }
-        scan.finish({scan.cpu.now(), scan.cpu.retiredInstructions(),
+        ref.finish({ref.cpu.now(), ref.cpu.retiredInstructions(), drained});
+        wake.finish({wake.cpu.now(), wake.cpu.retiredInstructions(),
                      drained});
-        event.finish({event.cpu.now(), event.cpu.retiredInstructions(),
-                      drained});
-        out.cycles = scan.obs.cycles;
-        out.retired = scan.obs.retired;
+        out.cycles = ref.obs.cycles;
+        out.retired = ref.obs.retired;
         if (out.divergence.empty())
-            out.divergence = compareObserved(scan.obs, event.obs,
-                                             "stepwise event engine");
+            out.divergence = compareObserved(ref.obs, wake.obs,
+                                             "stepwise wake-gated mode");
 
-        // ---- Proof 2: Event engine with idle fast-forward ------------
+        // ---- Proof 2: wake-gated run() with idle fast-forward --------
         if (out.divergence.empty()) {
-            Leg ff(binary, eventCfg, trace_seed, max_insts);
+            Leg ff(binary, wakeCfg, trace_seed, max_insts);
             const auto result = ff.cpu.run(max_cycles);
             ff.finish(result);
             out.divergence =
-                compareObserved(scan.obs, ff.obs, "fast-forward run");
+                compareObserved(ref.obs, ff.obs, "fast-forward run");
             out.cyclesSkipped = ff.cpu.steppedCycles() <= result.cycles
                                     ? result.cycles -
                                           ff.cpu.steppedCycles()

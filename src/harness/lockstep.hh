@@ -1,28 +1,29 @@
 /**
  * @file
- * Differential lockstep harness: proves the Event issue engine (and
- * the idle fast-forward) cycle-exact against the reference Scan
- * engine.
+ * Differential lockstep harness: proves the issue scheduler's
+ * wake-gated mode and the idle fast-forward cycle-exact against the
+ * reference mode (ProcessorConfig::idleSkip = false: every cluster
+ * scanned every cycle, every cycle stepped).
  *
  * Two proofs per workload:
  *
- *  1. **Stepwise**: two processors — one per engine — step() in
- *     lockstep over identical traces; after every cycle the retired
- *     counts must match. At drain the full timeline streams (every
- *     dispatch/issue/suspend/wake/complete/retire event with its
+ *  1. **Stepwise**: two processors — reference and wake-gated —
+ *     step() in lockstep over identical traces; after every cycle the
+ *     retired counts must match. At drain the full timeline streams
+ *     (every dispatch/issue/suspend/wake/complete/retire event with its
  *     cycle, sequence number, and cluster), the statistics JSON, and
  *     the cycle-stack slot attributions must be identical. The
  *     timeline comparison is the per-cycle issue-decision check: every
  *     issue is a timeline record keyed by cycle.
  *
- *  2. **Fast-forward**: the Event engine re-runs via run() with
- *     idleSkip enabled; final cycle count, retired count, statistics
- *     JSON, timeline, and cycle stack must equal the Scan reference,
- *     and the cycle stack must still conserve slots × cycles.
+ *  2. **Fast-forward**: the wake-gated machine re-runs via run(), which
+ *     skips idle cycles; final cycle count, retired count, statistics
+ *     JSON, timeline, and cycle stack must equal the reference, and the
+ *     cycle stack must still conserve slots × cycles.
  *
- * Used by tests/lockstep_test.cc over all seven workloads (the six
- * Table-2 benchmarks plus a fuzzer program) and by the five §2.1
- * scenario reproductions (harness/scenarios.hh runs per-engine).
+ * Used by tests/lockstep_test.cc over the six Table-2 benchmarks, a
+ * fuzzer program, and the pointer chase, and by the five §2.1 scenario
+ * reproductions (harness/scenarios.hh runs per mode).
  */
 
 #ifndef MCA_HARNESS_LOCKSTEP_HH
@@ -41,7 +42,7 @@ namespace mca::harness
 struct LockstepResult
 {
     std::string workload;
-    /** Total cycles of the reference (Scan) run. */
+    /** Total cycles of the reference run. */
     Cycle cycles = 0;
     /** Instructions retired by the reference run. */
     std::uint64_t retired = 0;
@@ -54,8 +55,8 @@ struct LockstepResult
 };
 
 /**
- * Run both proofs on one binary/machine pair. `base.issueEngine` and
- * `base.idleSkip` are overwritten per leg.
+ * Run both proofs on one binary/machine pair. `base.idleSkip` is
+ * overwritten per leg.
  */
 LockstepResult runLockstep(const prog::MachProgram &binary,
                            const isa::RegisterMap &map,

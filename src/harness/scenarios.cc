@@ -34,11 +34,10 @@ struct ScenarioSpec
 };
 
 ScenarioResult
-runOne(const ScenarioSpec &spec,
-       core::ProcessorConfig::IssueEngine engine)
+runOne(const ScenarioSpec &spec, bool idle_skip)
 {
     core::ProcessorConfig cfg = core::ProcessorConfig::dualCluster8();
-    cfg.issueEngine = engine;
+    cfg.idleSkip = idle_skip;
     if (spec.destGlobal)
         cfg.regMap.setGlobal(spec.dest);
 
@@ -86,11 +85,11 @@ runOne(const ScenarioSpec &spec,
 std::vector<ScenarioResult>
 runScenarios()
 {
-    return runScenarios(core::ProcessorConfig{}.issueEngine);
+    return runScenarios(core::ProcessorConfig{}.idleSkip);
 }
 
 std::vector<ScenarioResult>
-runScenarios(core::ProcessorConfig::IssueEngine engine)
+runScenarios(bool idle_skip)
 {
     // Even register -> cluster 0 ("C1" in the paper's figures), odd ->
     // cluster 1 ("C2").
@@ -118,7 +117,7 @@ runScenarios(core::ProcessorConfig::IssueEngine engine)
 
     std::vector<ScenarioResult> results;
     for (const auto &spec : specs)
-        results.push_back(runOne(spec, engine));
+        results.push_back(runOne(spec, idle_skip));
     return results;
 }
 

@@ -46,11 +46,11 @@ struct ScenarioResult
 std::vector<ScenarioResult> runScenarios();
 
 /**
- * Same, forcing a specific issue engine (default config otherwise).
- * The lockstep tests run both engines and require identical timelines.
+ * Same, with ProcessorConfig::idleSkip forced (default config
+ * otherwise). The lockstep tests run the wake-gated and the reference
+ * mode and require identical timelines.
  */
-std::vector<ScenarioResult>
-runScenarios(core::ProcessorConfig::IssueEngine engine);
+std::vector<ScenarioResult> runScenarios(bool idle_skip);
 
 /** Render one scenario as the text block the bench prints. */
 std::string formatScenario(const ScenarioResult &scenario);

@@ -80,7 +80,6 @@ struct Options
     bool specHistory = false;
     bool reserveOldest = false;
     bool paranoid = false;
-    std::string issueEngine;
     bool noIdleSkip = false;
     std::string saveTrace;
     std::string loadTrace;
@@ -150,8 +149,8 @@ usage()
         "  --predictor KIND     mcfarling|gshare|bimodal|taken|nottaken\n"
         "  --spec-history       speculative global history\n"
         "  --reserve-oldest     reserve a buffer entry for the oldest\n"
-        "  --issue-engine KIND  scan|event issue scheduler [event]\n"
-        "  --no-idle-skip       disable the idle-cycle fast-forward\n"
+        "  --no-idle-skip       reference mode: scan every cluster and\n"
+        "                       step every cycle\n"
         "  --paranoid           check core invariants every cycle (slow)\n\n"
         "memory hierarchy (docs/memory.md; defaults = paper mode):\n"
         "  --icache-kb N        L1 instruction-cache size in KB [64]\n"
@@ -325,10 +324,6 @@ parse(int argc, char **argv)
             opt.reserveOldest = true;
         } else if (a == "--paranoid") {
             opt.paranoid = true;
-        } else if (a == "--issue-engine") {
-            opt.issueEngine = need("--issue-engine");
-            checkChoice(opt.issueEngine, {"scan", "event"},
-                        "--issue-engine");
         } else if (a == "--no-idle-skip") {
             opt.noIdleSkip = true;
         } else if (a == "--save-trace") {
@@ -493,12 +488,7 @@ machineConfig(const Options &opt, unsigned *clusters)
     cfg.speculativeHistory = opt.specHistory;
     cfg.reserveOldestEntry = opt.reserveOldest;
     cfg.paranoid = opt.paranoid;
-    if (opt.issueEngine == "scan")
-        cfg.issueEngine = core::ProcessorConfig::IssueEngine::Scan;
-    else if (opt.issueEngine == "event")
-        cfg.issueEngine = core::ProcessorConfig::IssueEngine::Event;
-    if (opt.noIdleSkip)
-        cfg.idleSkip = false;
+    cfg.idleSkip = !opt.noIdleSkip;
     if (opt.queueMode == "window")
         cfg.holdQueueUntilRetire = true;
     else if (opt.queueMode == "rs")

@@ -134,7 +134,7 @@ struct FastPathObserved
 };
 
 /**
- * Run one workload on the dual-cluster Event-engine machine twice —
+ * Run one workload on the default dual-cluster machine twice —
  * L1 fast path on (default) and forced through the virtual access
  * chain — stepping both in lockstep, and require identical retire
  * progress per cycle plus identical timelines and statistics.
@@ -152,7 +152,6 @@ expectFastPathExact(const std::string &name,
     const auto out = compiler::compile(program, copt);
     auto cfg = core::ProcessorConfig::dualCluster8();
     cfg.regMap = out.hardwareMap(2);
-    cfg.issueEngine = core::ProcessorConfig::IssueEngine::Event;
 
     struct Leg
     {

@@ -280,6 +280,29 @@ TEST(Ckpt, TruncatedFileIsRejected)
     EXPECT_THROW(ckpt::Snapshot::readFrom(is), std::runtime_error);
 }
 
+TEST(Ckpt, OldFormatVersionIsRejected)
+{
+    // Version 1 snapshots carried scheduler wake state; version 2 does
+    // not, so a version-1 file must be refused by name. Only the header
+    // differs: readFrom checks the version before the content hash.
+    ckpt::Snapshot snap;
+    snap.payload = "payload";
+    std::ostringstream os;
+    snap.writeTo(os);
+    std::string bytes = os.str();
+    ckpt::Writer old_version;
+    old_version.u32(1);
+    bytes.replace(8, 4, old_version.data());
+    std::istringstream is(bytes);
+    try {
+        ckpt::Snapshot::readFrom(is);
+        FAIL() << "version-1 snapshot accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "checkpoint: format version 1 unsupported "
+                               "(expected 2)");
+    }
+}
+
 TEST(Ckpt, WriterReaderScalarsRoundTrip)
 {
     ckpt::Writer w;

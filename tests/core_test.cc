@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <tuple>
 
+#include "compiler/pipeline.hh"
 #include "core/processor.hh"
 #include "exec/trace.hh"
 #include "support/stats.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -784,6 +786,32 @@ TEST(Replay, ParanoidInvariantsHoldUnderReplayStress)
     SimRun run(cfg, v);
     EXPECT_TRUE(run.result.completed);
     EXPECT_EQ(run.counter("sim.retired"), 36u);
+
+    // The idle-heavy workloads at lockstep length (ora's divide chains,
+    // the pointer chase's serial misses), in both scheduler modes: the
+    // sweep also checks the scheduler's oldest-unissued cursor against
+    // a walk of the retire window every stepped cycle.
+    const std::pair<prog::Program, const char *> inputs[] = {
+        {workloads::benchmarkByName("ora").make({}), "native"},
+        {workloads::makePointerChase(workloads::WorkloadParams{0.1}),
+         "local"},
+    };
+    for (const auto &[program, scheduler] : inputs) {
+        auto copt = compiler::compileOptionsFor(scheduler, 2);
+        copt.profileSeed = 42;
+        const auto out = compiler::compile(program, copt);
+        for (bool idle_skip : {true, false}) {
+            SCOPED_TRACE(program.name + (idle_skip ? "" : " (reference)"));
+            auto wcfg = core::ProcessorConfig::dualCluster8();
+            wcfg.regMap = out.hardwareMap(2);
+            wcfg.idleSkip = idle_skip;
+            wcfg.paranoid = true;
+            StatGroup stats("test");
+            exec::ProgramTrace trace(out.binary, 42, 40'000);
+            core::Processor cpu(wcfg, trace, stats);
+            EXPECT_TRUE(cpu.run().completed);
+        }
+    }
 }
 
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Differential lockstep tests: the Event issue engine and the idle
- * fast-forward must be cycle-exact against the reference Scan engine
- * (ISSUE: the refactor must be a pure reorganization of *when* the
- * issue logic looks at instructions, never of *what* it decides).
+ * Differential lockstep tests: the issue scheduler's wake-gated mode
+ * and the idle fast-forward must be cycle-exact against the reference
+ * mode that scans every cluster and steps every cycle (skipping work
+ * may change *when* the issue logic looks at instructions, never
+ * *what* it decides).
  *
  * Coverage: the six Table-2 benchmarks, a random fuzzer program, and
  * the pointer-chase stress workload (all on the dual-cluster machine
@@ -29,7 +30,6 @@ namespace
 {
 
 using namespace mca;
-using IssueEngine = core::ProcessorConfig::IssueEngine;
 
 constexpr std::uint64_t kTraceSeed = 42;
 constexpr std::uint64_t kMaxInsts = 40'000;
@@ -155,13 +155,13 @@ TEST(Lockstep, PaperModeMatchesPreRefactorTable2Reference)
 
 TEST(Lockstep, ScenariosBitIdenticalAcrossEngines)
 {
-    const auto scan = harness::runScenarios(IssueEngine::Scan);
-    const auto event = harness::runScenarios(IssueEngine::Event);
-    ASSERT_EQ(scan.size(), event.size());
-    for (std::size_t i = 0; i < scan.size(); ++i) {
-        SCOPED_TRACE("scenario " + std::to_string(scan[i].number));
-        EXPECT_EQ(scan[i].totalCycles, event[i].totalCycles);
-        EXPECT_EQ(scan[i].dual, event[i].dual);
+    const auto ref = harness::runScenarios(/*idle_skip=*/false);
+    const auto wake = harness::runScenarios(/*idle_skip=*/true);
+    ASSERT_EQ(ref.size(), wake.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        SCOPED_TRACE("scenario " + std::to_string(ref[i].number));
+        EXPECT_EQ(ref[i].totalCycles, wake[i].totalCycles);
+        EXPECT_EQ(ref[i].dual, wake[i].dual);
         auto sameStream =
             [](const std::vector<core::TimelineRecord> &a,
                const std::vector<core::TimelineRecord> &b) {
@@ -176,12 +176,12 @@ TEST(Lockstep, ScenariosBitIdenticalAcrossEngines)
                 return true;
             };
         EXPECT_TRUE(
-            sameStream(scan[i].addEvents, event[i].addEvents));
-        EXPECT_TRUE(sameStream(scan[i].producerEvents,
-                               event[i].producerEvents));
-        EXPECT_EQ(scan[i].stack.slotCycles, event[i].stack.slotCycles);
-        EXPECT_EQ(scan[i].stack.cycles, event[i].stack.cycles);
-        EXPECT_TRUE(event[i].stack.conserved());
+            sameStream(ref[i].addEvents, wake[i].addEvents));
+        EXPECT_TRUE(sameStream(ref[i].producerEvents,
+                               wake[i].producerEvents));
+        EXPECT_EQ(ref[i].stack.slotCycles, wake[i].stack.slotCycles);
+        EXPECT_EQ(ref[i].stack.cycles, wake[i].stack.cycles);
+        EXPECT_TRUE(wake[i].stack.conserved());
     }
 }
 

@@ -56,6 +56,28 @@ class BenchmarkTest
 {
 };
 
+} // namespace
+
+namespace mca::workloads
+{
+
+/**
+ * Print a registered benchmark by name, so parameterized test names are
+ * stable; gtest's default dumps the object's bytes, heap pointers included.
+ */
+void
+PrintTo(const BenchmarkInfo &info, std::ostream *os)
+{
+    *os << '"' << info.name << '"';
+}
+
+} // namespace mca::workloads
+
+namespace
+{
+
+using namespace mca;
+
 TEST_P(BenchmarkTest, BuildsAndValidates)
 {
     const auto p = GetParam().make(workloads::WorkloadParams{0.05});
