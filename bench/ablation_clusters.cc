@@ -40,18 +40,6 @@ namespace
 
 using namespace mca;
 
-unsigned
-clustersOf(const std::string &machine)
-{
-    if (machine == "single8")
-        return 1;
-    if (machine == "dual8")
-        return 2;
-    if (machine == "quad8")
-        return 4;
-    return 8; // octa8
-}
-
 /** Geometric mean of IPC(multilevel)/IPC(local) over benchmarks. */
 double
 ipcRatioGeomean(const std::vector<runner::JobResult> &results,
@@ -207,7 +195,7 @@ main(int argc, char **argv)
                   "ipc", "cut", "balance"});
     for (const auto &r : results)
         table.row({r.spec.benchmark, r.spec.machine,
-                   std::to_string(clustersOf(r.spec.machine)),
+                   std::to_string(runner::machineConfigFor(r.spec).numClusters),
                    r.spec.scheduler, std::to_string(r.cycles),
                    TextTable::num(r.ipc),
                    std::to_string(r.partitionCut),
@@ -253,7 +241,8 @@ main(int argc, char **argv)
             const auto &r = results[i];
             out << "    {\"benchmark\": \"" << r.spec.benchmark
                 << "\", \"machine\": \"" << r.spec.machine
-                << "\", \"clusters\": " << clustersOf(r.spec.machine)
+                << "\", \"clusters\": "
+                << runner::machineConfigFor(r.spec).numClusters
                 << ", \"scheduler\": \"" << r.spec.scheduler
                 << "\", \"cycles\": " << r.cycles
                 << ", \"ipc\": " << r.ipc

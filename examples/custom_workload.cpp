@@ -121,15 +121,10 @@ main()
               << program.values.size() << " live ranges\n\n";
 
     // Characterize on both machines with the local scheduler.
-    compiler::CompileOptions nopt;
-    nopt.scheduler = compiler::SchedulerKind::Native;
-    nopt.numClusters = 1;
-    const auto native = compiler::compile(program, nopt);
-
-    compiler::CompileOptions lopt;
-    lopt.scheduler = compiler::SchedulerKind::Local;
-    lopt.numClusters = 2;
-    const auto local = compiler::compile(program, lopt);
+    const auto native = compiler::compile(
+        program, compiler::compileOptionsFor("native", 1));
+    const auto local = compiler::compile(
+        program, compiler::compileOptionsFor("local", 2));
     std::cout << "local scheduler: "
               << local.partitionTrace.assignmentOrder.size()
               << " live ranges partitioned, "

@@ -69,15 +69,10 @@ main()
     const prog::Program program = b.build();
 
     // --- 2. compile both ways -------------------------------------
-    compiler::CompileOptions native_opt;
-    native_opt.scheduler = compiler::SchedulerKind::Native;
-    native_opt.numClusters = 1;
-    const auto native = compiler::compile(program, native_opt);
-
-    compiler::CompileOptions local_opt;
-    local_opt.scheduler = compiler::SchedulerKind::Local;
-    local_opt.numClusters = 2;
-    const auto local = compiler::compile(program, local_opt);
+    const auto native = compiler::compile(
+        program, compiler::compileOptionsFor("native", 1));
+    const auto local = compiler::compile(
+        program, compiler::compileOptionsFor("local", 2));
 
     // --- 3. simulate ---------------------------------------------------
     const auto single = harness::simulate(

@@ -18,22 +18,11 @@
 #include "support/table.hh"
 #include "workloads/workloads.hh"
 
-namespace
-{
-
-using namespace mca;
-
-struct Variant
-{
-    std::string name;
-    compiler::CompileOptions options;
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
+    using namespace mca;
+
     const std::string bench_name = argc > 1 ? argv[1] : "compress";
     workloads::WorkloadParams wp;
     wp.scale = argc > 2 ? std::atof(argv[2]) : 0.2;
@@ -41,28 +30,16 @@ main(int argc, char **argv)
     const auto program =
         workloads::benchmarkByName(bench_name).make(wp);
 
-    std::vector<Variant> variants;
-    {
-        Variant v;
-        v.name = "native (cluster-unaware)";
-        v.options.scheduler = compiler::SchedulerKind::Native;
-        v.options.numClusters = 1;
-        variants.push_back(v);
-    }
-    {
-        Variant v;
-        v.name = "round-robin";
-        v.options.scheduler = compiler::SchedulerKind::RoundRobin;
-        v.options.numClusters = 2;
-        variants.push_back(v);
-    }
+    // Each variant is a named scheduler targeting the dual-cluster
+    // machine (compileOptionsFor maps the name to its options).
+    std::vector<std::pair<std::string, compiler::CompileOptions>> variants = {
+        {"native (cluster-unaware)", compiler::compileOptionsFor("native", 2)},
+        {"round-robin", compiler::compileOptionsFor("roundrobin", 2)},
+    };
     for (unsigned t : {1u, 2u, 4u, 8u}) {
-        Variant v;
-        v.name = "local, threshold " + std::to_string(t);
-        v.options.scheduler = compiler::SchedulerKind::Local;
-        v.options.numClusters = 2;
-        v.options.imbalanceThreshold = t;
-        variants.push_back(v);
+        variants.emplace_back("local, threshold " + std::to_string(t),
+                              compiler::compileOptionsFor("local", 2));
+        variants.back().second.imbalanceThreshold = t;
     }
 
     std::cout << "Scheduler exploration on '" << bench_name
@@ -70,14 +47,14 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"scheduler", "cycles", "ipc", "dual%", "op-fwd",
                   "res-fwd", "spill ld/st", "replays"});
-    for (const auto &v : variants) {
-        const auto out = compiler::compile(program, v.options);
+    for (const auto &[name, options] : variants) {
+        const auto out = compiler::compile(program, options);
         const auto s = harness::simulate(
             out.binary, out.hardwareMap(2),
             core::ProcessorConfig::dualCluster8(), 42, 300'000);
         const double total =
             static_cast<double>(s.distSingle + s.distDual);
-        table.row({v.name, std::to_string(s.cycles),
+        table.row({name, std::to_string(s.cycles),
                    TextTable::num(s.ipc, 2),
                    TextTable::num(total ? 100.0 * s.distDual / total : 0,
                                   1),

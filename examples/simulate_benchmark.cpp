@@ -4,21 +4,21 @@
  * dumping the full statistics registry.
  *
  * Usage: simulate_benchmark [benchmark] [machine] [scheduler] [scale]
- *   benchmark: compress | doduc | gcc1 | ora | su2cor | tomcatv
- *   machine:   single8 | dual8 | single4 | dual4
- *   scheduler: native | local | roundrobin
+ *   benchmark, machine, scheduler: any name runner::validBenchmarks(),
+ *   validMachines() or validSchedulers() lists (mcasim --help shows them)
  *
- * Demonstrates the full public API surface: workload generation, the
- * compilation pipeline, machine configuration, and the processor model.
+ * Demonstrates the full public API surface: a runner::JobSpec names the
+ * point, the runner maps it to a machine and a compile, and the
+ * workload generator, compilation pipeline and processor model run it.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "compiler/pipeline.hh"
 #include "core/processor.hh"
 #include "exec/trace.hh"
+#include "runner/jobspec.hh"
 #include "support/stats.hh"
 #include "workloads/workloads.hh"
 
@@ -27,57 +27,44 @@ main(int argc, char **argv)
 {
     using namespace mca;
 
-    const std::string bench_name = argc > 1 ? argv[1] : "compress";
-    const std::string machine = argc > 2 ? argv[2] : "dual8";
-    const std::string sched = argc > 3 ? argv[3] : "local";
-    const double scale = argc > 4 ? std::atof(argv[4]) : 0.2;
+    // 1. Name the point: the same description mcasim and mcarun use.
+    runner::JobSpec spec;
+    spec.maxInsts = 400'000;
+    core::ProcessorConfig cfg;
+    try {
+        spec.benchmark = argc > 1 ? argv[1] : spec.benchmark;
+        spec.machine = argc > 2 ? argv[2] : spec.machine;
+        spec.scheduler = argc > 3 ? argv[3] : spec.scheduler;
+        spec.scale = argc > 4 ? std::stod(argv[4]) : spec.scale;
+        spec.validate();
+        cfg = runner::machineConfigFor(spec);
+    } catch (const std::exception &e) {
+        std::cerr << "simulate_benchmark: " << e.what() << "\n";
+        return 2;
+    }
 
-    // 1. Generate the workload program.
+    // 2. Generate the workload program.
     workloads::WorkloadParams wp;
-    wp.scale = scale;
+    wp.scale = spec.scale;
     const prog::Program program =
-        workloads::benchmarkByName(bench_name).make(wp);
+        workloads::benchmarkByName(spec.benchmark).make(wp);
     std::cout << "program '" << program.name << "': "
               << program.staticInstCount() << " static instructions, "
               << program.values.size() << " live ranges\n";
 
-    // 2. Compile it for the target machine.
-    compiler::CompileOptions copt;
-    if (sched == "native") {
-        copt.scheduler = compiler::SchedulerKind::Native;
-        copt.numClusters = 1;
-    } else if (sched == "roundrobin") {
-        copt.scheduler = compiler::SchedulerKind::RoundRobin;
-        copt.numClusters = 2;
-    } else {
-        copt.scheduler = compiler::SchedulerKind::Local;
-        copt.numClusters = 2;
-    }
-    const auto out = compiler::compile(program, copt);
+    // 3. Compile it for the target machine.
+    const auto out = compiler::compile(
+        program, runner::jobCompileOptions(spec, cfg.numClusters));
     std::cout << "compiled: " << out.binary.staticInstCount()
               << " machine instructions, "
               << out.alloc.memorySpills << " ranges spilled to memory, "
               << out.alloc.otherClusterSpills
               << " recolored across clusters\n";
 
-    // 3. Configure the machine and run.
-    core::ProcessorConfig cfg;
-    unsigned clusters = 2;
-    if (machine == "single8") {
-        cfg = core::ProcessorConfig::singleCluster8();
-        clusters = 1;
-    } else if (machine == "single4") {
-        cfg = core::ProcessorConfig::singleCluster4();
-        clusters = 1;
-    } else if (machine == "dual4") {
-        cfg = core::ProcessorConfig::dualCluster4();
-    } else {
-        cfg = core::ProcessorConfig::dualCluster8();
-    }
-    cfg.regMap = out.hardwareMap(clusters);
-
-    StatGroup stats(bench_name + "@" + machine);
-    exec::ProgramTrace trace(out.binary, 42, 400'000);
+    // 4. Run it on the machine.
+    cfg.regMap = out.hardwareMap(cfg.numClusters);
+    StatGroup stats(spec.benchmark + "@" + spec.machine);
+    exec::ProgramTrace trace(out.binary, spec.traceSeed, spec.maxInsts);
     core::Processor cpu(cfg, trace, stats);
     const auto result = cpu.run();
 

@@ -45,10 +45,37 @@ cmake --build "$BUILD-tsan" -j \
 
 cd "$BUILD"
 
-# Observability smoke: cycle stacks conserve and the Perfetto trace is
-# loadable (scripts/check_trace.py validates both).
 cd "$ROOT"
 SIM="$BUILD/src/tools/mcasim"
+
+# Usage-error probes: both tools parse one typed flag table, so a
+# malformed command line is a usage error that names the flag
+# (`<tool>: <flag>: <reason>`, exit status 2) before any compile.
+probe() {
+    tool="$1" flag="$2"
+    shift 2
+    status=0
+    "$BUILD/src/tools/$tool" "$@" >/dev/null 2>/tmp/mca_ci_usage.txt \
+        || status=$?
+    if [ "$status" -ne 2 ] ||
+        ! grep -q -- "^$tool: $flag: " /tmp/mca_ci_usage.txt; then
+        echo "ci.sh: '$tool $*' must exit 2 naming $flag, got $status:"
+        cat /tmp/mca_ci_usage.txt
+        exit 1
+    fi
+}
+for tool in mcasim mcarun; do
+    probe "$tool" --bogus --bogus
+    probe "$tool" --scale --scale
+    probe "$tool" --scale --scale foo
+    probe "$tool" --max-insts --max-insts 5k
+done
+probe mcasim --threshold --threshold -1
+probe mcasim --random-seed --random-seed abc
+probe mcarun --thresholds --thresholds x
+
+# Observability smoke: cycle stacks conserve and the Perfetto trace is
+# loadable (scripts/check_trace.py validates both).
 "$SIM" --benchmark ora --max-insts 5000 --cycle-stacks --quiet \
     --trace-out /tmp/mca_ci_trace.json >/dev/null
 "$SIM" --benchmark ora --max-insts 5000 --cycle-stacks --quiet --json \

@@ -103,8 +103,9 @@ struct CompileOptions
  * The canonical CompileOptions for a named scheduler ("native",
  * "local", "roundrobin", "multilevel") targeting a machine with
  * `machine_clusters` clusters — the one place the name-to-options
- * mapping lives, shared by mcasim, the runner, and the Table-2
- * harness. A "local" or "multilevel" request on a single-cluster
+ * mapping lives, shared by the runner (and through it both tools),
+ * the Table-2 harness and the examples. A "local" or "multilevel"
+ * request on a single-cluster
  * machine degrades to Native (nothing to partition).
  * Throws std::runtime_error on an unknown scheduler name.
  */

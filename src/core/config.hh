@@ -206,26 +206,17 @@ struct ProcessorConfig
      */
     void validate() const;
 
-    /**
-     * N-cluster generalization of the 8-way machine (extension §6).
-     * `flag` names the command-line option a bad count came from so
-     * the parse-time error points at what to fix; the default blames
-     * the call itself.
-     */
+    /** N-cluster generalization of the 8-way machine (extension §6). */
     static ProcessorConfig
-    multiCluster8(unsigned n, const char *flag = nullptr)
+    multiCluster8(unsigned n)
     {
         // The register map supports at most 8 clusters, and the
         // 128-entry window/register budget must split evenly.
-        if (n == 0 || n > 8 || 128 % n != 0) {
-            const std::string who =
-                flag ? flag : "multiCluster8(" + std::to_string(n) + ")";
+        if (n == 0 || n > 8 || 128 % n != 0)
             throw std::runtime_error(
-                who + ": cluster count " + std::to_string(n) +
-                " not supported; the 8-way machine's 128-entry "
-                "window/register budget divides into 1, 2, 4, or 8 "
-                "clusters");
-        }
+                "multiCluster8(" + std::to_string(n) +
+                "): the 8-way machine's 128-entry window/register budget "
+                "divides into 1, 2, 4, or 8 clusters");
         ProcessorConfig c;
         c.numClusters = n;
         c.dispatchQueueEntries = 128 / n;

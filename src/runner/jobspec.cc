@@ -31,65 +31,90 @@ canonicalDouble(double value)
     return buf;
 }
 
+/** The machines a spec can name: the paper's §4.1 pair, their 4-way
+ *  variants, and the 4- and 8-cluster splits of the 8-way machine. */
+const std::pair<const char *, core::ProcessorConfig (*)()> kMachines[] = {
+    {"single8", &core::ProcessorConfig::singleCluster8},
+    {"dual8", &core::ProcessorConfig::dualCluster8},
+    {"single4", &core::ProcessorConfig::singleCluster4},
+    {"dual4", &core::ProcessorConfig::dualCluster4},
+    {"quad8", [] { return core::ProcessorConfig::multiCluster8(4); }},
+    {"octa8", [] { return core::ProcessorConfig::multiCluster8(8); }},
+};
+
+using PredictorKind = core::ProcessorConfig::PredictorKind;
+const std::pair<const char *, PredictorKind> kPredictors[] = {
+    {"mcfarling", PredictorKind::McFarling},
+    {"gshare", PredictorKind::Gshare},
+    {"bimodal", PredictorKind::Bimodal},
+    {"taken", PredictorKind::StaticTaken},
+    {"nottaken", PredictorKind::StaticNotTaken},
+};
+
+/** A sampled spec's plan: systematic, on one lane. */
+sample::SampleSpec
+samplePlan(const JobSpec &spec)
+{
+    return {.period = spec.samplePeriod,
+            .detail = spec.sampleDetail,
+            .warmup = spec.sampleWarmup};
+}
+
+/** Dispatch-queue modes: whether entries are held until retirement
+ *  (the queue is the window) or freed at issue (reservation stations). */
+const std::pair<const char *, bool> kQueueModes[] = {{"window", true},
+                                                     {"rs", false}};
+
+/** The value `name` maps to in `table`; throws naming `what` if none. */
+template <class Value, std::size_t N>
+Value
+lookup(const std::pair<const char *, Value> (&table)[N],
+       const std::string &name, const char *what)
+{
+    for (const auto &[key, value] : table)
+        if (name == key)
+            return value;
+    throw std::runtime_error(std::string("unknown ") + what + " '" + name +
+                             "'");
+}
+
+template <class Value, std::size_t N>
+std::vector<std::string>
+namesOf(const std::pair<const char *, Value> (&table)[N])
+{
+    std::vector<std::string> names;
+    for (const auto &entry : table)
+        names.push_back(entry.first);
+    return names;
+}
+
+} // namespace
+
 std::string
 joinChoices(const std::vector<std::string> &choices)
 {
     std::string out;
-    for (const auto &c : choices) {
-        if (!out.empty())
-            out += "|";
-        out += c;
-    }
+    for (const auto &c : choices)
+        out += (out.empty() ? "" : "|") + c;
     return out;
 }
 
 void
 requireOneOf(const std::string &value, const std::vector<std::string> &valid,
-             const char *field)
+             const char *what)
 {
     if (std::find(valid.begin(), valid.end(), value) == valid.end())
-        throw std::runtime_error(std::string("unknown ") + field + " '" +
+        throw std::runtime_error(std::string("unknown ") + what + " '" +
                                  value + "' (valid: " +
                                  joinChoices(valid) + ")");
 }
 
-} // namespace
-
 core::ProcessorConfig
 machineConfigFor(const JobSpec &spec)
 {
-    core::ProcessorConfig cfg;
-    if (spec.machine == "single8")
-        cfg = core::ProcessorConfig::singleCluster8();
-    else if (spec.machine == "dual8")
-        cfg = core::ProcessorConfig::dualCluster8();
-    else if (spec.machine == "single4")
-        cfg = core::ProcessorConfig::singleCluster4();
-    else if (spec.machine == "dual4")
-        cfg = core::ProcessorConfig::dualCluster4();
-    else if (spec.machine == "quad8")
-        cfg = core::ProcessorConfig::multiCluster8(4);
-    else if (spec.machine == "octa8")
-        cfg = core::ProcessorConfig::multiCluster8(8);
-    else
-        throw std::runtime_error("unknown machine '" + spec.machine + "'");
-
-    if (!spec.predictor.empty()) {
-        using Kind = core::ProcessorConfig::PredictorKind;
-        if (spec.predictor == "mcfarling")
-            cfg.predictor = Kind::McFarling;
-        else if (spec.predictor == "gshare")
-            cfg.predictor = Kind::Gshare;
-        else if (spec.predictor == "bimodal")
-            cfg.predictor = Kind::Bimodal;
-        else if (spec.predictor == "taken")
-            cfg.predictor = Kind::StaticTaken;
-        else if (spec.predictor == "nottaken")
-            cfg.predictor = Kind::StaticNotTaken;
-        else
-            throw std::runtime_error("unknown predictor '" +
-                                     spec.predictor + "'");
-    }
+    core::ProcessorConfig cfg = lookup(kMachines, spec.machine, "machine")();
+    if (!spec.predictor.empty())
+        cfg.predictor = lookup(kPredictors, spec.predictor, "predictor");
 
     cfg.memory.l2SizeBytes = static_cast<std::uint64_t>(spec.l2Kb) * 1024;
     cfg.memory.l2HitLatency = spec.l2Lat;
@@ -98,6 +123,23 @@ machineConfigFor(const JobSpec &spec)
     cfg.memory.dcache.fillPorts = spec.fillPorts;
     cfg.memory.l2FillPorts = spec.fillPorts;
     cfg.memory.memPorts = spec.fillPorts;
+
+    // Machine overrides: 0, empty or false keeps the machine's value.
+    const auto overrideWith = [](auto &field, auto value) {
+        if (value)
+            field = value;
+    };
+    overrideWith(cfg.dispatchQueueEntries, spec.dqEntries);
+    overrideWith(cfg.operandBufferEntries, spec.otbEntries);
+    overrideWith(cfg.resultBufferEntries, spec.rtbEntries);
+    overrideWith(cfg.memory.dcache.mshrEntries, spec.mshrEntries);
+    overrideWith(cfg.memory.icache.sizeBytes, spec.icacheKb * 1024ull);
+    overrideWith(cfg.memory.dcache.sizeBytes, spec.dcacheKb * 1024ull);
+    overrideWith(cfg.speculativeHistory, spec.specHistory);
+    overrideWith(cfg.reserveOldestEntry, spec.reserveOldest);
+    if (!spec.queueMode.empty())
+        cfg.holdQueueUntilRetire =
+            lookup(kQueueModes, spec.queueMode, "queue mode");
     cfg.validate();
     return cfg;
 }
@@ -134,7 +176,16 @@ JobSpec::canonicalKey() const
         << ";fillPorts=" << fillPorts
         << ";samplePeriod=" << samplePeriod
         << ";sampleDetail=" << sampleDetail
-        << ";sampleWarmup=" << sampleWarmup;
+        << ";sampleWarmup=" << sampleWarmup
+        << ";dq=" << dqEntries
+        << ";otb=" << otbEntries
+        << ";rtb=" << rtbEntries
+        << ";mshr=" << mshrEntries
+        << ";icacheKb=" << icacheKb
+        << ";dcacheKb=" << dcacheKb
+        << ";queueMode=" << queueMode
+        << ";specHistory=" << specHistory
+        << ";reserveOldest=" << reserveOldest;
     return oss.str();
 }
 
@@ -162,17 +213,14 @@ JobSpec::validate() const
     requireOneOf(scheduler, validSchedulers(), "scheduler");
     if (!predictor.empty())
         requireOneOf(predictor, validPredictors(), "predictor");
+    if (!queueMode.empty())
+        requireOneOf(queueMode, validQueueModes(), "queue mode");
     if (maxInsts == 0)
         throw std::runtime_error("maxInsts must be positive");
     if (maxCycles == 0)
         throw std::runtime_error("maxCycles must be positive");
-    if (samplePeriod > 0) {
-        sample::SampleSpec sspec;
-        sspec.period = samplePeriod;
-        sspec.detail = sampleDetail;
-        sspec.warmup = sampleWarmup;
-        sspec.validate(); // overlap / zero-detail checks, same messages
-    }
+    if (samplePeriod > 0)
+        samplePlan(*this).validate(); // overlap / zero-detail checks
 }
 
 const char *
@@ -225,12 +273,7 @@ runJob(const JobSpec &spec, ArtifactStore *store)
             // intervals instead of a full detailed run. The campaign
             // already parallelizes across jobs, so the driver runs its
             // intervals serially (no nested pools).
-            sample::SampleSpec sspec;
-            sspec.mode = sample::SampleSpec::Mode::Systematic;
-            sspec.period = spec.samplePeriod;
-            sspec.detail = spec.sampleDetail;
-            sspec.warmup = spec.sampleWarmup;
-            sspec.jobs = 1;
+            const sample::SampleSpec sspec = samplePlan(spec);
             core::ProcessorConfig scfg = cfg;
             scfg.regMap = compiled->hardwareMap(cfg.numClusters);
             sample::SampledDriver driver(compiled->binary, scfg,
@@ -303,10 +346,8 @@ runJob(const JobSpec &spec, ArtifactStore *store)
 const std::vector<std::string> &
 validMachines()
 {
-    static const std::vector<std::string> kMachines = {
-        "single8", "dual8", "single4", "dual4", "quad8", "octa8",
-    };
-    return kMachines;
+    static const std::vector<std::string> kNames = namesOf(kMachines);
+    return kNames;
 }
 
 const std::vector<std::string> &
@@ -321,10 +362,8 @@ validSchedulers()
 const std::vector<std::string> &
 validPredictors()
 {
-    static const std::vector<std::string> kPredictors = {
-        "mcfarling", "gshare", "bimodal", "taken", "nottaken",
-    };
-    return kPredictors;
+    static const std::vector<std::string> kNames = namesOf(kPredictors);
+    return kNames;
 }
 
 const std::vector<std::string> &
@@ -337,6 +376,13 @@ validBenchmarks()
         return names;
     }();
     return kBenchmarks;
+}
+
+const std::vector<std::string> &
+validQueueModes()
+{
+    static const std::vector<std::string> kNames = namesOf(kQueueModes);
+    return kNames;
 }
 
 } // namespace mca::runner

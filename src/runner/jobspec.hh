@@ -44,7 +44,7 @@ struct JobSpec
     /** Workload scale (loop trip counts). */
     double scale = 0.2;
 
-    /** Machine name: single8|dual8|single4|dual4|quad8|octa8. */
+    /** Machine name (validMachines()). */
     std::string machine = "dual8";
     /** Scheduler/partitioner name: native|local|roundrobin|multilevel. */
     std::string scheduler = "local";
@@ -64,6 +64,18 @@ struct JobSpec
     unsigned memLat = 16;
     /** Fill ports per memory level; 0 = unlimited (paper mode). */
     unsigned fillPorts = 0;
+
+    // Machine overrides (mcasim's flags); 0, empty or false keeps the
+    // machine's own value.
+    unsigned dqEntries = 0;     ///< dispatch-queue entries per cluster
+    unsigned otbEntries = 0;    ///< operand transfer-buffer entries
+    unsigned rtbEntries = 0;    ///< result transfer-buffer entries
+    unsigned mshrEntries = 0;   ///< data-cache MSHR entries
+    unsigned icacheKb = 0;      ///< L1 instruction-cache size in KB
+    unsigned dcacheKb = 0;      ///< L1 data-cache size in KB
+    std::string queueMode;      ///< validQueueModes()
+    bool specHistory = false;   ///< speculative global branch history
+    bool reserveOldest = false; ///< transfer-buffer entry for the oldest
 
     // Sampled-simulation axes (docs/sampling.md). samplePeriod = 0
     // runs the full detailed simulation; > 0 switches the job to the
@@ -185,9 +197,10 @@ JobResult runJob(const JobSpec &spec, ArtifactStore *store = nullptr);
 
 /**
  * Build the ProcessorConfig a spec names (machine factory + predictor
- * override + memory-hierarchy axes), validated. Throws
- * std::runtime_error on unknown names or inconsistent geometry; mcarun
- * uses this at parse time to fail fast before any job runs.
+ * override + memory-hierarchy axes + machine overrides), validated.
+ * This is the only map from a machine or predictor name to a config.
+ * Throws std::runtime_error on unknown names or inconsistent geometry;
+ * both tools use it at parse time to fail fast before any job runs.
  */
 core::ProcessorConfig machineConfigFor(const JobSpec &spec);
 
@@ -200,11 +213,20 @@ core::ProcessorConfig machineConfigFor(const JobSpec &spec);
 compiler::CompileOptions jobCompileOptions(const JobSpec &spec,
                                            unsigned machine_clusters);
 
+/** `choices` joined with '|', as help text and errors list them. */
+std::string joinChoices(const std::vector<std::string> &choices);
+
+/** Throw std::runtime_error naming `what`, `value` and the choices
+ *  unless `value` is one of `valid`. */
+void requireOneOf(const std::string &value,
+                  const std::vector<std::string> &valid, const char *what);
+
 /** Valid choices for the enumerated spec fields (for CLI help/errors). */
 const std::vector<std::string> &validMachines();
 const std::vector<std::string> &validSchedulers();
 const std::vector<std::string> &validPredictors();
 const std::vector<std::string> &validBenchmarks();
+const std::vector<std::string> &validQueueModes();
 
 } // namespace mca::runner
 

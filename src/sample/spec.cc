@@ -2,46 +2,11 @@
 
 #include <sstream>
 #include <stdexcept>
-#include <vector>
+
+#include "support/parse.hh"
 
 namespace mca::sample
 {
-
-namespace
-{
-
-std::uint64_t
-parseCount(const std::string &key, const std::string &value)
-{
-    if (value.empty())
-        throw std::runtime_error("sample spec: empty value for '" + key +
-                                 "'");
-    std::uint64_t out = 0;
-    for (char c : value) {
-        if (c < '0' || c > '9')
-            throw std::runtime_error("sample spec: bad number '" + value +
-                                     "' for '" + key + "'");
-        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (out > (~std::uint64_t{0} - digit) / 10)
-            throw std::runtime_error("sample spec: value '" + value +
-                                     "' for '" + key + "' overflows");
-        out = out * 10 + digit;
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitList(const std::string &text, char sep)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    std::istringstream in(text);
-    while (std::getline(in, cur, sep))
-        out.push_back(cur);
-    return out;
-}
-
-} // namespace
 
 SampleSpec
 SampleSpec::parse(const std::string &text)
@@ -59,15 +24,14 @@ SampleSpec::parse(const std::string &text)
                                  "' (expected systematic or periodic)");
 
     if (colon != std::string::npos && colon + 1 < text.size()) {
-        for (const std::string &item :
-             splitList(text.substr(colon + 1), ',')) {
+        for (const std::string &item : parseList(text.substr(colon + 1))) {
             const auto eq = item.find('=');
             if (eq == std::string::npos)
                 throw std::runtime_error(
                     "sample spec: expected key=value, got '" + item + "'");
             const std::string key = item.substr(0, eq);
             const std::uint64_t value =
-                parseCount(key, item.substr(eq + 1));
+                parseUnsigned(item.substr(eq + 1), 0, UINT64_MAX);
             if (key == "period")
                 spec.period = value;
             else if (key == "detail")

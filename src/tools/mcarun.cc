@@ -20,28 +20,23 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "compiler/pipeline.hh"
 #include "obs/cycle_stack.hh"
 #include "runner/campaign.hh"
 #include "runner/emit.hh"
+#include "runner/flags.hh"
 #include "runner/table2.hh"
 #include "runner/telemetry.hh"
 #include "support/log.hh"
+#include "support/panic.hh"
 #include "support/table.hh"
-
-#ifndef MCA_VERSION_STRING
-#define MCA_VERSION_STRING "unknown"
-#endif
 
 namespace
 {
@@ -60,289 +55,43 @@ struct Options
     std::string csvOut;
     std::string telemetryOut;
     bool quiet = false;
-    bool printTable = true;
+    bool noTable = false;
 };
 
-void
-usage()
-{
-    auto joined = [](const std::vector<std::string> &v) {
-        std::string out;
-        for (const auto &s : v)
-            out += (out.empty() ? "" : "|") + s;
-        return out;
-    };
-    std::cout <<
-        "mcarun — parallel experiment-campaign driver\n\n"
-        "grid axes (comma-separated lists; 'all' = every benchmark):\n"
-        "  --benchmarks LIST    " + joined(runner::validBenchmarks()) +
-        " [compress]\n"
-        "  --machines LIST      " + joined(runner::validMachines()) +
-        " [dual8]\n"
-        "  --schedulers LIST    " + joined(runner::validSchedulers()) +
-        " [local]\n"
-        "  --partitioners LIST  " + joined(compiler::partitionerNames()) +
-        "\n"
-        "                       (appended to --schedulers; the scheduler\n"
-        "                       axis is the partitioner axis)\n"
-        "  --thresholds LIST    local-scheduler imbalance thresholds [4]\n"
-        "  --trace-seeds LIST   trace interpreter seeds [42]\n"
-        "  --l2-kb LIST         shared-L2 sizes in KB (0 = no L2) [0]\n"
-        "  --l2-lat LIST        L2 hit latencies in cycles [6]\n"
-        "  --mem-lat LIST       memory backside latencies in cycles [16]\n"
-        "  --sample-periods LIST  sampled-run interval periods; 0 = full\n"
-        "                       detailed run (docs/sampling.md) [0]\n\n"
-        "shared job parameters:\n"
-        "  --fill-ports N       fills/cycle per level (0 = unlimited) [0]\n"
-        "  --scale X            workload scale [0.2]\n"
-        "  --unroll N           unroll factor [1]\n"
-        "  --predictor KIND     " + joined(runner::validPredictors()) +
-        " [machine default]\n"
-        "  --sample-detail N    measured insts per sampled interval "
-        "[10000]\n"
-        "  --sample-warmup N    detailed-warmup insts per interval [2000]\n"
-        "  --max-insts N        trace length cap [300000]\n"
-        "  --max-cycles N       cycle budget; exceeding it = timeout "
-        "[100000000]\n\n"
-        "campaign presets:\n"
-        "  --table2             run the Table-2 experiment (3 jobs per\n"
-        "                       benchmark) and print the speedup table\n\n"
-        "execution:\n"
-        "  --jobs N|auto        worker threads [1; auto = all hardware "
-        "threads];\n"
-        "                       results identical at any width\n"
-        "  --cache DIR          result-cache directory [.mcarun-cache]\n"
-        "  --no-cache           disable the result cache\n"
-        "  --no-compile-cache   compile every job separately (default:\n"
-        "                       jobs with equal workload + compile\n"
-        "                       config share one compile)\n\n"
-        "output:\n"
-        "  --out FILE           JSON-lines results ('-' = stdout)\n"
-        "  --csv FILE           CSV results ('-' = stdout)\n"
-        "  --telemetry FILE     live campaign heartbeat as JSON lines:\n"
-        "                       one record per finished job with done/\n"
-        "                       total, ETA, aggregate sim-cycles/s, and\n"
-        "                       cache-hit rates (docs/profiling.md)\n"
-        "  --log-level LVL      debug|info|warn|error|off [info; or env\n"
-        "                       MCA_LOG_LEVEL]\n"
-        "  --no-table           skip the human-readable table\n"
-        "  --quiet              no progress line\n\n"
-        "introspection:\n"
-        "  --version            print the version string and exit\n"
-        "  --list-benchmarks    print the benchmark names, one per line\n";
-}
-
-[[noreturn]] void
-die(const std::string &msg)
-{
-    std::cerr << "mcarun: " << msg << "\n";
-    std::exit(2);
-}
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(arg);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-std::string
-joinChoices(const std::vector<std::string> &choices)
-{
-    std::string out;
-    for (const auto &c : choices)
-        out += (out.empty() ? "" : ", ") + c;
-    return out;
-}
-
-/** Validate every element of a list axis against the known choices. */
-void
-checkChoices(const std::vector<std::string> &values,
-             const std::vector<std::string> &valid, const char *axis)
-{
-    for (const auto &v : values)
-        if (std::find(valid.begin(), valid.end(), v) == valid.end())
-            die(std::string("unknown ") + axis + " '" + v +
-                "' (valid: " + joinChoices(valid) + ")");
-}
-
+/** Parse the command line; a mistake exits with status 2. */
 Options
 parse(int argc, char **argv)
 {
+    using namespace runner;
     Options opt;
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        auto need = [&](const char *what) -> std::string {
-            if (i + 1 >= args.size())
-                die(std::string("missing value for ") + what);
-            return args[++i];
-        };
-        auto needUnsignedList = [&](const char *what) {
-            std::vector<unsigned> out;
-            for (const auto &s : splitList(need(what)))
-                out.push_back(
-                    static_cast<unsigned>(std::strtoul(s.c_str(),
-                                                       nullptr, 10)));
-            return out;
-        };
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--version") {
-            std::cout << "mcarun " << MCA_VERSION_STRING << "\n";
-            std::exit(0);
-        } else if (a == "--list-benchmarks") {
-            for (const auto &name : runner::validBenchmarks())
-                std::cout << name << "\n";
-            std::exit(0);
-        } else if (a == "--benchmarks") {
-            const std::string value = need("--benchmarks");
-            opt.grid.benchmarks = value == "all"
-                                      ? runner::validBenchmarks()
-                                      : splitList(value);
-        } else if (a == "--machines") {
-            opt.grid.machines = splitList(need("--machines"));
-        } else if (a == "--schedulers") {
-            opt.grid.schedulers = splitList(need("--schedulers"));
-        } else if (a == "--partitioners") {
-            // Partitioners ARE schedulers (the scheduler name selects
-            // the partition pass); this axis just restricts the valid
-            // set to the partition-capable ones and appends.
-            const auto names = splitList(need("--partitioners"));
-            checkChoices(names, compiler::partitionerNames(),
-                         "partitioner");
-            for (const auto &name : names)
-                if (std::find(opt.grid.schedulers.begin(),
-                              opt.grid.schedulers.end(),
-                              name) == opt.grid.schedulers.end())
-                    opt.grid.schedulers.push_back(name);
-        } else if (a == "--thresholds") {
-            opt.grid.thresholds = needUnsignedList("--thresholds");
-        } else if (a == "--trace-seeds") {
-            opt.grid.traceSeeds.clear();
-            for (const auto &s : splitList(need("--trace-seeds")))
-                opt.grid.traceSeeds.push_back(
-                    std::strtoull(s.c_str(), nullptr, 10));
-        } else if (a == "--l2-kb") {
-            opt.grid.l2Kbs = needUnsignedList("--l2-kb");
-        } else if (a == "--l2-lat") {
-            opt.grid.l2Lats = needUnsignedList("--l2-lat");
-        } else if (a == "--mem-lat") {
-            opt.grid.memLats = needUnsignedList("--mem-lat");
-        } else if (a == "--sample-periods") {
-            opt.grid.samplePeriods.clear();
-            for (const auto &s : splitList(need("--sample-periods")))
-                opt.grid.samplePeriods.push_back(
-                    std::strtoull(s.c_str(), nullptr, 10));
-        } else if (a == "--sample-detail") {
-            opt.grid.sampleDetail = std::strtoull(
-                need("--sample-detail").c_str(), nullptr, 10);
-        } else if (a == "--sample-warmup") {
-            opt.grid.sampleWarmup = std::strtoull(
-                need("--sample-warmup").c_str(), nullptr, 10);
-        } else if (a == "--fill-ports") {
-            opt.grid.fillPorts = static_cast<unsigned>(
-                std::atoi(need("--fill-ports").c_str()));
-        } else if (a == "--scale") {
-            opt.grid.scale = std::atof(need("--scale").c_str());
-        } else if (a == "--unroll") {
-            opt.grid.unroll = static_cast<unsigned>(
-                std::atoi(need("--unroll").c_str()));
-        } else if (a == "--predictor") {
-            opt.grid.predictor = need("--predictor");
-        } else if (a == "--max-insts") {
-            opt.grid.maxInsts = std::strtoull(need("--max-insts").c_str(),
-                                              nullptr, 10);
-        } else if (a == "--max-cycles") {
-            opt.grid.maxCycles = std::strtoull(
-                need("--max-cycles").c_str(), nullptr, 10);
-        } else if (a == "--table2") {
-            opt.table2 = true;
-        } else if (a == "--jobs" || a == "-j") {
-            // Parse-time validation: junk or 0 dies here, before any
-            // compile or simulation starts. "auto" asks the host.
-            const std::string v = need("--jobs");
-            if (v == "auto") {
-                const unsigned hw = std::thread::hardware_concurrency();
-                opt.jobs = hw ? hw : 1;
-            } else {
-                char *end = nullptr;
-                const unsigned long parsed =
-                    std::strtoul(v.c_str(), &end, 10);
-                if (v.empty() || end == nullptr || *end != '\0' ||
-                    parsed == 0 || parsed > 4096)
-                    die("--jobs expects a positive worker count "
-                        "(1..4096) or 'auto', got '" + v + "'");
-                opt.jobs = static_cast<unsigned>(parsed);
-            }
-        } else if (a == "--cache") {
-            opt.cacheDir = need("--cache");
-        } else if (a == "--no-cache") {
-            opt.noCache = true;
-        } else if (a == "--no-compile-cache") {
-            opt.noCompileCache = true;
-        } else if (a == "--out") {
-            opt.jsonOut = need("--out");
-        } else if (a == "--csv") {
-            opt.csvOut = need("--csv");
-        } else if (a == "--telemetry") {
-            opt.telemetryOut = need("--telemetry");
-        } else if (a == "--log-level") {
-            const std::string text = need("--log-level");
-            log::Level level;
-            if (!log::parseLevel(text, level))
-                die("unknown log level '" + text +
-                    "' (valid: debug, info, warn, error, off)");
-            log::setThreshold(level);
-        } else if (a == "--no-table") {
-            opt.printTable = false;
-        } else if (a == "--quiet") {
-            opt.quiet = true;
-        } else {
-            usage();
-            die("unknown argument: " + a);
-        }
-    }
-
-    checkChoices(opt.grid.benchmarks, runner::validBenchmarks(),
-                 "benchmark");
-    checkChoices(opt.grid.machines, runner::validMachines(), "machine");
-    checkChoices(opt.grid.schedulers, runner::validSchedulers(),
-                 "scheduler");
-    if (!opt.grid.predictor.empty())
-        checkChoices({opt.grid.predictor}, runner::validPredictors(),
-                     "predictor");
-    // Memory-axis geometry errors (an L2 size with a non-power-of-two
-    // set count, a zero memory latency) surface here as one parse-time
-    // error instead of a column of Failed jobs after the run.
-    for (unsigned l2kb : opt.grid.l2Kbs)
-        for (unsigned l2lat : opt.grid.l2Lats)
-            for (unsigned memlat : opt.grid.memLats) {
-                runner::JobSpec probe;
-                if (!opt.grid.machines.empty())
-                    probe.machine = opt.grid.machines.front();
-                probe.l2Kb = l2kb;
-                probe.l2Lat = l2lat;
-                probe.memLat = memlat;
-                probe.fillPorts = opt.grid.fillPorts;
-                try {
-                    runner::machineConfigFor(probe);
-                } catch (const std::exception &e) {
-                    die(e.what());
-                }
-            }
-    // Same early surfacing for infeasible sampling plans.
-    for (std::uint64_t period : opt.grid.samplePeriods)
-        if (period > 0 &&
-            opt.grid.sampleWarmup + opt.grid.sampleDetail > period)
-            die("sample warmup+detail exceeds period " +
-                std::to_string(period) + " (intervals would overlap)");
+    const Flag::Action jobs = [&](const std::string &v) {
+        const unsigned hw = std::thread::hardware_concurrency();
+        opt.jobs = v == "auto" ? std::max(hw, 1u)
+                               : static_cast<unsigned>(
+                                     parseUnsigned(v, 1, 4096));
+    };
+    FlagTable table = gridFlags(opt.grid);
+    table.insert(table.end(), {
+        {"", "", "campaign", {}},
+        {"--table2", "", "run and print Table 2", set(opt.table2)},
+        {"--jobs", "N|auto", "worker threads, 1..4096 or all [1]", jobs},
+        {"-j", "N|auto", "same as --jobs", jobs},
+        {"--cache", "DIR", "result cache [.mcarun-cache]", store(opt.cacheDir)},
+        {"--no-cache", "", "disable the result cache", set(opt.noCache)},
+        {"--no-compile-cache", "", "compile each job alone",
+         set(opt.noCompileCache)},
+        {"--out", "FILE", "JSON-lines results (-: stdout)", store(opt.jsonOut)},
+        {"--csv", "FILE", "CSV results (-: stdout)", store(opt.csvOut)},
+        {"--telemetry", "FILE", "JSONL progress", store(opt.telemetryOut)},
+        {"--no-table", "", "no human-readable table", set(opt.noTable)},
+    });
+    // Every point passes the runner's own validator before any compile.
+    parseCommandLine("mcarun — parallel experiment-campaign driver",
+                     std::move(table), opt.quiet, argc, argv, [&] {
+                         if (!opt.table2)
+                             for (const auto &spec : expandGrid(opt.grid))
+                                 checkPoint(spec);
+                     });
     return opt;
 }
 
@@ -363,7 +112,7 @@ writeResults(const std::string &path,
     }
     std::ofstream out(path, std::ios::trunc);
     if (!out)
-        die("cannot open '" + path + "' for writing");
+        MCA_FATAL("cannot open '", path, "' for writing");
     emit(out);
 }
 
@@ -484,7 +233,7 @@ main(int argc, char **argv)
         try {
             telemetry.emplace(opt.telemetryOut);
         } catch (const std::exception &e) {
-            die(e.what());
+            MCA_FATAL(e.what());
         }
         campaign.onResult = [&](std::size_t finished, std::size_t total,
                                 const runner::JobResult &result) {
@@ -510,12 +259,7 @@ main(int argc, char **argv)
         table2Rows = std::move(result.rows);
         summary = result.summary;
     } else {
-        std::vector<runner::JobSpec> specs;
-        try {
-            specs = runner::expandGrid(opt.grid);
-        } catch (const std::exception &e) {
-            die(e.what());
-        }
+        const auto specs = runner::expandGrid(opt.grid);
         if (telemetry)
             telemetry->start(specs.size(), opt.jobs);
         results = runner::runCampaign(specs, campaign, &summary);
@@ -529,7 +273,7 @@ main(int argc, char **argv)
     if (!opt.csvOut.empty())
         writeResults(opt.csvOut, results, /*csv=*/true);
 
-    if (opt.printTable) {
+    if (!opt.noTable) {
         if (opt.table2) {
             printTable2(table2Rows);
             printTable2Attribution(table2Rows);

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "core/config.hh"
+#include "core/processor.hh"
+#include "exec/trace.hh"
 #include "mem/memory.hh"
 #include "runner/jobspec.hh"
 #include "support/stats.hh"
@@ -283,7 +285,7 @@ TEST(ConfigValidate, RunnerSpecMemoryAxesReachTheConfig)
     spec.l2Lat = 9;
     spec.memLat = 30;
     spec.fillPorts = 2;
-    const core::ProcessorConfig cfg = runner::machineConfigFor(spec);
+    core::ProcessorConfig cfg = runner::machineConfigFor(spec);
     EXPECT_EQ(cfg.memory.l2SizeBytes, 256u * 1024);
     EXPECT_EQ(cfg.memory.l2HitLatency, 9u);
     EXPECT_EQ(cfg.memory.memLatency, 30u);
@@ -293,6 +295,63 @@ TEST(ConfigValidate, RunnerSpecMemoryAxesReachTheConfig)
     runner::JobSpec bad;
     bad.l2Kb = 3; // 12 sets: rejected by validate() inside
     EXPECT_THROW(runner::machineConfigFor(bad), std::runtime_error);
+
+    // mcasim's machine overrides reach their ProcessorConfig members,
+    // and the zero/empty/false sentinels leave the machine's own values.
+    spec = runner::JobSpec{};
+    const core::ProcessorConfig base = runner::machineConfigFor(spec);
+    spec.dqEntries = 16;
+    spec.otbEntries = 2;
+    spec.rtbEntries = 3;
+    spec.mshrEntries = 4;
+    spec.icacheKb = 8;
+    spec.dcacheKb = 16;
+    spec.queueMode = "rs";
+    spec.specHistory = true;
+    spec.reserveOldest = true;
+    cfg = runner::machineConfigFor(spec);
+    EXPECT_EQ(cfg.dispatchQueueEntries, 16u);
+    EXPECT_EQ(cfg.operandBufferEntries, 2u);
+    EXPECT_EQ(cfg.resultBufferEntries, 3u);
+    EXPECT_EQ(cfg.memory.dcache.mshrEntries, 4u);
+    EXPECT_EQ(cfg.memory.icache.sizeBytes, 8u * 1024);
+    EXPECT_EQ(cfg.memory.dcache.sizeBytes, 16u * 1024);
+    EXPECT_FALSE(cfg.holdQueueUntilRetire);
+    EXPECT_TRUE(cfg.speculativeHistory);
+    EXPECT_TRUE(cfg.reserveOldestEntry);
+
+    EXPECT_EQ(base.dispatchQueueEntries, 64u);
+    EXPECT_EQ(base.operandBufferEntries, 8u);
+    EXPECT_EQ(base.memory.icache.sizeBytes, 64u * 1024);
+    EXPECT_TRUE(base.holdQueueUntilRetire);
+    EXPECT_FALSE(base.speculativeHistory);
+    spec = runner::JobSpec{};
+    spec.queueMode = "window";
+    EXPECT_TRUE(runner::machineConfigFor(spec).holdQueueUntilRetire);
+    spec.queueMode = "fifo";
+    EXPECT_THROW(runner::machineConfigFor(spec), std::runtime_error);
+    spec = runner::JobSpec{};
+    spec.icacheKb = 3; // 48 sets
+    EXPECT_THROW(runner::machineConfigFor(spec), std::runtime_error);
+}
+
+// `mcasim --clusters N` names the machine with N clusters, which must be
+// exactly the 8-way machine split N ways, multiCluster8(N).
+TEST(ConfigValidate, ClusterSplitsAreTheNamedMachines)
+{
+    const std::pair<unsigned, const char *> splits[] = {
+        {1, "single8"}, {2, "dual8"}, {4, "quad8"}, {8, "octa8"}};
+    for (const auto &[n, machine] : splits) {
+        runner::JobSpec spec;
+        spec.machine = machine;
+        exec::VectorTrace none({});
+        StatGroup a("a");
+        StatGroup b("b");
+        const core::Processor split(core::ProcessorConfig::multiCluster8(n),
+                                    none, a);
+        const core::Processor named(runner::machineConfigFor(spec), none, b);
+        EXPECT_EQ(split.configHash(), named.configHash()) << machine;
+    }
 }
 
 } // namespace

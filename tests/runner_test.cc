@@ -184,6 +184,56 @@ TEST(JobSpecHash, EveryOutcomeFieldChangesTheHash)
     s = base;
     s.maxCycles = 10'000;
     expectFresh(s, "maxCycles");
+    s = base;
+    s.l2Kb = 256;
+    expectFresh(s, "l2Kb");
+    s = base;
+    s.l2Lat = 7;
+    expectFresh(s, "l2Lat");
+    s = base;
+    s.memLat = 17;
+    expectFresh(s, "memLat");
+    s = base;
+    s.fillPorts = 1;
+    expectFresh(s, "fillPorts");
+    s = base;
+    s.samplePeriod = 20'000;
+    expectFresh(s, "samplePeriod");
+    s = base;
+    s.sampleDetail = 4'000;
+    expectFresh(s, "sampleDetail");
+    s = base;
+    s.sampleWarmup = 1'000;
+    expectFresh(s, "sampleWarmup");
+    // The machine overrides: 0/empty/false keeps the machine's value,
+    // so any other value is a different point.
+    s = base;
+    s.dqEntries = 16;
+    expectFresh(s, "dqEntries");
+    s = base;
+    s.otbEntries = 2;
+    expectFresh(s, "otbEntries");
+    s = base;
+    s.rtbEntries = 3;
+    expectFresh(s, "rtbEntries");
+    s = base;
+    s.mshrEntries = 4;
+    expectFresh(s, "mshrEntries");
+    s = base;
+    s.icacheKb = 8;
+    expectFresh(s, "icacheKb");
+    s = base;
+    s.dcacheKb = 16;
+    expectFresh(s, "dcacheKb");
+    s = base;
+    s.queueMode = "rs";
+    expectFresh(s, "queueMode");
+    s = base;
+    s.specHistory = true;
+    expectFresh(s, "specHistory");
+    s = base;
+    s.reserveOldest = true;
+    expectFresh(s, "reserveOldest");
 }
 
 TEST(RunJob, InvalidSpecsAreCapturedNotFatal)
