@@ -9,7 +9,10 @@ state fidelity:
   3. a run resumed from that snapshot with --ckpt-in must finish with
      stats bit-identical to the uninterrupted run;
   4. --ckpt-every writes a series of periodic snapshots, and resuming
-     from the *last* one must again reproduce the ground truth.
+     from the *last* one must again reproduce the ground truth;
+  5. restoring the mid-run snapshot into another benchmark, or into the
+     same benchmark at another --scale, must fail with a named
+     `checkpoint:` error (exit status 1), never a crash or a run.
 
 Any stat drift means some piece of machine state escaped the
 save/restore chain (see src/ckpt/ and docs/sampling.md).
@@ -45,6 +48,19 @@ def run_stats(sim, extra):
                  % " ".join(extra))
 
 
+def expect_rejected(sim, name, args):
+    """A foreign restore must exit 1 naming a checkpoint error."""
+    proc = subprocess.run(
+        [sim] + args + ["--max-insts", "8000", "--quiet"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 1 or "checkpoint:" not in proc.stderr:
+        sys.exit("check_ckpt.py: %s: expected exit 1 with a checkpoint: "
+                 "error, got exit %d:\n%s"
+                 % (name, proc.returncode, proc.stderr))
+    print("check_ckpt.py: %s: rejected (%s)"
+          % (name, proc.stderr.splitlines()[0]))
+
+
 def expect_equal(name, baseline, resumed):
     if resumed == baseline:
         print("check_ckpt.py: %s: stats identical to uninterrupted run"
@@ -72,6 +88,11 @@ def main():
             sys.exit("check_ckpt.py: --ckpt-out wrote no snapshot")
         expect_equal("ckpt-at", baseline, run_stats(
             sim, ["--ckpt-in", str(snap)]))
+        expect_rejected(sim, "other benchmark",
+                        ["--benchmark", "gcc1", "--ckpt-in", str(snap)])
+        expect_rejected(sim, "other scale",
+                        ["--benchmark", "compress", "--scale", "2",
+                         "--ckpt-in", str(snap)])
 
         # Periodic snapshots, then resume from the last one.
         run_stats(sim, ["--ckpt-every", "2500", "--ckpt-dir", str(tmp)])

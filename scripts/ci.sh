@@ -160,8 +160,24 @@ done
 
 # Checkpoint/restore smoke: a run resumed from a mid-run snapshot
 # (--ckpt-out/--ckpt-at and --ckpt-every alike) must finish with stats
-# bit-identical to an uninterrupted run (docs/sampling.md).
+# bit-identical to an uninterrupted run, and a snapshot restored into
+# another program or scale must fail by name (docs/sampling.md).
 python3 scripts/check_ckpt.py "$SIM"
+
+# Trace-file round trip: a trace written with --save-trace and replayed
+# with --load-trace (exec::FileTrace) must simulate exactly like the
+# direct run: same retired count, same cycles (14085 for this point).
+"$SIM" --benchmark gcc1 --max-insts 20000 --quiet >/tmp/mca_ci_direct.txt
+"$SIM" --benchmark gcc1 --max-insts 20000 \
+    --save-trace /tmp/mca_ci_gcc1.mct --quiet >/dev/null
+"$SIM" --load-trace /tmp/mca_ci_gcc1.mct --quiet >/tmp/mca_ci_replay.txt
+direct="$(sed 's/^.*: //' /tmp/mca_ci_direct.txt)"
+replay="$(sed 's/^.*: //' /tmp/mca_ci_replay.txt)"
+if [ -z "$direct" ] || [ "$direct" != "$replay" ]; then
+    echo "ci.sh: --load-trace replay gave '$replay'," \
+        "the direct run '$direct'"
+    exit 1
+fi
 
 # Sampled-simulation smoke: the mcasim --sample path and the mcarun
 # samplePeriods axis both run end to end.

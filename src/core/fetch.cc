@@ -37,13 +37,12 @@ FetchUnit::tick()
                 blockReason_ = Block::TraceEnd;
                 break;
             }
-            auto next = trace_->next();
-            if (!next) {
+            if (!trace_->next(pendingFetch_.emplace())) {
+                pendingFetch_.reset();
                 traceEnded_ = true;
                 blockReason_ = Block::TraceEnd;
                 break;
             }
-            pendingFetch_ = std::move(next);
         }
 
         // Instruction-cache access at block granularity.
@@ -68,9 +67,8 @@ FetchUnit::tick()
             lastFetchBlock_ = block;
         }
 
-        const exec::DynInst di = *pendingFetch_;
+        const exec::DynInst &di = buffer_.emplace_back(*pendingFetch_);
         pendingFetch_.reset();
-        buffer_.push_back(di);
         ++*m_.st.fetched;
         ++n;
         m_.activityThisCycle = true;

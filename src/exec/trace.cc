@@ -2,10 +2,69 @@
 
 #include <stdexcept>
 
+#include "exec/dyninst_io.hh"
 #include "support/panic.hh"
 
 namespace mca::exec
 {
+
+namespace
+{
+
+/**
+ * FNV-1a hash of everything a trace reads from its program: each
+ * instruction with its stream, branch-model and callee references, the
+ * block start PCs, successors and successor weights, and the address
+ * stream and branch model tables. A snapshot's walker cursors and
+ * model ids index into exactly this content.
+ */
+std::uint64_t
+programFingerprint(const prog::MachProgram &prog)
+{
+    ckpt::Writer w;
+    w.u64(prog.functions.size());
+    for (const prog::MachFunction &fn : prog.functions) {
+        w.u64(fn.blocks.size());
+        for (const prog::MachBlock &blk : fn.blocks) {
+            w.u64(blk.startPc);
+            w.u64(blk.instrs.size());
+            for (const prog::MachEntry &e : blk.instrs) {
+                writeMachInst(w, e.mi);
+                w.u32(e.stream);
+                w.u32(e.branchModel);
+                w.u32(e.callee);
+                w.b(e.isSpill);
+            }
+            w.u64(blk.succs.size());
+            for (prog::BlockId succ : blk.succs)
+                w.u32(succ);
+            w.u64(blk.succWeights.size());
+            for (double weight : blk.succWeights)
+                w.f64(weight);
+        }
+    }
+    w.u64(prog.streams.size());
+    for (const prog::AddrStream &st : prog.streams) {
+        w.u8(static_cast<std::uint8_t>(st.kind));
+        w.u64(st.base);
+        w.u64(st.stride);
+        w.u64(st.extent);
+        w.f64(st.pRevisit);
+    }
+    w.u64(prog.branchModels.size());
+    for (const prog::BranchModel &m : prog.branchModels) {
+        w.u8(static_cast<std::uint8_t>(m.kind));
+        w.u64(m.trip);
+        w.u64(m.tripJitter);
+        w.f64(m.pTaken);
+        w.u64(m.pattern.size());
+        for (bool taken : m.pattern)
+            w.b(taken);
+    }
+    return ckpt::fnv1a(w.data().data(), w.data().size());
+}
+
+} // namespace
 
 void
 TraceSource::saveState(ckpt::Writer &) const
@@ -43,29 +102,36 @@ ProgramTrace::addrFor(const prog::MachEntry &entry)
     return it->second.nextAddr();
 }
 
-std::optional<DynInst>
-ProgramTrace::next()
+bool
+ProgramTrace::next(DynInst &out)
 {
     if (seq_ >= maxInsts_)
-        return std::nullopt;
+        return false;
 
     WalkSite site;
     if (!walker_.step(site))
-        return std::nullopt;
+        return false;
 
     const auto &entry =
         prog_.functions[site.fn].blocks[site.blk].instrs[site.idx];
 
-    DynInst di;
-    di.seq = seq_++;
-    di.pc = site.pc;
-    di.mi = entry.mi;
-    di.taken = site.taken;
-    di.nextPc = site.nextPc;
-    di.isSpill = entry.isSpill;
-    if (isa::isMemOp(entry.mi.op))
-        di.effAddr = addrFor(entry);
-    return di;
+    out.seq = seq_++;
+    out.pc = site.pc;
+    out.mi = entry.mi;
+    out.effAddr = isa::isMemOp(entry.mi.op) ? addrFor(entry) : 0;
+    out.taken = site.taken;
+    out.nextPc = site.nextPc;
+    out.isSpill = entry.isSpill;
+    out.remapIndex = DynInst::kNoRemap;
+    return true;
+}
+
+std::uint64_t
+ProgramTrace::fingerprint() const
+{
+    if (!fingerprint_)
+        fingerprint_ = programFingerprint(prog_);
+    return *fingerprint_;
 }
 
 void
@@ -73,6 +139,7 @@ ProgramTrace::saveState(ckpt::Writer &w) const
 {
     w.u64(seed_);
     w.u64(maxInsts_);
+    w.u64(fingerprint());
     w.u64(seq_);
     walker_.saveState(w);
     w.u64(streamStates_.size());
@@ -96,6 +163,9 @@ ProgramTrace::loadState(ckpt::Reader &r)
             std::to_string(seed) + "/" + std::to_string(max_insts) +
             ", this trace " + std::to_string(seed_) + "/" +
             std::to_string(maxInsts_) + ")");
+    if (r.u64() != fingerprint())
+        throw std::runtime_error("checkpoint: trace program mismatch "
+                                 "(snapshot taken on another program)");
     seq_ = r.u64();
     walker_.loadState(r);
     streamStates_.clear();
@@ -107,8 +177,9 @@ ProgramTrace::loadState(ckpt::Reader &r)
             word = r.u64();
         const std::uint64_t offset = r.u64();
         const Addr last = r.u64();
-        MCA_ASSERT(id < prog_.streams.size(),
-                   "restored stream id out of range");
+        checkRestored(id < prog_.streams.size() &&
+                          (i == 0 || id > streamStates_.rbegin()->first),
+                      "stream id out of range or not ascending");
         prog::AddrStreamState st(prog_.streams[id],
                                  Rng(hashSeed(seed_, 0x5eed5, id)));
         st.restoreDynamicState(raw, offset, last);
@@ -121,12 +192,13 @@ VectorTrace::VectorTrace(std::vector<DynInst> insts)
 {
 }
 
-std::optional<DynInst>
-VectorTrace::next()
+bool
+VectorTrace::next(DynInst &out)
 {
     if (pos_ >= insts_.size())
-        return std::nullopt;
-    return insts_[pos_++];
+        return false;
+    out = insts_[pos_++];
+    return true;
 }
 
 void

@@ -24,8 +24,24 @@ class TraceSource : public ckpt::Checkpointable
   public:
     ~TraceSource() override = default;
 
-    /** Produce the next instruction, or nullopt at end of trace. */
-    virtual std::optional<DynInst> next() = 0;
+    /**
+     * Write the next instruction into `out` and return true, or return
+     * false at end of trace and leave `out` untouched. Every field of
+     * `out` is written (effAddr is 0 for non-memory ops, remapIndex is
+     * the record's own), so one DynInst can be reused for a whole
+     * drain without carrying anything over from the previous record.
+     */
+    virtual bool next(DynInst &out) = 0;
+
+    /** The next instruction, or nullopt at end of trace. */
+    std::optional<DynInst>
+    next()
+    {
+        DynInst di;
+        if (!next(di))
+            return std::nullopt;
+        return di;
+    }
 
     /**
      * Checkpointing hooks. Sources that cannot rewind (live pipes)
@@ -53,7 +69,8 @@ class ProgramTrace : public TraceSource
     ProgramTrace(prog::MachProgram prog, std::uint64_t seed,
                  std::uint64_t max_insts = ~std::uint64_t{0});
 
-    std::optional<DynInst> next() override;
+    using TraceSource::next;
+    bool next(DynInst &out) override;
 
     /** Serialize walker cursors, stream states, and the sequence
      *  counter; (program, seed) identity is validated on load. */
@@ -62,6 +79,8 @@ class ProgramTrace : public TraceSource
 
   private:
     Addr addrFor(const prog::MachEntry &entry);
+    /** Hash of the program's static content (cached on first use). */
+    std::uint64_t fingerprint() const;
 
     prog::MachProgram prog_;
     std::uint64_t seed_;
@@ -69,6 +88,8 @@ class ProgramTrace : public TraceSource
     std::map<prog::AddrStreamId, prog::AddrStreamState> streamStates_;
     std::uint64_t maxInsts_;
     InstSeq seq_ = 0;
+    /** Filled by the first save or load; not safe to race on. */
+    mutable std::optional<std::uint64_t> fingerprint_;
 };
 
 /** Trace source fed from a prebuilt vector (unit-test harness). */
@@ -77,7 +98,8 @@ class VectorTrace : public TraceSource
   public:
     explicit VectorTrace(std::vector<DynInst> insts);
 
-    std::optional<DynInst> next() override;
+    using TraceSource::next;
+    bool next(DynInst &out) override;
 
     /** Renumber seq/nextPc fields to be self-consistent. */
     static std::vector<DynInst> normalize(std::vector<DynInst> insts);

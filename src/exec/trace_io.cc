@@ -63,10 +63,9 @@ pack(const DynInst &di)
     return r;
 }
 
-DynInst
-unpack(const PackedRecord &r)
+void
+unpack(const PackedRecord &r, DynInst &di)
 {
-    DynInst di;
     di.seq = r.seq;
     di.pc = r.pc;
     di.effAddr = r.effAddr;
@@ -80,7 +79,7 @@ unpack(const PackedRecord &r)
     di.mi.dest = unpackReg(r.dest);
     di.mi.srcs[0] = unpackReg(r.src0);
     di.mi.srcs[1] = unpackReg(r.src1);
-    return di;
+    di.remapIndex = DynInst::kNoRemap;
 }
 
 } // namespace
@@ -104,13 +103,11 @@ writeTrace(const std::string &path, TraceSource &source,
         masks[static_cast<unsigned>(reg.cls)] |= (1u << reg.index);
     std::fwrite(masks, sizeof(masks), 1, f);
 
-    while (count < max_insts) {
-        auto di = source.next();
-        if (!di)
-            break;
-        MCA_ASSERT(di->remapIndex == DynInst::kNoRemap,
+    DynInst di;
+    while (count < max_insts && source.next(di)) {
+        MCA_ASSERT(di.remapIndex == DynInst::kNoRemap,
                    "remap points are not serializable");
-        const PackedRecord r = pack(*di);
+        const PackedRecord r = pack(di);
         if (std::fwrite(&r, sizeof(r), 1, f) != 1)
             MCA_FATAL("short write to trace file: ", path);
         ++count;
@@ -150,16 +147,17 @@ FileTrace::~FileTrace()
         std::fclose(file_);
 }
 
-std::optional<DynInst>
-FileTrace::next()
+bool
+FileTrace::next(DynInst &out)
 {
     if (read_ >= count_)
-        return std::nullopt;
+        return false;
     PackedRecord r;
     if (std::fread(&r, sizeof(r), 1, file_) != 1)
         MCA_FATAL("trace file shorter than its header promises");
     ++read_;
-    return unpack(r);
+    unpack(r, out);
+    return true;
 }
 
 void

@@ -50,7 +50,8 @@ class FileTrace : public TraceSource
     FileTrace(const FileTrace &) = delete;
     FileTrace &operator=(const FileTrace &) = delete;
 
-    std::optional<DynInst> next() override;
+    using TraceSource::next;
+    bool next(DynInst &out) override;
 
     /** Total records the header promises. */
     std::uint64_t count() const { return count_; }

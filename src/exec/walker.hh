@@ -18,6 +18,8 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ckpt/io.hh"
@@ -63,6 +65,17 @@ hashSeed(std::uint64_t seed, std::uint64_t salt, std::uint64_t id)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+/**
+ * Reject a restored value the program cannot hold: checkpoint payloads
+ * are outside input, so a bad one throws rather than panics.
+ */
+inline void
+checkRestored(bool ok, const char *what)
+{
+    if (!ok)
+        throw std::runtime_error(std::string("checkpoint: restored ") + what);
 }
 
 /** One step of a CFG walk. */
@@ -221,7 +234,12 @@ class CfgWalker
         }
     }
 
-    /** Restore state saved by a walker over the same (program, seed). */
+    /**
+     * Restore state saved by a walker over the same (program, seed).
+     * Every restored cursor, frame and model id is checked against the
+     * program, so a payload from another program or a corrupt one
+     * throws std::runtime_error instead of walking out of bounds.
+     */
     void
     loadState(ckpt::Reader &r)
     {
@@ -229,12 +247,16 @@ class CfgWalker
         blk_ = r.u32();
         idx_ = r.u32();
         ended_ = r.b();
+        checkRestored(isInstr(fn_, blk_, idx_),
+                      "walker cursor out of range");
         callStack_.clear();
         const std::uint64_t frames = r.u64();
         for (std::uint64_t i = 0; i < frames; ++i) {
             Frame f;
             f.fn = r.u32();
             f.contBlock = r.u32();
+            checkRestored(isInstr(f.fn, f.contBlock, 0),
+                          "call-stack frame out of range");
             callStack_.push_back(f);
         }
         branchStates_.clear();
@@ -246,9 +268,14 @@ class CfgWalker
                 word = r.u64();
             const std::uint64_t remaining = r.u64();
             const std::uint64_t pattern_pos = r.u64();
-            MCA_ASSERT(id < prog_->branchModels.size(),
-                       "restored branch model id out of range");
-            prog::BranchModelState st(prog_->branchModels[id],
+            checkRestored(id < prog_->branchModels.size() &&
+                              (i == 0 || id > branchStates_.rbegin()->first),
+                          "branch model id out of range or not ascending");
+            const prog::BranchModel &model = prog_->branchModels[id];
+            checkRestored(pattern_pos == 0 ||
+                              pattern_pos < model.pattern.size(),
+                          "branch pattern position out of range");
+            prog::BranchModelState st(model,
                                       Rng(hashSeed(seed_, 0xb7a9c4, id)));
             st.restoreDynamicState(raw, remaining,
                                    static_cast<std::size_t>(pattern_pos));
@@ -261,6 +288,9 @@ class CfgWalker
             std::array<std::uint64_t, 4> raw;
             for (std::uint64_t &word : raw)
                 word = r.u64();
+            checkRestored(isInstr(site >> 32, site & 0xffffffffu, 0) &&
+                              (i == 0 || site > jumpRngs_.rbegin()->first),
+                          "jump site out of range or not ascending");
             Rng rng(0);
             rng.setRawState(raw);
             jumpRngs_.emplace(site, rng);
@@ -273,6 +303,20 @@ class CfgWalker
         prog::FunctionId fn;
         prog::BlockId contBlock;
     };
+
+    /** True if (fn, blk, idx) names an instruction slot of the program
+     *  (index 0 of an empty block counts: the walk falls through it). */
+    bool
+    isInstr(std::uint64_t fn, std::uint64_t blk, std::uint64_t idx) const
+    {
+        if (fn >= prog_->functions.size())
+            return false;
+        const auto &blocks = prog_->functions[fn].blocks;
+        if (blk >= blocks.size())
+            return false;
+        const std::size_t n = blocks[blk].instrs.size();
+        return idx < n || (n == 0 && idx == 0);
+    }
 
     void
     moveTo(prog::BlockId next)

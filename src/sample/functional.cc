@@ -25,26 +25,26 @@ FunctionalWarmer::advance(std::uint64_t n)
     bpred::Predictor &pred = proc_.predictor();
     exec::TraceSource &trace = proc_.trace();
 
+    exec::DynInst di;
     std::uint64_t done = 0;
     while (done < n) {
-        const auto di = trace.next();
-        if (!di) {
+        if (!trace.next(di)) {
             ended_ = true;
             break;
         }
         ++now_;
-        const Addr block = di->pc / icacheBlockBytes_;
+        const Addr block = di.pc / icacheBlockBytes_;
         if (block != lastFetchBlock_) {
-            icache.accessFast(di->pc, /*is_write=*/false, now_);
+            icache.accessFast(di.pc, /*is_write=*/false, now_);
             lastFetchBlock_ = block;
         }
-        if (isa::isMemOp(di->mi.op))
-            dcache.accessFast(di->effAddr, isa::isStore(di->mi.op), now_);
-        if (isa::isCondBranch(di->mi.op))
-            pred.update(di->pc, di->taken);
+        if (isa::isMemOp(di.mi.op))
+            dcache.accessFast(di.effAddr, isa::isStore(di.mi.op), now_);
+        if (isa::isCondBranch(di.mi.op))
+            pred.update(di.pc, di.taken);
         // A taken control transfer breaks fetch-block locality, so the
         // next instruction re-touches the I-cache even within a block.
-        if (isa::isCtrlFlow(di->mi.op) && di->taken)
+        if (isa::isCtrlFlow(di.mi.op) && di.taken)
             lastFetchBlock_ = ~Addr{0};
         ++consumed_;
         ++done;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -40,10 +41,11 @@ struct Compiled
 };
 
 Compiled
-compileBenchmark(const std::string &name, unsigned clusters)
+compileBenchmark(const std::string &name, unsigned clusters,
+                 double scale = 1.0)
 {
     const auto &bench = workloads::benchmarkByName(name);
-    const prog::Program program = bench.make({});
+    const prog::Program program = bench.make({scale});
     compiler::CompileOptions copt =
         compiler::compileOptionsFor(clusters > 1 ? "local" : "native",
                                     clusters);
@@ -282,8 +284,8 @@ TEST(Ckpt, TruncatedFileIsRejected)
 
 TEST(Ckpt, OldFormatVersionIsRejected)
 {
-    // Version 1 snapshots carried scheduler wake state; version 2 does
-    // not, so a version-1 file must be refused by name. Only the header
+    // Version 2 snapshots carry no trace program fingerprint; version 3
+    // does, so a version-2 file must be refused by name. Only the header
     // differs: readFrom checks the version before the content hash.
     ckpt::Snapshot snap;
     snap.payload = "payload";
@@ -291,16 +293,160 @@ TEST(Ckpt, OldFormatVersionIsRejected)
     snap.writeTo(os);
     std::string bytes = os.str();
     ckpt::Writer old_version;
-    old_version.u32(1);
+    old_version.u32(2);
     bytes.replace(8, 4, old_version.data());
     std::istringstream is(bytes);
     try {
         ckpt::Snapshot::readFrom(is);
-        FAIL() << "version-1 snapshot accepted";
+        FAIL() << "version-2 snapshot accepted";
     } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "checkpoint: format version 1 unsupported "
-                               "(expected 2)");
+        EXPECT_STREQ(e.what(), "checkpoint: format version 2 unsupported "
+                               "(expected 3)");
     }
+}
+
+/** The TRAC section of a trace over `binary` after `insts` records. */
+std::string
+traceState(const prog::MachProgram &binary, std::uint64_t insts)
+{
+    exec::ProgramTrace trace(binary, kTraceSeed, kMaxInsts);
+    exec::DynInst di;
+    for (std::uint64_t i = 0; i < insts; ++i)
+        EXPECT_TRUE(trace.next(di));
+    ckpt::Writer w;
+    trace.saveState(w);
+    return w.take();
+}
+
+/** Restore `state` into a fresh trace over `binary`; the error, or "". */
+std::string
+restoreError(const prog::MachProgram &binary, const std::string &state)
+{
+    exec::ProgramTrace trace(binary, kTraceSeed, kMaxInsts);
+    ckpt::Reader r(state);
+    try {
+        trace.loadState(r);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Ckpt, TraceStateOfAnotherProgramIsRejected)
+{
+    const auto gcc1 = compileBenchmark("gcc1", 2);
+    const std::string state = traceState(gcc1.binary, 5000);
+    EXPECT_EQ(restoreError(gcc1.binary, state), "");
+    // Another benchmark, and the same benchmark at another scale.
+    for (const auto &other : {compileBenchmark("compress", 2),
+                              compileBenchmark("gcc1", 2, 2.0)})
+        EXPECT_EQ(restoreError(other.binary, state),
+                  "checkpoint: trace program mismatch (snapshot taken on "
+                  "another program)");
+}
+
+/**
+ * A hand-written TRAC payload for `binary`: seed, bound and program
+ * fingerprint copied from a real save, then walker cursor (fn, blk,
+ * idx) with an empty call stack, one branch model state (at
+ * `pattern_pos`), no jump sites and one address stream state per entry
+ * of `streams`.
+ */
+std::string
+handWrittenTraceState(const prog::MachProgram &binary, std::uint32_t fn,
+                      std::uint32_t blk, std::uint32_t idx,
+                      std::uint32_t branch_model,
+                      const std::vector<std::uint32_t> &streams,
+                      std::uint64_t pattern_pos = 0)
+{
+    const std::string real = traceState(binary, 0);
+    ckpt::Reader head(real);
+    ckpt::Writer w;
+    for (int i = 0; i < 3; ++i)
+        w.u64(head.u64());
+    w.u64(0); // sequence counter
+    w.u32(fn);
+    w.u32(blk);
+    w.u32(idx);
+    w.b(false);
+    w.u64(0); // call-stack frames
+    w.u64(1);
+    w.u32(branch_model);
+    for (std::uint64_t word = 1; word <= 4; ++word)
+        w.u64(word);
+    w.u64(0); // remaining loop trips
+    w.u64(pattern_pos);
+    w.u64(0); // jump sites
+    w.u64(streams.size());
+    for (std::uint32_t id : streams) {
+        w.u32(id);
+        for (std::uint64_t word = 1; word <= 4; ++word)
+            w.u64(word);
+        w.u64(0); // stride offset
+        w.u64(0); // last address
+    }
+    return w.take();
+}
+
+TEST(Ckpt, OutOfRangeTraceStateIsRejected)
+{
+    const auto c = compileBenchmark("gcc1", 2);
+    const prog::MachProgram &bin = c.binary;
+    const auto n_fn = static_cast<std::uint32_t>(bin.functions.size());
+    const auto n_blk =
+        static_cast<std::uint32_t>(bin.functions[0].blocks.size());
+    const auto bad_idx = static_cast<std::uint32_t>(std::max<std::size_t>(
+        bin.functions[0].blocks[0].instrs.size(), 1));
+    const auto n_model = static_cast<std::uint32_t>(bin.branchModels.size());
+    const auto n_stream = static_cast<std::uint32_t>(bin.streams.size());
+    ASSERT_GT(n_model, 0u);
+    ASSERT_GT(n_stream, 0u);
+
+    // The hand-written layout restores while every id is in range.
+    EXPECT_EQ(restoreError(bin, handWrittenTraceState(bin, 0, 0, 0, 0, {0})),
+              "");
+    const std::string cursor =
+        "checkpoint: restored walker cursor out of range";
+    EXPECT_EQ(restoreError(bin,
+                           handWrittenTraceState(bin, n_fn, 0, 0, 0, {0})),
+              cursor);
+    EXPECT_EQ(restoreError(bin,
+                           handWrittenTraceState(bin, 0, n_blk, 0, 0, {0})),
+              cursor);
+    EXPECT_EQ(restoreError(bin, handWrittenTraceState(bin, 0, 0, bad_idx, 0,
+                                                      {0})),
+              cursor);
+    EXPECT_EQ(restoreError(bin, handWrittenTraceState(bin, 0, 0, 0, n_model,
+                                                      {0})),
+              "checkpoint: restored branch model id out of range or not "
+              "ascending");
+    const std::string stream =
+        "checkpoint: restored stream id out of range or not ascending";
+    EXPECT_EQ(restoreError(bin, handWrittenTraceState(bin, 0, 0, 0, 0,
+                                                      {n_stream})),
+              stream);
+    EXPECT_EQ(restoreError(bin,
+                           handWrittenTraceState(bin, 0, 0, 0, 0, {0, 0})),
+              stream);
+
+    // compress resolves one branch from a repeating T/NT pattern.
+    const auto compress = compileBenchmark("compress", 2);
+    const auto &models = compress.binary.branchModels;
+    const auto pattern = std::find_if(
+        models.begin(), models.end(), [](const prog::BranchModel &m) {
+            return m.kind == prog::BranchModel::Kind::Pattern;
+        });
+    ASSERT_NE(pattern, models.end());
+    const auto id = static_cast<std::uint32_t>(pattern - models.begin());
+    const std::uint64_t len = pattern->pattern.size();
+    EXPECT_EQ(restoreError(compress.binary,
+                           handWrittenTraceState(compress.binary, 0, 0, 0,
+                                                 id, {0}, len - 1)),
+              "");
+    EXPECT_EQ(restoreError(compress.binary,
+                           handWrittenTraceState(compress.binary, 0, 0, 0,
+                                                 id, {0}, len)),
+              "checkpoint: restored branch pattern position out of range");
 }
 
 TEST(Ckpt, WriterReaderScalarsRoundTrip)

@@ -10,6 +10,7 @@
 #include "exec/trace.hh"
 #include "exec/walker.hh"
 #include "prog/builder.hh"
+#include "trace_records.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -335,6 +336,69 @@ TEST(ProgramTrace, SpillCodeIsMarked)
     EXPECT_GT(spills, 0u);
 }
 
+TEST(ProgramTrace, FillsEveryFieldOfAReusedRecord)
+{
+    // A loop that loads, stores and keeps 40 values live across its
+    // back edge, so the trace also carries spill loads and stores.
+    prog::Builder b("fill");
+    const auto fn = b.function("main");
+    const auto b0 = b.block(fn, 1, "entry");
+    const auto b1 = b.block(fn, 8, "body");
+    const auto b2 = b.block(fn, 1, "exit");
+    const auto arr = b.stream(prog::AddrStream::strided(0x8000, 8, 512));
+    b.setInsertPoint(fn, b0);
+    const auto base = b.emitConst(RegClass::Int, 0x8000, "base");
+    std::vector<prog::ValueId> vals;
+    for (int i = 0; i < 40; ++i)
+        vals.push_back(b.emitConst(RegClass::Int, i, "v"));
+    b.edge(fn, b0, b1);
+    b.setInsertPoint(fn, b1);
+    auto acc = b.emitLoad(Op::Ldl, arr, base, "x");
+    for (const auto v : vals)
+        acc = b.emitRRR(Op::Add, acc, v, "s");
+    b.emitStore(Op::Stl, acc, arr, base);
+    const auto c = b.emitRRI(Op::CmpLt, acc, 100, "c");
+    b.emitBranch(Op::Bne, c, b.branch(prog::BranchModel::loop(8)));
+    b.edge(fn, b1, b2);
+    b.edge(fn, b1, b1);
+    b.setInsertPoint(fn, b2);
+    b.emitRet();
+    const auto p = b.build();
+
+    compiler::CompileOptions copt;
+    copt.scheduler = compiler::SchedulerKind::Native;
+    copt.numClusters = 1;
+    copt.optimize = false; // keep all 40 constants live
+    const auto out = compiler::compile(p, copt);
+    exec::ProgramTrace filled(out.binary, 5, 20000);
+    exec::ProgramTrace reference(out.binary, 5, 20000);
+    const auto records = test::drainReused(filled, reference);
+
+    std::size_t loads = 0, stores = 0, spills = 0, branches = 0;
+    std::size_t after_load = 0;
+    bool load_seen = false;
+    for (const auto &di : records) {
+        loads += isa::isLoad(di.mi.op) ? 1 : 0;
+        stores += isa::isStore(di.mi.op) ? 1 : 0;
+        spills += di.isSpill ? 1 : 0;
+        branches += isa::isCondBranch(di.mi.op) ? 1 : 0;
+        EXPECT_EQ(di.remapIndex, exec::DynInst::kNoRemap);
+        if (isa::isMemOp(di.mi.op)) {
+            load_seen = load_seen || isa::isLoad(di.mi.op);
+        } else if (load_seen) {
+            // The first non-memory op after a load: no stale address.
+            EXPECT_EQ(di.effAddr, 0u) << "seq " << di.seq;
+            ++after_load;
+            load_seen = false;
+        }
+    }
+    EXPECT_GT(loads, 0u);
+    EXPECT_GT(stores, 0u);
+    EXPECT_GT(spills, 0u);
+    EXPECT_GT(branches, 0u);
+    EXPECT_GT(after_load, 0u);
+}
+
 // --- VectorTrace ---------------------------------------------------------
 
 TEST(VectorTrace, NormalizeAssignsSequentialSeqAndPcs)
@@ -359,6 +423,29 @@ TEST(VectorTrace, DrainsThenEnds)
     EXPECT_TRUE(trace.next().has_value());
     EXPECT_TRUE(trace.next().has_value());
     EXPECT_FALSE(trace.next().has_value());
+}
+
+TEST(VectorTrace, FillsEveryFieldOfAReusedRecord)
+{
+    std::vector<exec::DynInst> insts(6);
+    for (auto &di : insts)
+        di.mi = isa::makeRRR(Op::Add, isa::intReg(1), isa::intReg(2),
+                             isa::intReg(3));
+    insts[1].mi = isa::makeLoad(Op::Ldl, isa::intReg(4), isa::intReg(5), 8);
+    insts[1].effAddr = 0x2000;
+    insts[1].isSpill = true;
+    insts[3].remapIndex = 0;
+    const auto norm = exec::VectorTrace::normalize(insts);
+    exec::VectorTrace filled(norm), reference(norm);
+    const auto records = test::drainReused(filled, reference);
+
+    ASSERT_EQ(records.size(), insts.size());
+    EXPECT_EQ(records[1].effAddr, 0x2000u);
+    EXPECT_EQ(records[2].effAddr, 0u);
+    EXPECT_FALSE(records[2].isSpill);
+    EXPECT_EQ(records[3].remapIndex, 0u);
+    for (std::size_t i = 4; i < records.size(); ++i)
+        EXPECT_EQ(records[i].remapIndex, exec::DynInst::kNoRemap);
 }
 
 } // namespace
