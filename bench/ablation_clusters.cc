@@ -8,7 +8,7 @@
  * partitioner (docs/compiler.md).
  *
  * Quality gates recorded in the JSON (scripts/ci.sh stores it as
- * BENCH_partition.json; scripts/perf_gate.py hard-fails on them):
+ * BENCH_partition.json); the bench exits 1 if any of them fails:
  *   - ml_cut_le_roundrobin: the multilevel partitioner's affinity cut
  *     is no worse than round-robin's on every benchmark x machine.
  *   - ml_ipc_ge_local_quad8 / _octa8: multilevel matches or beats the

@@ -3,18 +3,17 @@
  * Sampled-simulation speedup benchmark (docs/sampling.md).
  *
  * For a long-trace workload, runs the full detailed simulation and the
- * SMARTS-style sampled estimate of the same run — serially (jobs=1)
- * and pipelined on the task-graph executor (jobs=2, window i measures
- * while window i+1 warms) — then reports the effective speedup
- * (detailed wall clock / sampled wall clock) and the CPI estimation
- * error. Acceptance: at least one benchmark reaches a 7x per-core
- * effective speedup with <= 2% CPI error (the absolute floor is
- * host-calibrated — the ratio compresses on hosts that run detailed
- * simulation fast, since warming dominates the sampled leg; relative
- * regressions are tracked by scripts/perf_gate.py's cross-commit
- * geomean instead); the pipelined estimate must be bit-identical to
- * the serial one; every sampled interval must conserve its cycle
- * stack. scripts/ci.sh stores the result as BENCH_sample.json.
+ * SMARTS-style sampled estimate of the same run on one core (jobs=1),
+ * then reports the effective speedup (detailed wall clock / sampled
+ * wall clock) and the CPI estimation error. Acceptance: at least one
+ * benchmark reaches a 7x per-core effective speedup with <= 2% CPI
+ * error (the absolute floor is host-calibrated — the ratio compresses
+ * on hosts that run detailed simulation fast, since warming dominates
+ * the sampled leg; the sampled wall clock itself is timed by the
+ * bench/e2e `sampled` workload); every sampled interval must conserve
+ * its cycle stack. That the pipelined estimate equals the serial one
+ * is a unit test (SampledRun.ParallelMatchesSerial). scripts/ci.sh
+ * stores the result as BENCH_sample.json.
  *
  * Usage: sampled_speedup [--scale S] [--max-insts N] [--json-out FILE]
  */
@@ -64,12 +63,9 @@ struct CaseResult
     double cpiCi95 = 0.0;
     double cpiErr = 0.0;
     double speedup = 0.0;
-    double sampledWallMsPipe = 0.0;
-    double speedupPipe = 0.0;
     std::uint64_t intervals = 0;
     std::uint64_t detailedInsts = 0;
     bool conserved = true;
-    bool pipeIdentical = true;
 };
 
 double
@@ -122,28 +118,6 @@ runCase(const CaseSpec &cs, double scale, std::uint64_t max_insts)
                                  max_insts);
     const sample::SampleReport rep = driver.run(spec);
     out.sampledWallMs = wallMsSince(t0);
-
-    // Pipelined leg: window i measures while window i+1 warms on the
-    // task-graph executor. The estimate must be bit-identical to the
-    // serial one; the wall clock is reported for the overlap gain.
-    {
-        sample::SampleSpec pipeSpec = spec;
-        pipeSpec.jobs = 2;
-        const auto t1 = std::chrono::steady_clock::now();
-        sample::SampledDriver pipeDriver(compiled.binary, cfg, kTraceSeed,
-                                         max_insts);
-        const sample::SampleReport pipeRep = pipeDriver.run(pipeSpec);
-        out.sampledWallMsPipe = wallMsSince(t1);
-        out.speedupPipe = out.sampledWallMsPipe > 0.0
-                              ? out.fullWallMs / out.sampledWallMsPipe
-                              : 0.0;
-        out.pipeIdentical =
-            pipeRep.estTotalCycles == rep.estTotalCycles &&
-            pipeRep.cpiMean == rep.cpiMean &&
-            pipeRep.cpiCi95 == rep.cpiCi95 &&
-            pipeRep.detailedInsts == rep.detailedInsts &&
-            pipeRep.intervals.size() == rep.intervals.size();
-    }
 
     out.estCycles = rep.estTotalCycles;
     out.cpiSampled = rep.cpiMean;
@@ -209,12 +183,6 @@ main(int argc, char **argv)
                          "conservation\n";
             rc = 1;
         }
-        if (!r.pipeIdentical) {
-            std::cerr << "FAIL: " << r.benchmark
-                      << ": pipelined (jobs=2) estimate differs from "
-                         "the serial one\n";
-            rc = 1;
-        }
         anyTarget |= r.speedup >= 7.0 && r.cpiErr <= 0.02;
     }
     if (!anyTarget) {
@@ -228,7 +196,7 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"benchmark", "insts", "full_cyc", "est_cyc", "cpi_err",
                   "ci95", "intervals", "det_insts", "full_ms",
-                  "sampled_ms", "speedup", "pipe_ms", "pipe_speedup"});
+                  "sampled_ms", "speedup"});
     for (const auto &r : results)
         table.row({r.benchmark, std::to_string(r.totalInsts),
                    std::to_string(r.fullCycles),
@@ -239,9 +207,7 @@ main(int argc, char **argv)
                    std::to_string(r.detailedInsts),
                    TextTable::num(r.fullWallMs),
                    TextTable::num(r.sampledWallMs),
-                   TextTable::num(r.speedup) + "x",
-                   TextTable::num(r.sampledWallMsPipe),
-                   TextTable::num(r.speedupPipe) + "x"});
+                   TextTable::num(r.speedup) + "x"});
     table.print(std::cout);
 
     if (!json_out.empty()) {
@@ -270,10 +236,6 @@ main(int argc, char **argv)
                 << ", \"full_wall_ms\": " << r.fullWallMs
                 << ", \"sampled_wall_ms\": " << r.sampledWallMs
                 << ", \"speedup\": " << r.speedup
-                << ", \"sampled_wall_ms_pipe\": " << r.sampledWallMsPipe
-                << ", \"speedup_pipe\": " << r.speedupPipe
-                << ", \"pipe_identical\": "
-                << (r.pipeIdentical ? "true" : "false")
                 << ", \"conserved\": " << (r.conserved ? "true" : "false")
                 << "}" << (i + 1 < results.size() ? "," : "") << "\n";
         }

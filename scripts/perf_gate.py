@@ -1,206 +1,187 @@
 #!/usr/bin/env python3
-"""Simulator-throughput regression gate (run from scripts/ci.sh).
+"""Compare two sets of bench/e2e results: is CHANGE slower than BASE?
 
-ci.sh copies the committed BENCH_*.json files aside before regenerating
-them, then calls this script with both directories. The gate compares
-aggregate throughput metrics (geometric means, so no single workload
-dominates) and fails when a fresh metric regresses by more than the
-allowed fraction:
+  perf_gate.py BASE CHANGE
 
-  BENCH_core.json     simulated cycles per second              (15%)
-  BENCH_compile.json  Table-2 campaign jobs per second         (15%)
-  BENCH_sample.json   sampled-simulation effective speedup     (35%)
+Each argument is a results JSON written by bench/e2e/run.py, or a
+directory of them (`*.trace.json` span files are skipped). Only timed
+reports are read. Measure both sides in one session on one host, with
+the same workloads and seeds: a committed baseline cannot serve, because
+the host's speed drifts by more than the bounds between sessions.
 
-The sampled gate is looser because its numerator and denominator are
-both single wall-clock measurements of multi-second runs; the core and
-compile numbers average many iterations. Boolean quality bits are hard
-requirements on the *fresh* files regardless of history:
-BENCH_mem.json conservation/determinism, BENCH_sample.json target_met
-and per-row conservation, BENCH_partition.json multilevel-vs-roundrobin
-cut and multilevel-vs-local IPC geomeans.
+For every BENCHMARK.json workload and end-to-end metric the gate prints
+each side's median over its reports, how much worse the change's median
+is (the bound and the better direction come from BENCHMARK.json), how
+many pairs the change won (a pair is a base and a change report of the
+same workload and seed; ties count for neither side) and the base's
+spread, the interquartile range of its values over their median. A row
+whose spread is wider than its bound is marked `unresolved`: its runs
+disagree by more than the bound, so take more of them.
 
-A missing previous file skips that comparison (first run on a branch),
-as does a previous file written under an older schema (its metrics are
-not comparable); a missing fresh file is an error.
-
-Usage: perf_gate.py PREV_DIR FRESH_DIR [--threshold FRAC]
+Exits 1 when a change median is worse than its bound, when the change
+fails a larger share of its operations than the base on a workload, or
+when a workload or metric in BASE has no match in CHANGE; 2 on a usage
+or input error; 0 otherwise.
 """
 
+import argparse
 import json
-import math
+import statistics
 import sys
+from collections import defaultdict
 from pathlib import Path
 
-DEFAULT_THRESHOLD = 0.15
-SAMPLE_THRESHOLD = 0.35
+SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def geomean(values):
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+class Side:
+    """The timed reports and provenance blocks of one side."""
+
+    def __init__(self, label, path):
+        self.label = label
+        self.path = Path(path)
+        self.provenance = []
+        self.reports = defaultdict(list)  # workload -> timed reports
+        files = (sorted(f for f in self.path.glob("*.json")
+                        if not f.name.endswith(".trace.json"))
+                 if self.path.is_dir() else [self.path])
+        for f in files:
+            doc = json.loads(f.read_text())
+            if "provenance" not in doc or "reports" not in doc:
+                raise ValueError(f"{f}: not a bench/e2e results file")
+            self.provenance.append(doc["provenance"])
+            for r in doc["reports"]:
+                if r["mode"] == "timed":
+                    self.reports[r["workload"]].append(r)
+        if not self.reports:
+            raise ValueError(f"{self.path}: no timed reports")
+
+    def describe(self):
+        def values(key):
+            got = sorted({str(p.get(key)) for p in self.provenance})
+            return ", ".join(got)
+        commits = sorted({p["commit"][:12] + (" (dirty)" if p.get("dirty")
+                                              else "")
+                          for p in self.provenance})
+        seeds = sorted({r["seed"] for rs in self.reports.values()
+                        for r in rs})
+        print(f"{self.label}: {self.path} ({len(self.provenance)} files)")
+        print(f"  commit {', '.join(commits)}; {values('build_type')}, "
+              f"{values('compiler')}")
+        print(f"  cpu {values('cpu')}; nproc {values('nproc')}; "
+              f"seeds {', '.join(map(str, seeds))}")
 
 
-def load(path):
-    with open(path) as f:
-        return json.load(f)
+def failed_share(reports):
+    ops = sum(r["ops"] for r in reports)
+    return sum(r["wrong"] for r in reports) / ops if ops else 0.0
 
 
-def core_metrics(doc):
-    rows = doc["workloads"]
-    if not rows or "cycles_per_sec" not in rows[0]:
-        return None  # an older schema (per-engine columns)
-    return {"core.cps": geomean([r["cycles_per_sec"] for r in rows])}
+def by_seed(reports):
+    groups = defaultdict(list)
+    for r in reports:
+        groups[r["seed"]].append(r)
+    return groups
 
 
-def print_ns_per_cycle(prev_dir, fresh_dir):
-    """Informational: host cost per simulated cycle, per workload, in
-    the default mode with the delta against the pre-run baseline, and
-    in the reference mode (the idle-skip ablation).
-
-    The reciprocal of the gated cycles-per-second metric, in the units
-    docs/profiling.md works in. A negative delta means the fresh run
-    spends fewer host ns per simulated cycle (faster).
-    """
-    path = fresh_dir / "BENCH_core.json"
-    if not path.exists():
-        return
-    rows = load(path).get("workloads", [])
-    if not rows or "ns_per_cycle" not in rows[0]:
-        return
-    prev_rows = {}
-    prev_path = prev_dir / "BENCH_core.json"
-    if prev_path.exists():
-        for r in load(prev_path).get("workloads", []):
-            if r.get("ns_per_cycle", 0.0) > 0:
-                prev_rows[r["workload"]] = r
-    print("  host ns per simulated cycle (delta vs pre-run baseline; "
-          "reference mode without skips):")
-    for r in rows:
-        prev = prev_rows.get(r["workload"])
-        if prev:
-            delta = (r["ns_per_cycle"] / prev["ns_per_cycle"] - 1.0) * 100.0
-            delta_col = "%+7.1f%%" % delta
-        else:
-            delta_col = "     n/a"
-        print("    %-10s %8.1f ns/cycle %s  (reference %8.1f)"
-              % (r["workload"], r["ns_per_cycle"], delta_col,
-                 r.get("noskip_ns_per_cycle", 0.0)))
+def value(report, name):
+    """The metric's value, or None when the report lacks it."""
+    return report["metrics"].get(name, {}).get("value")
 
 
-def compile_metrics(doc):
-    wall = doc["wall_s_cache"]
-    return {"compile.jobs_per_s":
-            doc["table2_jobs"] / wall if wall > 0 else 0.0}
+def worse_by(metric, base, change):
+    """How much worse `change` is than `base`, as a fraction (> 0 worse)."""
+    if metric["better"] == "lower":
+        return change / base - 1.0
+    return 1.0 - change / base
 
 
-def sample_metrics(doc):
-    return {"sample.speedup":
-            geomean([r["speedup"] for r in doc["rows"]])}
+def spread(values):
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / statistics.median(values)
 
 
-def check_booleans(fresh_dir, failures):
-    mem = fresh_dir / "BENCH_mem.json"
-    if mem.exists():
-        doc = load(mem)
-        for key in ("conservation_ok", "paper_mode_deterministic"):
-            if not doc.get(key, False):
-                failures.append("BENCH_mem.json: %s is false" % key)
-    sample = fresh_dir / "BENCH_sample.json"
-    if sample.exists():
-        doc = load(sample)
-        if not doc.get("target_met", False):
-            failures.append("BENCH_sample.json: target_met is false "
-                            "(no benchmark at 7x speedup with <=2% "
-                            "CPI error)")
-        for row in doc.get("rows", []):
-            if not row.get("conserved", False):
+def compare(spec, base, change):
+    """Print one row per workload and metric; return the failures."""
+    failures = []
+    print(f"{'workload/metric':26s} {'base':>11s} {'change':>11s} "
+          f"{'worse':>7s} {'bound':>6s} {'won':>6s} {'spread':>7s}")
+    for workload in (w["name"] for w in spec["workloads"]):
+        base_reports = base.reports.get(workload)
+        change_reports = change.reports.get(workload)
+        if not base_reports:
+            print(f"{workload:26s} not in BASE")
+            continue
+        if not change_reports:
+            failures.append(f"{workload}: in BASE but not in CHANGE")
+            continue
+        base_failed = failed_share(base_reports)
+        change_failed = failed_share(change_reports)
+        if change_failed > base_failed:
+            failures.append(f"{workload}: CHANGE failed {change_failed:.2%} "
+                            f"of its operations, BASE {base_failed:.2%}")
+        # The k-th base and the k-th change report of one seed pair up.
+        change_by_seed = by_seed(change_reports)
+        pairs = [pair for seed, reports in by_seed(base_reports).items()
+                 for pair in zip(reports, change_by_seed.get(seed, []))]
+        for metric in spec["end_to_end"]:
+            name, row = metric["name"], f"{workload}/{metric['name']}"
+            base_values = [value(r, name) for r in base_reports]
+            change_values = [value(r, name) for r in change_reports]
+            if None in base_values:
+                print(f"{row:26s} not in BASE")
+                continue
+            if None in change_values:
+                failures.append(f"{row}: in BASE but not in CHANGE")
+                continue
+            won = sum(worse_by(metric, value(b, name), value(c, name)) < 0
+                      for b, c in pairs)
+            base_median = statistics.median(base_values)
+            change_median = statistics.median(change_values)
+            worse = worse_by(metric, base_median, change_median)
+            base_spread = spread(base_values)
+            verdict = "WORSE" if worse > metric["bound"] else "ok"
+            if base_spread is not None and base_spread > metric["bound"]:
+                verdict += " unresolved"
+            spread_col = ("-" if base_spread is None
+                          else f"{base_spread:.1%}")
+            print(f"{row:26s} {base_median:11.5g} {change_median:11.5g} "
+                  f"{worse:+7.1%} {metric['bound']:6.0%} "
+                  f"{f'{won}/{len(pairs)}':>6s} {spread_col:>7s}  {verdict}")
+            if worse > metric["bound"]:
                 failures.append(
-                    "BENCH_sample.json: %s violated cycle-stack "
-                    "conservation" % row.get("benchmark", "?"))
-            if not row.get("pipe_identical", True):
-                failures.append(
-                    "BENCH_sample.json: %s pipelined (jobs=2) estimate "
-                    "differs from serial" % row.get("benchmark", "?"))
-    partition = fresh_dir / "BENCH_partition.json"
-    if partition.exists():
-        doc = load(partition)
-        if doc.get("jobs_ok") != doc.get("jobs_total"):
-            failures.append(
-                "BENCH_partition.json: %s/%s jobs succeeded"
-                % (doc.get("jobs_ok"), doc.get("jobs_total")))
-        for key in ("ml_cut_le_roundrobin", "ml_ipc_ge_local_quad8",
-                    "ml_ipc_ge_local_octa8"):
-            if not doc.get(key, False):
-                failures.append(
-                    "BENCH_partition.json: %s is false" % key)
-
-
-FILES = [
-    ("BENCH_core.json", core_metrics, None),
-    ("BENCH_compile.json", compile_metrics, None),
-    ("BENCH_sample.json", sample_metrics, SAMPLE_THRESHOLD),
-]
+                    f"{row}: change median {change_median:.5g} is "
+                    f"{worse:.1%} worse than base {base_median:.5g} "
+                    f"(bound {metric['bound']:.0%})")
+    return failures
 
 
 def main():
-    args = sys.argv[1:]
-    threshold = DEFAULT_THRESHOLD
-    if "--threshold" in args:
-        i = args.index("--threshold")
-        threshold = float(args[i + 1])
-        del args[i:i + 2]
-    if len(args) != 2:
-        sys.exit(__doc__)
-    prev_dir, fresh_dir = Path(args[0]), Path(args[1])
-
-    failures = []
-    check_booleans(fresh_dir, failures)
-
-    print("perf_gate.py: previous=%s fresh=%s" % (prev_dir, fresh_dir))
-    for name, extract, own_threshold in FILES:
-        allowed = own_threshold if own_threshold is not None else threshold
-        fresh_path = fresh_dir / name
-        if not fresh_path.exists():
-            failures.append("%s: fresh file missing (benchmark did not "
-                            "run?)" % name)
-            continue
-        prev_path = prev_dir / name
-        if not prev_path.exists():
-            print("  %-20s no previous copy, skipping (first run)"
-                  % name)
-            continue
-        prev = extract(load(prev_path))
-        fresh = extract(load(fresh_path))
-        if fresh is None:
-            failures.append("%s: fresh file has an unknown schema" % name)
-            continue
-        if prev is None:
-            print("  %-20s previous copy predates the current schema, "
-                  "skipping" % name)
-            continue
-        for metric in sorted(prev):
-            p, f = prev[metric], fresh.get(metric, 0.0)
-            ratio = f / p if p > 0 else 1.0
-            verdict = "ok"
-            if ratio < 1.0 - allowed:
-                verdict = "REGRESSION (>%d%% allowed)" % (allowed * 100)
-                failures.append(
-                    "%s: %s fell %.1f%% (%.3g -> %.3g)"
-                    % (name, metric, (1.0 - ratio) * 100.0, p, f))
-            print("  %-20s %-18s %10.3g -> %10.3g  (%+5.1f%%) %s"
-                  % (name, metric, p, f, (ratio - 1.0) * 100.0, verdict))
-
-    print_ns_per_cycle(prev_dir, fresh_dir)
-
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("base", help="results file or directory")
+    parser.add_argument("change", help="results file or directory")
+    args = parser.parse_args()
+    try:
+        spec = json.loads(SPEC.read_text())
+        base = Side("BASE", args.base)
+        change = Side("CHANGE", args.change)
+    except (OSError, ValueError, KeyError) as e:
+        print(f"perf_gate.py: {e}", file=sys.stderr)
+        return 2
+    base.describe()
+    change.describe()
+    failures = compare(spec, base, change)
     if failures:
         print("perf_gate.py: FAIL")
         for failure in failures:
             print("  " + failure)
-        sys.exit(1)
+        return 1
     print("perf_gate.py: OK")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

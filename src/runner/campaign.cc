@@ -188,17 +188,6 @@ runCampaign(const std::vector<JobSpec> &specs,
         graph.addEdge(it->second, sim);
     }
 
-    if (options.compileBarrier && !compileNodes.empty()) {
-        // Pre-taskgraph phasing, kept for A/B measurement: every
-        // simulation waits for every compile.
-        const taskgraph::NodeId barrier =
-            graph.add("compile barrier", "barrier", [] {});
-        for (const auto &entry : compileNodes)
-            graph.addEdge(entry.second, barrier);
-        for (const auto &node : simNodes)
-            graph.addEdge(barrier, node.second);
-    }
-
     taskgraph::ExecStats estats;
     if (graph.size() > 0) {
         const taskgraph::Executor executor(options.jobs);

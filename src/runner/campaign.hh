@@ -14,7 +14,7 @@
  * taskgraph::Executor. Because the compile dependency is an edge
  * rather than a blocking future inside the job body, a compile only
  * ever occupies one worker while sibling workers simulate other
- * points (bench/campaign_compile measures the overlap win).
+ * points (CampaignSummary::criticalPathMs reports the schedule).
  *
  * Determinism guarantee: results are written into their spec's slot
  * (never in completion order), each job owns all of its state, and
@@ -110,13 +110,6 @@ struct CampaignOptions
     /** Share compiles across jobs with equal (workload, compile-config)
      *  keys (see artifact_store.hh). Results are identical either way. */
     bool compileCache = true;
-    /**
-     * Measurement baseline for bench/campaign_compile: insert a
-     * barrier node so no simulation starts until every compile has
-     * finished (the pre-taskgraph phasing). Results are identical;
-     * only the schedule — and the wall clock — changes.
-     */
-    bool compileBarrier = false;
     /**
      * Called after each job settles, under a lock (safe to write to a
      * stream), with (finished-count, total, just-finished result).

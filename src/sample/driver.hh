@@ -30,7 +30,8 @@
  * K*(warmup+detail) detailed ones, against N detailed instructions for
  * the full run. With functional execution ~25-50x faster per
  * instruction and K*(warmup+detail) << N, effective throughput
- * improves 10-100x (bench/sampled_speedup.cc).
+ * improves 10-100x (bench/sampled_speedup.cc checks the per-core
+ * speedup; the bench/e2e `sampled` workload times the sampled run).
  */
 
 #ifndef MCA_SAMPLE_DRIVER_HH

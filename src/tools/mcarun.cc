@@ -50,7 +50,6 @@ struct Options
     unsigned jobs = 1;
     std::string cacheDir = ".mcarun-cache";
     bool noCache = false;
-    bool noCompileCache = false;
     std::string jsonOut;
     std::string csvOut;
     std::string telemetryOut;
@@ -78,8 +77,6 @@ parse(int argc, char **argv)
         {"-j", "N|auto", "same as --jobs", jobs},
         {"--cache", "DIR", "result cache [.mcarun-cache]", store(opt.cacheDir)},
         {"--no-cache", "", "disable the result cache", set(opt.noCache)},
-        {"--no-compile-cache", "", "compile each job alone",
-         set(opt.noCompileCache)},
         {"--out", "FILE", "JSON-lines results (-: stdout)", store(opt.jsonOut)},
         {"--csv", "FILE", "CSV results (-: stdout)", store(opt.csvOut)},
         {"--telemetry", "FILE", "JSONL progress", store(opt.telemetryOut)},
@@ -219,7 +216,6 @@ main(int argc, char **argv)
     runner::CampaignOptions campaign;
     campaign.jobs = opt.jobs;
     campaign.cacheDir = opt.noCache ? "" : opt.cacheDir;
-    campaign.compileCache = !opt.noCompileCache;
     // The progress line goes to stderr so piped/captured results stay
     // clean; suppress it when stdout is the results sink anyway.
     runner::ProgressPrinter progress(std::cerr, !opt.quiet);

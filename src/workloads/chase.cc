@@ -15,7 +15,7 @@ using namespace detail;
  * cycles drained, waiting on the head load's fill — the
  * memory-latency-bound counterpart to ora's divider-bound serial
  * chains, and the simulator-side stress case for the idle fast-forward
- * (see bench/micro_perf.cc).
+ * (the bench/e2e `detail_idle` workload times it).
  *
  * Not part of the paper's benchmark suite, so deliberately excluded
  * from allBenchmarks(): the Table-2/figure experiments iterate that

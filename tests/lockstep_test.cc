@@ -93,7 +93,8 @@ TEST(Lockstep, RandomProgramIsCycleExact)
 TEST(Lockstep, PointerChaseIsCycleExact)
 {
     // Memory-latency-bound serial load misses: the heaviest idle-skip
-    // user after ora (see bench/micro_perf.cc), so pin its exactness.
+    // user after ora (the bench/e2e detail_idle workload), so pin its
+    // exactness.
     const prog::Program program =
         workloads::makePointerChase(workloads::WorkloadParams{0.1});
     compiler::CompileOptions copt = compiler::compileOptionsFor("local", 2);

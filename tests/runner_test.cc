@@ -575,6 +575,7 @@ TEST(Campaign, CompileCacheSharesCompilesAcrossTheGrid)
     const auto cached = runner::runCampaign(specs, options, &summary);
     EXPECT_EQ(summary.compiles, 4u);
     EXPECT_EQ(summary.compileHits, 4u);
+    EXPECT_EQ(summary.compiles + summary.compileHits, specs.size());
 
     // Shared compiles change nothing observable: results match an
     // uncached serial run field for field.
@@ -584,6 +585,7 @@ TEST(Campaign, CompileCacheSharesCompilesAcrossTheGrid)
     runner::CampaignSummary usummary;
     const auto plain = runner::runCampaign(specs, uncached, &usummary);
     EXPECT_EQ(usummary.compiles, 0u);
+    EXPECT_EQ(usummary.compileHits, 0u);
     ASSERT_EQ(plain.size(), cached.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {
         EXPECT_EQ(plain[i].status, cached[i].status) << i;
