@@ -77,12 +77,28 @@ probe mcarun --thresholds --thresholds x
 python3 scripts/check_trace.py "$TMP/trace.json" \
     "$TMP/stats.json"
 
-# Paranoid smoke: replay ora with every-cycle invariant checking of the
-# rename maps, free lists, transfer-buffer bookkeeping, and the
-# scheduler's oldest-unissued cursor, in both scheduler modes.
-"$SIM" --benchmark ora --max-insts 5000 --paranoid --quiet >/dev/null
-"$SIM" --benchmark ora --max-insts 5000 --paranoid --no-idle-skip \
-    --quiet >/dev/null
+# Paranoid smoke: every-cycle invariant checking of the rename maps,
+# free lists, transfer-buffer bookkeeping, and the scheduler's
+# oldest-unissued cursor and wait memos, in both scheduler modes, which
+# must report the same cycle count. ora runs on the paper's dual8; gcc1
+# on four clusters with reservation-station queues, a 2-entry MSHR file
+# and the oldest instruction's reserved buffer entry.
+paranoid_cycles() {
+    "$SIM" --paranoid --quiet --json "$@" >"$TMP/paranoid.json"
+    grep '"sim.cycles"' "$TMP/paranoid.json"
+}
+for point in "--benchmark ora --max-insts 5000" \
+    "--benchmark gcc1 --max-insts 20000 --clusters 4 --queue-mode rs \
+--mshr 2 --reserve-oldest"; do
+    # $point is split into flags on purpose.
+    wake="$(paranoid_cycles $point)"
+    full="$(paranoid_cycles $point --no-idle-skip)"
+    if [ "$wake" != "$full" ]; then
+        echo "ci.sh: '$point': scheduler modes disagree:" \
+            "$wake vs $full"
+        exit 1
+    fi
+done
 
 # Verified-compile smoke: every pass's output passes prog::verifyIR on
 # all three schedulers, with dumps and per-pass stats exercised.

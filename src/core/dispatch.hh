@@ -28,7 +28,7 @@ class DispatchUnit
     {
     }
 
-    /** Run one dispatch cycle (the old Processor::Impl::doDispatch). */
+    /** Run one dispatch cycle. */
     void tick();
 
     /**

@@ -30,7 +30,7 @@ class FetchUnit : public ckpt::Checkpointable
     {
     }
 
-    /** Run one fetch cycle (the old Processor::Impl::doFetch). */
+    /** Run one fetch cycle. */
     void tick();
 
     /** The shared fetch buffer; replay pushes squashed work back in. */

@@ -126,11 +126,13 @@ struct InFlightInst
 /** Handle of a pool-resident in-flight instruction. */
 using InFlightHandle = SlabPool<InFlightInst>::Handle;
 
-/** Dispatch-queue slot: a copy waiting to issue. */
+/** Dispatch-queue slot: a copy waiting to issue, and the scheduler's
+ *  wait memo (scheduler.hh), null when there is none. */
 struct QueueSlot
 {
     InFlightHandle inst;
     unsigned copyIdx;
+    const Cycle *waitOn = nullptr;
 };
 
 /** A branch awaiting write-back (predictor update + fetch redirect). */

@@ -280,9 +280,31 @@ Processor::Impl::checkInvariants()
             MCA_ASSERT(slot.copyIdx < qi.copies.size(),
                        "queue slot copy index out of range at cycle ",
                        m.now);
-            MCA_ASSERT(qi.copies[slot.copyIdx].cluster == c,
+            const CopyState &copy = qi.copies[slot.copyIdx];
+            MCA_ASSERT(copy.cluster == c,
                        "queue slot copy in the wrong cluster at cycle ",
                        m.now);
+            MCA_ASSERT(!copy.issued || copy.suspended,
+                       "issued copy left in the scan list at cycle ",
+                       m.now);
+            // A wait memo names a read of its copy; the reads checked
+            // before it (all others for a slave) are ready.
+            bool named = !slot.waitOn;
+            for (const auto &rd : copy.reads) {
+                const Cycle &at =
+                    m.clusters[rd.cluster].regs(rd.cls).readyAt[rd.phys];
+                if (&at == slot.waitOn)
+                    named = true;
+                else
+                    MCA_ASSERT(!slot.waitOn || at <= m.now ||
+                                   (named && copy.isMaster),
+                               "wait memo passes an unready read at cycle ",
+                               m.now);
+            }
+            MCA_ASSERT(named && (!slot.waitOn ||
+                                 copy.bufferBlockedSince == kNoCycle),
+                       "wait memo names no read of its copy, or a "
+                       "buffer-blocked copy, at cycle ", m.now);
             bool in_rob = false;
             for (std::size_t i = 0; i < m.rob.size() && !in_rob; ++i)
                 in_rob = m.rob.at(i) == slot.inst;

@@ -26,11 +26,11 @@ class RetireUnit
 
     /**
      * Retire completed instructions from the window head; returns how
-     * many retired (the old Processor::Impl::doRetire).
+     * many retired.
      */
     unsigned tick();
 
-    /** Write back matured branches (old resolveBranches). */
+    /** Write back matured branches. */
     void resolveBranches();
 
     /**

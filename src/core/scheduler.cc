@@ -11,22 +11,22 @@ namespace mca::core
 
 bool
 Scheduler::masterReady(const InFlightInst &inst, const CopyState &copy,
-                       InstSeq oldest_unissued, bool *buffer_blocked,
-                       Cycle *earliest)
+                       InstSeq oldest_unissued, Blocker *why)
 {
     const Cycle now = m_.now;
     auto blockedAt = [&](Cycle at) {
-        *earliest = at;
+        why->at = at;
         return false;
     };
-    *buffer_blocked = false;
     // Local register reads. A readyAt of kNoCycle means the value is
     // still awaiting its writer's issue — an event, not a time bound.
     for (const auto &rd : copy.reads) {
-        const Cycle at =
+        const Cycle &at =
             m_.clusters[rd.cluster].regs(rd.cls).readyAt[rd.phys];
-        if (at > now)
+        if (at > now) {
+            why->read = &at;
             return blockedAt(at);
+        }
     }
     // Forwarded operands: the slave must have issued in a prior cycle.
     for (const auto &sl : inst.copies) {
@@ -81,7 +81,7 @@ Scheduler::masterReady(const InFlightInst &inst, const CopyState &copy,
         if (!sl.isMaster && sl.role.receivesResult &&
             !bufferAvailable(m_.clusters[sl.cluster].rtb, inst,
                              oldest_unissued)) {
-            *buffer_blocked = true;
+            why->buffer = true;
             // Buffer frees mature one cycle behind issue/squash
             // events, posted as broadcasts: the blocked master and the
             // freeing slave can be in unrelated clusters.
@@ -295,26 +295,29 @@ Scheduler::scanCluster(unsigned c, InstSeq oldest_unissued)
 
     bool head_checked = false;
     for (std::size_t qi = 0; qi < cl.queue.size(); ++qi) {
-        const QueueSlot slot = cl.queue[qi];
+        QueueSlot slot = cl.queue[qi];
+        if (slot.waitOn && *slot.waitOn > now && m_.cfg.idleSkip) {
+            // Still waiting on that read (exact: see the file comment).
+            fold(*slot.waitOn);
+            ++older_unissued;
+            head_checked = true;
+            cl.queue[out++] = slot;
+            continue;
+        }
+        slot.waitOn = nullptr;
         InFlightInst &inst = m_.pool.get(slot.inst);
         CopyState &copy = inst.copies[slot.copyIdx];
         const CopyState &master = inst.copies[0];
         bool remove = false;
         bool buffer_blocked = false;
 
-        if (copy.issued && !copy.suspended) {
-            // Window mode: already issued, waiting for retirement.
-            cl.queue[out++] = slot;
-            continue;
-        }
         if (inst.dispatchCycle >= now) {
             // Dispatched this cycle; eligible from the next one.
             fold(now + 1);
         } else if (copy.isMaster) {
-            Cycle earliest = kNoCycle;
-            const bool ready =
-                masterReady(inst, copy, oldest_unissued, &buffer_blocked,
-                            &earliest);
+            Blocker why;
+            const bool ready = masterReady(inst, copy, oldest_unissued, &why);
+            buffer_blocked = why.buffer;
             if (ready && slots.tryConsume(isa::opClass(inst.di.mi.op))) {
                 issueMaster(inst, copy);
                 *m_.st.issueDisorder += older_unissued;
@@ -322,12 +325,13 @@ Scheduler::scanCluster(unsigned c, InstSeq oldest_unissued)
             } else if (ready) {
                 fold(now + 1); // lost the slot race; slots refresh next cycle
             } else {
-                // earliest == kNoCycle means an event-gated block. The
+                // why.at == kNoCycle means an event-gated block. The
                 // buffer and memory-dependence cases flag the cluster
                 // for broadcasts inside masterReady; the others (an
                 // unissued operand writer or forwarding slave) receive
                 // targeted wakeups from the issue action itself.
-                fold(earliest);
+                fold(why.at);
+                slot.waitOn = why.read;
             }
         } else if (copy.suspended) {
             // Scenario-5 slave waiting for the forwarded result.
@@ -349,11 +353,14 @@ Scheduler::scanCluster(unsigned c, InstSeq oldest_unissued)
             // Operand-forwarding slave (scenarios 2 and 5).
             bool ready = true;
             Cycle regs_at = 0;
+            const Cycle *wait = nullptr; // the sole unready read, if any
             for (const auto &rd : copy.reads) {
-                const Cycle at =
+                const Cycle &at =
                     m_.clusters[rd.cluster].regs(rd.cls).readyAt[rd.phys];
-                if (at > now)
+                if (at > now) {
+                    wait = ready ? &at : nullptr;
                     ready = false;
+                }
                 regs_at = std::max(regs_at, at);
             }
             const unsigned src_i = copy.role.srcMask & 1 ? 0 : 1;
@@ -374,6 +381,7 @@ Scheduler::scanCluster(unsigned c, InstSeq oldest_unissued)
                 // issue action posts a targeted wakeup to this cluster
                 // when it schedules the register write.
                 fold(regs_at);
+                slot.waitOn = wait;
             } else {
                 // Buffer-gated: OTB frees mature behind issue events.
                 scanLeftEventGated_ = true;

@@ -12,12 +12,33 @@
  * release, buffer-block timers). The oldest-unissued instruction is
  * tracked by a monotone cursor over the retire window.
  *
+ * Within a scan, a slot's wait memo (QueueSlot::waitOn) names the
+ * readyAt word of the source read that stopped the copy's last full
+ * evaluation: a master's first unready read, or an operand-forwarding
+ * slave's sole one. While that word is later than now, the copy is
+ * accounted as a full evaluation would (fold the word into the bound,
+ * count it as older unissued, take the head check) without touching
+ * its ~500-byte InFlightInst, which is why the memo lives in the slot
+ * and not in CopyState. This is exact because:
+ *  - a master checks its reads first, in order, so a failing read
+ *    short-circuits the counted MSHR poll and the buffer checks; a
+ *    slave folds its latest read, which is its sole unready one;
+ *  - a readyAt goes from kNoCycle to a fixed cycle exactly once, when
+ *    its writer issues, and is not rewritten while a reader is queued:
+ *    a register is freed only when a younger writer of the same
+ *    architectural register retires, a squash frees only younger
+ *    destinations, and a remap runs only with an empty window;
+ *  - so a copy with a memo never passed its reads, was never
+ *    buffer-blocked, and its bufferBlockedSince is already kNoCycle.
+ * The memo is derived state; a restore builds slots without one.
+ *
  * Reference mode (ProcessorConfig::idleSkip = false) treats every
- * cluster as matured on every cycle, i.e. a full scan of every queue
- * every cycle. A full scan is a superset of any wake-driven scan, so
- * the two modes are cycle-exact with each other: tests/lockstep_test.cc
- * steps them side by side on all workloads and paper scenarios and
- * asserts identical per-cycle decisions, timelines, and statistics.
+ * cluster as matured on every cycle and ignores memos, i.e. a full
+ * evaluation of every queued copy every cycle. A full scan is a
+ * superset of any wake-driven scan, so the two modes are cycle-exact
+ * with each other: tests/lockstep_test.cc steps them side by side on
+ * workloads, machine modes and paper scenarios and asserts identical
+ * per-cycle decisions, timelines, and statistics.
  */
 
 #ifndef MCA_CORE_SCHEDULER_HH
@@ -100,17 +121,23 @@ class Scheduler final
         return inst.di.seq == oldest_unissued;
     }
 
+    /** A master's first failing constraint: when it matures (kNoCycle:
+     *  an event), whether only a buffer blocks, and the unready read. */
+    struct Blocker
+    {
+        Cycle at = kNoCycle;
+        bool buffer = false;
+        const Cycle *read = nullptr;
+    };
+
     /**
      * Whether the master copy can issue this cycle, evaluating the
      * constraints in a fixed order (the d-cache MSHR poll is a counted
      * cache event, so the call pattern is part of the architectural
-     * contract). On failure, `*earliest` receives the first failing
-     * constraint's maturity cycle, or kNoCycle if it resolves through
-     * an event.
+     * contract). On failure, `*why` describes the first failing one.
      */
     bool masterReady(const InFlightInst &inst, const CopyState &copy,
-                     InstSeq oldest_unissued, bool *buffer_blocked,
-                     Cycle *earliest);
+                     InstSeq oldest_unissued, Blocker *why);
 
     void issueMaster(InFlightInst &inst, CopyState &copy);
     void issueOperandSlave(InFlightInst &inst, CopyState &copy);

@@ -9,13 +9,18 @@
  * Coverage: the six Table-2 benchmarks, a random fuzzer program, and
  * the pointer-chase stress workload (all on the dual-cluster machine
  * that exercises every transfer scenario), the single-cluster machine,
- * and the five §2.1 scenario reproductions. The lockstep harness (src/harness/lockstep.hh)
- * compares per-cycle retire decisions, full event timelines (per-cycle
- * issue decisions), statistics JSON, and cycle-stack attributions.
+ * gcc1 and the pointer chase across machine modes (reservation-station
+ * queues, the reserved oldest buffer entry, an explicit MSHR file, four
+ * and eight clusters), and the five §2.1 scenario reproductions. The
+ * lockstep harness (src/harness/lockstep.hh) compares per-cycle retire
+ * decisions, full event timelines (per-cycle issue decisions),
+ * statistics JSON, and cycle-stack attributions.
  */
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "compiler/pipeline.hh"
@@ -117,6 +122,72 @@ TEST(Lockstep, FastForwardActuallySkipsCycles)
     EXPECT_GT(r.cyclesSkipped, 0u)
         << "idle fast-forward never skipped a cycle";
 }
+
+/** Machine axes of one lockstep mode, as the tools' flags set them. */
+struct MachineMode
+{
+    const char *name;
+    const char *machine;
+    const char *queueMode; // "" keeps the machine's window mode
+    unsigned mshrEntries;  // 0 keeps the inverted MSHR
+    bool reserveOldest;
+};
+
+const MachineMode kMachineModes[] = {
+    {"dual8_rs", "dual8", "rs", 0, false},
+    {"dual8_reserve_oldest", "dual8", "", 0, true},
+    {"dual8_mshr2", "dual8", "", 2, false},
+    {"quad8", "quad8", "", 0, false},
+    {"octa8", "octa8", "", 0, false},
+    {"quad8_rs_mshr2_reserve_oldest", "quad8", "rs", 2, true},
+};
+
+/** Prints the mode's name, so ctest names carry no pointer bytes. */
+void
+PrintTo(const MachineMode &mode, std::ostream *os)
+{
+    *os << mode.name;
+}
+
+class LockstepMachineMode
+    : public testing::TestWithParam<std::tuple<std::string, MachineMode>>
+{
+};
+
+TEST_P(LockstepMachineMode, EnginesAreCycleExact)
+{
+    // The counted MSHR poll and the oldest-entry reservation sit behind
+    // the register checks the scan skips, so pin them against the
+    // reference on every machine shape.
+    const auto &[workload, mode] = GetParam();
+    runner::JobSpec spec;
+    spec.machine = mode.machine;
+    spec.queueMode = mode.queueMode;
+    spec.mshrEntries = mode.mshrEntries;
+    spec.reserveOldest = mode.reserveOldest;
+    const core::ProcessorConfig cfg = runner::machineConfigFor(spec);
+    const prog::Program program =
+        workload == "chase"
+            ? workloads::makePointerChase(workloads::WorkloadParams{0.1})
+            : workloads::benchmarkByName(workload).make({});
+    compiler::CompileOptions copt =
+        compiler::compileOptionsFor("local", cfg.numClusters);
+    copt.profileSeed = kTraceSeed;
+    const auto out = compiler::compile(program, copt);
+    const auto r = harness::runLockstep(out.binary,
+                                        out.hardwareMap(cfg.numClusters),
+                                        cfg, kTraceSeed, 20'000);
+    EXPECT_TRUE(r.identical) << r.divergence;
+    EXPECT_GT(r.retired, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MachineModes, LockstepMachineMode,
+    testing::Combine(testing::Values("gcc1", "chase"),
+                     testing::ValuesIn(kMachineModes)),
+    [](const testing::TestParamInfo<LockstepMachineMode::ParamType> &i) {
+        return std::get<0>(i.param) + "_" + std::get<1>(i.param).name;
+    });
 
 TEST(Lockstep, PaperModeMatchesPreRefactorTable2Reference)
 {
