@@ -79,17 +79,20 @@ python3 scripts/check_trace.py "$TMP/trace.json" \
 
 # Paranoid smoke: every-cycle invariant checking of the rename maps,
 # free lists, transfer-buffer bookkeeping, and the scheduler's
-# oldest-unissued cursor and wait memos, in both scheduler modes, which
-# must report the same cycle count. ora runs on the paper's dual8; gcc1
-# on four clusters with reservation-station queues, a 2-entry MSHR file
-# and the oldest instruction's reserved buffer entry.
+# oldest-unissued cursor, wait memos and store queue, in both scheduler
+# modes, which must report the same cycle count. ora runs on the
+# paper's dual8; gcc1 on four clusters with reservation-station queues,
+# a 2-entry MSHR file and the oldest instruction's reserved buffer
+# entry; doduc with one-entry transfer buffers, whose replays squash
+# in-flight stores and re-dispatch the loads that waited on them.
 paranoid_cycles() {
     "$SIM" --paranoid --quiet --json "$@" >"$TMP/paranoid.json"
     grep '"sim.cycles"' "$TMP/paranoid.json"
 }
 for point in "--benchmark ora --max-insts 5000" \
     "--benchmark gcc1 --max-insts 20000 --clusters 4 --queue-mode rs \
---mshr 2 --reserve-oldest"; do
+--mshr 2 --reserve-oldest" \
+    "--benchmark doduc --max-insts 20000 --otb 1 --rtb 1"; do
     # $point is split into flags on purpose.
     wake="$(paranoid_cycles $point)"
     full="$(paranoid_cycles $point --no-idle-skip)"

@@ -50,6 +50,7 @@ DispatchUnit::tryDispatch(const exec::DynInst &di)
     }
 
     auto &clusters = m_.clusters;
+    const isa::RegisterMap &map = m_.cfg.regMap;
     // Distribution decision; instructions with no local-register
     // constraint go to the currently least-loaded cluster (occupancy
     // counts entries held by issued copies awaiting retirement).
@@ -58,113 +59,99 @@ DispatchUnit::tryDispatch(const exec::DynInst &di)
         if (clusters[c].occupancy() < clusters[least].occupancy())
             least = c;
     const isa::Distribution dist =
-        isa::decideDistribution(di.mi, m_.cfg.regMap, least);
+        isa::decideDistribution(di.mi, map, least);
 
     // --- resource checks ------------------------------------------
-    // Queue entries, one per copy.
-    dqNeed_.assign(clusters.size(), 0);
-    ++dqNeed_[dist.masterCluster];
+    // The copies go to distinct clusters (slaves are merged per cluster
+    // and never share the master's), so each copy needs a free queue
+    // entry in its own cluster, and each allocating copy a free
+    // physical register there.
+    const auto queueFull = [&](unsigned c) {
+        return clusters[c].occupancy() >= clusters[c].queueCapacity;
+    };
+    bool dq_full = queueFull(dist.masterCluster);
     for (const auto &sl : dist.slaves)
-        ++dqNeed_[sl.cluster];
-    for (unsigned c = 0; c < clusters.size(); ++c)
-        if (clusters[c].occupancy() + dqNeed_[c] >
-            clusters[c].queueCapacity) {
-            ++*m_.st.stallDq;
-            m_.dqStallThisCycle = true;
-            idle_ = IdleEffect::StallDq;
-            return false;
-        }
-    // Physical destination registers.
+        dq_full = dq_full || queueFull(sl.cluster);
+    if (dq_full) {
+        ++*m_.st.stallDq;
+        m_.dqStallThisCycle = true;
+        idle_ = IdleEffect::StallDq;
+        return false;
+    }
     const bool has_dest = di.mi.hasDest() && !di.mi.dest->isZero();
     if (has_dest) {
-        physNeed_.assign(clusters.size(), 0);
-        if (dist.masterWritesDest)
-            ++physNeed_[dist.masterCluster];
+        const auto regsOut = [&](unsigned c) {
+            return !clusters[c].regs(di.mi.dest->cls).hasFree();
+        };
+        bool phys_out = dist.masterWritesDest && regsOut(dist.masterCluster);
         for (const auto &sl : dist.slaves)
-            if (sl.receivesResult)
-                ++physNeed_[sl.cluster];
-        for (unsigned c = 0; c < clusters.size(); ++c)
-            if (physNeed_[c] >
-                (clusters[c].regs(di.mi.dest->cls).freeList.size())) {
-                ++*m_.st.stallPhys;
-                idle_ = IdleEffect::StallPhys;
-                return false;
-            }
+            phys_out = phys_out || (sl.receivesResult && regsOut(sl.cluster));
+        if (phys_out) {
+            ++*m_.st.stallPhys;
+            idle_ = IdleEffect::StallPhys;
+            return false;
+        }
     }
 
     // --- commit the dispatch ----------------------------------------
     const InFlightHandle h = m_.pool.alloc();
     InFlightInst &inst = m_.pool.get(h);
-    inst = InFlightInst{};
+    inst.reset();
     inst.di = di;
-    inst.dist = dist;
+    inst.masterWritesDest = dist.masterWritesDest;
     inst.dispatchCycle = m_.now;
     inst.condBranch = isa::isCondBranch(di.mi.op);
 
     // Perfect memory disambiguation (trace addresses are oracle): a
     // load records the youngest older store to its dword, if one is
-    // still in flight. The per-dword index replaces a backward walk of
-    // the retire window; its maintenance (dispatch insert, retire
-    // erase, squash rebuild) guarantees any entry found here is live.
+    // still in flight.
     if (isa::isLoad(di.mi.op)) {
-        const auto it = m_.storeByDword.find(di.effAddr >> 3);
-        if (it != m_.storeByDword.end()) {
-            inst.memDepStore = it->second.handle;
-            inst.memDepStoreSeq = it->second.seq;
+        for (std::size_t i = m_.storeQueue.size(); i-- > 0;) {
+            const MachineState::StoreEntry &st = m_.storeQueue.at(i);
+            if (st.dword == di.effAddr >> 3) {
+                inst.memDepStore = st.handle;
+                inst.memDepStoreSeq = st.seq;
+                break;
+            }
         }
     } else if (isa::isStore(di.mi.op)) {
-        m_.storeByDword[di.effAddr >> 3] = {h, di.seq};
+        m_.storeQueue.pushBack({di.effAddr >> 3, h, di.seq});
     }
 
-    // Build copies: master first.
-    CopyState master;
+    // Build copies in place: master first, then the slaves in cluster
+    // order.
+    CopyState &master = inst.copies.emplace_back();
     master.cluster = static_cast<std::uint8_t>(dist.masterCluster);
     master.isMaster = true;
-    inst.copies.push_back(master);
     for (const auto &sl : dist.slaves) {
-        CopyState s;
+        CopyState &s = inst.copies.emplace_back();
         s.cluster = static_cast<std::uint8_t>(sl.cluster);
         s.role = sl;
-        inst.copies.push_back(s);
     }
 
     // Source reads: resolved against the current rename maps, before
-    // the destination is renamed.
+    // the destination is renamed. The master reads a global register
+    // or one homed in its cluster; the slave in any other register's
+    // home cluster reads and forwards it.
     for (unsigned i = 0; i < 2; ++i) {
-        if (!di.mi.srcs[i])
+        if (!di.mi.srcs[i] || di.mi.srcs[i]->isZero())
             continue;
         const isa::RegId reg = *di.mi.srcs[i];
-        if (reg.isZero())
-            continue;
-        if (m_.cfg.regMap.accessibleFrom(reg, dist.masterCluster)) {
-            Cluster &cl = clusters[dist.masterCluster];
-            MCA_ASSERT(cl.mappedOf(reg.cls, reg.index),
-                       "read of unmapped register ", isa::regName(reg));
-            inst.copies[0].reads.push_back(
-                {static_cast<std::uint8_t>(i),
-                 static_cast<std::uint8_t>(dist.masterCluster), reg.cls,
-                 cl.mapOf(reg.cls, reg.index)});
-        } else {
-            // A slave in the register's home cluster forwards it.
-            const unsigned home = m_.cfg.regMap.homeCluster(reg);
-            bool found = false;
-            for (auto &copy : inst.copies) {
-                if (copy.isMaster || copy.cluster != home ||
-                    !(copy.role.srcMask & (1u << i)))
-                    continue;
-                Cluster &cl = clusters[home];
-                MCA_ASSERT(cl.mappedOf(reg.cls, reg.index),
-                           "read of unmapped register ",
-                           isa::regName(reg));
-                copy.reads.push_back(
-                    {static_cast<std::uint8_t>(i),
-                     static_cast<std::uint8_t>(home), reg.cls,
-                     cl.mapOf(reg.cls, reg.index)});
-                found = true;
-            }
-            MCA_ASSERT(found, "no slave forwards operand ",
-                       isa::regName(reg));
-        }
+        const unsigned home = map.homeOrGlobal(reg);
+        const unsigned c =
+            home == isa::RegisterMap::kGlobal ? dist.masterCluster : home;
+        auto copy = inst.copies.begin();
+        while (copy != inst.copies.end() && copy->cluster != c)
+            ++copy;
+        Cluster &cl = clusters[c];
+        MCA_ASSERT(copy != inst.copies.end() &&
+                       (copy->isMaster || copy->role.srcMask & (1u << i)),
+                   "no slave forwards operand ", isa::regName(reg));
+        MCA_ASSERT(cl.mappedOf(reg.cls, reg.index),
+                   "read of unmapped register ", isa::regName(reg));
+        copy->reads.push_back({static_cast<std::uint8_t>(i),
+                               static_cast<std::uint8_t>(c), reg.cls,
+                               cl.mapOf(reg.cls, reg.index)});
     }
 
     // Destination renaming in every allocating cluster.
@@ -172,20 +159,16 @@ DispatchUnit::tryDispatch(const exec::DynInst &di)
         const isa::RegId dest = *di.mi.dest;
         auto renameIn = [&](unsigned c) {
             Cluster &cl = clusters[c];
-            PhysRegFile &rf = cl.regs(dest.cls);
-            const std::uint16_t fresh = rf.alloc();
-            rf.readyAt[fresh] = kNoCycle;
-            RenameUpdate ru;
-            ru.cluster = static_cast<std::uint8_t>(c);
-            ru.cls = dest.cls;
-            ru.arch = dest.index;
-            ru.newPhys = fresh;
             MCA_ASSERT(cl.mappedOf(dest.cls, dest.index),
                        "rename of unmapped register ",
                        isa::regName(dest));
-            ru.prevPhys = cl.mapOf(dest.cls, dest.index);
-            cl.mapOf(dest.cls, dest.index) = fresh;
-            inst.renames.push_back(ru);
+            PhysRegFile &rf = cl.regs(dest.cls);
+            const std::uint16_t fresh = rf.alloc();
+            rf.readyAt[fresh] = kNoCycle;
+            std::uint16_t &mapped = cl.mapOf(dest.cls, dest.index);
+            inst.renames.push_back({static_cast<std::uint8_t>(c), dest.cls,
+                                    dest.index, fresh, mapped});
+            mapped = fresh;
         };
         if (dist.masterWritesDest)
             renameIn(dist.masterCluster);

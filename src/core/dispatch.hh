@@ -2,12 +2,15 @@
  * @file
  * Dispatch stage of the multicluster core: drains the fetch buffer
  * into the retire window and the per-cluster dispatch queues —
- * distribution decision, resource checks (queue entries, physical
- * registers), register renaming, memory-dependence capture, branch
- * prediction at queue insertion, and the §6 dynamic register remap
- * (drain, transfer, switch). Posts onDispatched events to the
- * Scheduler and records which stall counter a blocked cycle bumped so
- * the idle fast-forward can replicate it (docs/architecture.md).
+ * distribution decision (register-map table lookups), resource checks
+ * (a queue entry in each copy's cluster, a physical register in each
+ * allocating copy's), register renaming, memory-dependence capture
+ * from the in-order store queue, branch prediction at queue insertion,
+ * and the §6 dynamic register remap (drain, transfer, switch). Each
+ * in-flight record is built in place in its reused pool slot. Posts
+ * onDispatched events to the Scheduler and records which stall counter
+ * a blocked cycle bumped so the idle fast-forward can replicate it
+ * (docs/architecture.md).
  */
 
 #ifndef MCA_CORE_DISPATCH_HH
@@ -50,9 +53,6 @@ class DispatchUnit
     FetchUnit &fetch_;
     Scheduler &sched_;
     IdleEffect idle_ = IdleEffect::None;
-    /** Per-cluster resource-check scratch, reused across dispatches. */
-    std::vector<unsigned> dqNeed_;
-    std::vector<unsigned> physNeed_;
 };
 
 } // namespace mca::core

@@ -12,7 +12,8 @@
  * generation-checked InFlightHandle rather than a pointer: a handle
  * held across a squash or retirement goes stale instead of dangling.
  * The short per-instruction sequences (copies, reads, renames) use
- * inline-storage vectors so dispatch performs no heap allocation.
+ * inline-storage vectors so dispatch performs no heap allocation, and
+ * dispatch builds each record in place in its reused slot (reset()).
  */
 
 #ifndef MCA_CORE_INFLIGHT_HH
@@ -72,13 +73,18 @@ struct CopyState
     Cycle bufferBlockedSince = kNoCycle;
 };
 
-/** A dynamic instruction in flight (ROB entry, SlabPool slot). */
+/**
+ * A dynamic instruction in flight (ROB entry, SlabPool slot). Its
+ * distribution lives in its copies: the master's cluster is
+ * copies[0].cluster, and each slave copy carries its role.
+ */
 struct InFlightInst
 {
     exec::DynInst di;
-    isa::Distribution dist;
     SmallVector<CopyState, 2> copies; // copies[0] is the master
     SmallVector<RenameUpdate, 2> renames;
+    /** The master allocated a physical register for the destination. */
+    bool masterWritesDest = false;
     Cycle dispatchCycle = 0;
     /** Master's effective latency (set at master issue; cache-aware). */
     unsigned masterEffLat = 0;
@@ -98,6 +104,22 @@ struct InFlightInst
     bool condBranch = false;
     bool predTaken = false;
     bool mispredicted = false;
+
+    /** Every field but `di` back to its initial value, keeping the
+     *  vectors' storage; a field added above is reset here too. */
+    void
+    reset()
+    {
+        copies.clear();
+        renames.clear();
+        masterWritesDest = false;
+        dispatchCycle = 0;
+        masterEffLat = 0;
+        memDepStore = kNoHandle;
+        memDepStoreSeq = kNoSeq;
+        dcacheLoadMiss = dcacheMemBound = false;
+        condBranch = predTaken = mispredicted = false;
+    }
 
     bool
     allComplete(Cycle now) const

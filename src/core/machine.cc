@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "isa/opcodes.hh"
 #include "support/panic.hh"
 
 namespace mca::core
@@ -101,7 +100,7 @@ CoreStats::init(StatGroup &sg, unsigned num_clusters)
 MachineState::MachineState(const ProcessorConfig &config, StatGroup &sg)
     : cfg(config), memsys(config.memory, sg), icache(memsys.icache()),
       dcache(memsys.dcache()), pool(config.retireWindow),
-      rob(config.retireWindow)
+      rob(config.retireWindow), storeQueue(config.retireWindow)
 {
     switch (cfg.predictor) {
       case ProcessorConfig::PredictorKind::McFarling:
@@ -159,19 +158,6 @@ MachineState::MachineState(const ProcessorConfig &config, StatGroup &sg)
     }
 
     st.init(sg, cfg.numClusters);
-}
-
-void
-MachineState::rebuildStoreIndex()
-{
-    storeByDword.clear();
-    // Walk oldest to youngest so the youngest store to each dword wins.
-    for (std::size_t i = 0; i < rob.size(); ++i) {
-        const InFlightHandle h = rob.at(i);
-        const InFlightInst &in = pool.get(h);
-        if (isa::isStore(in.di.mi.op))
-            storeByDword[in.di.effAddr >> 3] = {h, in.di.seq};
-    }
 }
 
 } // namespace mca::core

@@ -12,7 +12,6 @@
 #define MCA_CORE_MACHINE_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "bpred/predictors.hh"
@@ -101,24 +100,22 @@ struct MachineState
     /** Dispatch/fetch blocked behind this unresolved mispredict. */
     InstSeq mispredictBlockSeq = kNoSeq;
 
-    /** An in-flight store named by dependence bookkeeping. */
-    struct StoreRef
+    /** An in-flight store, as the load-ordering search sees it. */
+    struct StoreEntry
     {
+        Addr dword = 0;
         InFlightHandle handle = kNoHandle;
         InstSeq seq = kNoSeq;
     };
     /**
-     * Youngest in-flight store per data dword (the perfect-
-     * disambiguation index dispatch consults for loads, replacing a
-     * backward walk of the retire window). Maintained incrementally:
-     * stores insert at dispatch, retirement erases a store's own
-     * entry, and a replay squash rebuilds the index from the surviving
-     * window (rebuildStoreIndex). Every entry therefore names a live
-     * store; derived state, never serialized.
+     * The in-flight stores in program order (perfect memory
+     * disambiguation: a load searches it youngest-first for its
+     * dword). A store pushes at dispatch, retirement pops the front and
+     * a replay squash pops the back, so it holds exactly the window's
+     * stores. Derived state, never serialized: a restore rebuilds it
+     * from the window.
      */
-    std::unordered_map<Addr, StoreRef> storeByDword;
-    /** Rebuild storeByDword from the retire window (squash/restore). */
-    void rebuildStoreIndex();
+    CircularQueue<StoreEntry> storeQueue;
 
     Cycle lastProgress = 0;
     unsigned consecutiveReplays = 0;

@@ -119,6 +119,8 @@ Processor::Impl::replayFromIndex(std::size_t keep)
         InFlightInst &inst = m.pool.get(h);
         ++*m.st.replaySquashed;
         replayed.push_back(inst.di);
+        if (isa::isStore(inst.di.mi.op))
+            m.storeQueue.popBack();
         // Undo renames in reverse order.
         for (std::size_t i = inst.renames.size(); i-- > 0;) {
             const auto &ru = inst.renames[i];
@@ -163,11 +165,6 @@ Processor::Impl::replayFromIndex(std::size_t keep)
         m.rob.popBack();
         m.pool.free(h);
     }
-    // Squashing can expose an older in-flight store to a dword whose
-    // index entry named a now-dead younger store: rebuild the index
-    // from the surviving window.
-    m.rebuildStoreIndex();
-
     // Re-feed the squashed instructions, oldest first. `replayed` is
     // youngest-first (popped from the ROB tail), so pushing each entry
     // to the buffer front in that order leaves the oldest at the front.
@@ -224,6 +221,12 @@ Processor::Impl::checkInvariants()
                            " times at cycle ", m.now);
         }
     }
+    // Dispatch checks one free entry per copy, which relies on no
+    // queue ever holding more than its capacity.
+    for (unsigned c = 0; c < m.clusters.size(); ++c)
+        MCA_ASSERT(m.clusters[c].occupancy() <= m.clusters[c].queueCapacity,
+                   "dispatch queue of cluster ", c, " over capacity at "
+                   "cycle ", m.now);
     // Transfer-buffer occupancy must equal the live holds plus the
     // frees that have not matured yet.
     invOtbHolds.assign(m.clusters.size(), 0);
@@ -326,27 +329,25 @@ Processor::Impl::checkInvariants()
                        c, " at cycle ", m.now, ": held ",
                        m.clusters[c].held, " expected ", expect_held[c]);
     }
-    // Store-dependence index: every entry must name the youngest live
-    // in-flight store to its dword, and every in-flight store must be
-    // covered by an entry at least as young.
-    for (const auto &[dword, ref] : m.storeByDword) {
-        const InFlightInst *store = m.pool.tryGet(ref.handle);
-        MCA_ASSERT(store && store->di.seq == ref.seq &&
-                       isa::isStore(store->di.mi.op) &&
-                       (store->di.effAddr >> 3) == dword,
-                   "store index entry names a dead or mismatched store "
-                   "at cycle ", m.now);
-    }
+    // The store queue must hold exactly the window's stores, oldest
+    // first.
+    std::size_t n_stores = 0;
     for (std::size_t i = 0; i < m.rob.size(); ++i) {
         const InFlightInst &inst = m.pool.get(m.rob.at(i));
         if (!isa::isStore(inst.di.mi.op))
             continue;
-        const auto it = m.storeByDword.find(inst.di.effAddr >> 3);
-        MCA_ASSERT(it != m.storeByDword.end() &&
-                       it->second.seq >= inst.di.seq,
-                   "in-flight store missing from the dependence index "
-                   "at cycle ", m.now);
+        const auto &sq = m.storeQueue;
+        MCA_ASSERT(n_stores < sq.size() &&
+                       sq.at(n_stores).handle == m.rob.at(i) &&
+                       sq.at(n_stores).seq == inst.di.seq &&
+                       sq.at(n_stores).dword == inst.di.effAddr >> 3,
+                   "store queue entry ", n_stores, " does not match the "
+                   "window's store at cycle ", m.now);
+        ++n_stores;
     }
+    MCA_ASSERT(n_stores == m.storeQueue.size(),
+               "store queue holds a store outside the window at cycle ",
+               m.now);
     for (std::size_t i = 0; i < m.rob.size(); ++i) {
         const InFlightInst &inst = m.pool.get(m.rob.at(i));
         if (inst.memDepStoreSeq == kNoSeq)
@@ -840,11 +841,13 @@ void
 writeInFlightInst(ckpt::Writer &w, const InFlightInst &inst)
 {
     exec::writeDynInst(w, inst.di);
-    w.u8(static_cast<std::uint8_t>(inst.dist.masterCluster));
-    w.b(inst.dist.masterWritesDest);
-    w.u64(inst.dist.slaves.size());
-    for (const auto &role : inst.dist.slaves)
-        writeSlaveRole(w, role);
+    // The distribution (master cluster, slave roles), derived from the
+    // copies that carry it.
+    w.u8(inst.copies[0].cluster);
+    w.b(inst.masterWritesDest);
+    w.u64(inst.copies.size() - 1);
+    for (std::size_t i = 1; i < inst.copies.size(); ++i)
+        writeSlaveRole(w, inst.copies[i].role);
     w.u64(inst.copies.size());
     for (const auto &copy : inst.copies) {
         w.u8(copy.cluster);
@@ -888,17 +891,31 @@ writeInFlightInst(ckpt::Writer &w, const InFlightInst &inst)
 }
 
 void
-readInFlightInst(ckpt::Reader &r, InFlightInst &inst)
+readInFlightInst(ckpt::Reader &r, InFlightInst &inst, unsigned clusters)
 {
     inst.di = exec::readDynInst(r);
-    inst.dist.masterCluster = r.u8();
-    inst.dist.masterWritesDest = r.b();
-    inst.dist.slaves.resize(r.u64());
-    for (auto &role : inst.dist.slaves)
+    // The distribution bytes must agree with the copies that carry it.
+    const char *const disagrees =
+        "checkpoint: in-flight distribution disagrees with its copies";
+    isa::Distribution dist;
+    dist.masterCluster = r.u8();
+    inst.masterWritesDest = r.b();
+    const std::uint64_t n_slaves = r.u64();
+    if (n_slaves >= clusters)
+        throw std::runtime_error(disagrees);
+    dist.slaves.resize(n_slaves);
+    for (auto &role : dist.slaves)
         role = readSlaveRole(r);
-    inst.copies.resize(r.u64());
+    const std::uint64_t n_copies = r.u64();
+    if (n_copies == 0)
+        throw std::runtime_error("checkpoint: in-flight record has no copies");
+    if (n_copies != n_slaves + 1)
+        throw std::runtime_error(disagrees);
+    inst.copies.resize(n_copies);
     for (auto &copy : inst.copies) {
         copy.cluster = r.u8();
+        if (copy.cluster >= clusters)
+            throw std::runtime_error("checkpoint: copy cluster out of range");
         copy.isMaster = r.b();
         copy.role = readSlaveRole(r);
         copy.reads.resize(r.u64());
@@ -920,6 +937,11 @@ readInFlightInst(ckpt::Reader &r, InFlightInst &inst)
         copy.completeCycle = r.u64();
         copy.bufferBlockedSince = r.u64();
     }
+    bool agree = dist.masterCluster == inst.copies[0].cluster;
+    for (std::size_t i = 1; i < inst.copies.size(); ++i)
+        agree = agree && dist.slaves[i - 1] == inst.copies[i].role;
+    if (!agree)
+        throw std::runtime_error(disagrees);
     inst.renames.resize(r.u64());
     for (auto &ru : inst.renames) {
         ru.cluster = r.u8();
@@ -1214,28 +1236,24 @@ Processor::loadState(ckpt::SnapshotParser &p)
     for (std::uint64_t i = 0; i < n_rob; ++i) {
         const InFlightHandle h = im.m.pool.alloc();
         InFlightInst &inst = im.m.pool.get(h);
-        inst = InFlightInst{};
-        readInFlightInst(r, inst);
+        inst.reset();
+        readInFlightInst(r, inst, im.m.cfg.numClusters);
         im.m.rob.pushBack(h);
     }
-    // Rebuild the loads' memory-dependence handles from the serialized
-    // sequence numbers; a store that already left the window simply
-    // stays unresolved (kNoHandle), the same observable state as a
-    // stale handle.
+    // Rebuild the store queue, and the loads' memory-dependence
+    // handles from the serialized sequence numbers; a store that
+    // already left the window simply stays unresolved (reset()'s
+    // kNoHandle), the same observable state as a stale handle.
+    im.m.storeQueue.clear();
     for (std::size_t i = 0; i < im.m.rob.size(); ++i) {
         InFlightInst &inst = im.m.pool.get(im.m.rob.at(i));
-        inst.memDepStore = kNoHandle;
-        if (inst.memDepStoreSeq == kNoSeq)
-            continue;
-        for (std::size_t j = i; j-- > 0;) {
-            const InFlightHandle oh = im.m.rob.at(j);
-            if (im.m.pool.get(oh).di.seq == inst.memDepStoreSeq) {
-                inst.memDepStore = oh;
-                break;
-            }
-        }
+        if (isa::isStore(inst.di.mi.op))
+            im.m.storeQueue.pushBack(
+                {inst.di.effAddr >> 3, im.m.rob.at(i), inst.di.seq});
+        for (std::size_t j = 0; j < im.m.storeQueue.size(); ++j)
+            if (im.m.storeQueue.at(j).seq == inst.memDepStoreSeq)
+                inst.memDepStore = im.m.storeQueue.at(j).handle;
     }
-    im.m.rebuildStoreIndex();
     for (auto &cl : im.m.clusters) {
         // Split the serialized queue rows back into the live scan list
         // (copies still awaiting issue/wake, i.e. inQueue) and the
@@ -1244,6 +1262,9 @@ Processor::loadState(ckpt::SnapshotParser &p)
         cl.queue.clear();
         cl.held = 0;
         const std::uint64_t n_rows = r.u64();
+        if (n_rows > cl.queueCapacity)
+            throw std::runtime_error(
+                "checkpoint: dispatch queue rows exceed its capacity");
         for (std::uint64_t k = 0; k < n_rows; ++k) {
             const std::uint32_t rob_idx = r.u32();
             if (rob_idx >= im.m.rob.size())

@@ -24,15 +24,9 @@ RetireUnit::tick()
         if (m_.cfg.holdQueueUntilRetire)
             for (const auto &copy : inst.copies)
                 --m_.clusters[copy.cluster].held;
-        // Drop the store's own dependence-index entry (an older store
-        // to the dword cannot still be in flight: retirement is in
-        // order, and a younger one would have overwritten the entry).
-        if (isa::isStore(inst.di.mi.op)) {
-            const auto it = m_.storeByDword.find(inst.di.effAddr >> 3);
-            if (it != m_.storeByDword.end() &&
-                it->second.seq == inst.di.seq)
-                m_.storeByDword.erase(it);
-        }
+        // Retirement is in order, so a retiring store is the oldest.
+        if (isa::isStore(inst.di.mi.op))
+            m_.storeQueue.popFront();
         m_.record(m_.now, inst.di.seq, inst.copies[0].cluster,
                   TimelineEvent::Retired);
         ++*m_.st.retired;

@@ -156,7 +156,7 @@ Scheduler::issueMaster(InFlightInst &inst, CopyState &copy)
     }
 
     // Destination write in the master's cluster.
-    if (inst.dist.masterWritesDest) {
+    if (inst.masterWritesDest) {
         for (const auto &ru : inst.renames) {
             if (ru.cluster != copy.cluster)
                 continue;
@@ -184,7 +184,7 @@ Scheduler::issueMaster(InFlightInst &inst, CopyState &copy)
     // their clusters). The written destination and the forwarded result
     // get targeted wakeups at now+lat.
     wakeAll(now + 1);
-    if (inst.dist.masterWritesDest)
+    if (inst.masterWritesDest)
         wakeCluster(copy.cluster, now + lat);
     for (const auto &sl : inst.copies)
         if (!sl.isMaster && sl.role.receivesResult)

@@ -1,9 +1,6 @@
 #include "isa/distribution.hh"
 
 #include <algorithm>
-#include <array>
-
-#include "support/panic.hh"
 
 namespace mca::isa
 {
@@ -12,96 +9,47 @@ Distribution
 decideDistribution(const MachInst &mi, const RegisterMap &map,
                    unsigned tie_break)
 {
-    const unsigned nclusters = map.numClusters();
-    Distribution dist;
-
-    if (nclusters == 1) {
-        dist.masterCluster = 0;
-        dist.masterWritesDest = mi.hasDest() && !mi.dest->isZero();
-        return dist;
-    }
-
-    // Count the local registers named per cluster (the paper's
-    // master-selection rule: the master executes where the majority of
-    // the named local registers live). Fixed-size scratch: this runs
-    // once per dispatched instruction, so it must not allocate.
-    constexpr unsigned kMaxClusters = 32;
-    MCA_ASSERT(nclusters <= kMaxClusters,
-               "cluster count exceeds the distribution scratch bound");
-    std::array<unsigned, kMaxClusters> local_count{};
-    bool any_local = false;
-
-    auto countReg = [&](const RegId &reg) {
-        if (reg.isZero() || map.isGlobal(reg))
-            return;
-        ++local_count[map.homeCluster(reg)];
-        any_local = true;
+    constexpr unsigned kGlobal = RegisterMap::kGlobal;
+    const auto homeOf = [&](const std::optional<RegId> &reg) {
+        return reg ? map.homeOrGlobal(*reg) : kGlobal;
     };
+    // Home cluster of each named register; absent, zero and global
+    // registers read kGlobal.
+    const unsigned src0 = homeOf(mi.srcs[0]);
+    const unsigned src1 = homeOf(mi.srcs[1]);
+    const unsigned dest = homeOf(mi.dest);
 
-    for (const auto &src : mi.srcs)
-        if (src)
-            countReg(*src);
-    if (mi.dest && !mi.dest->isZero())
-        countReg(*mi.dest);
-
+    // The master executes where the majority of the named local
+    // registers live. Of three names, a home named twice is the
+    // majority; otherwise ties resolve to the lowest cluster index
+    // (matches the paper's Figure 5, where the C1 operand's cluster
+    // hosts the master). With no local register at all the
+    // distribution hardware is free to pick a cluster.
     unsigned master;
-    if (!any_local) {
-        // No local-register constraint: the distribution hardware is free
-        // to pick a cluster (all operands global/zero).
-        master = tie_break % nclusters;
-    } else {
-        master = 0;
-        for (unsigned c = 1; c < nclusters; ++c)
-            if (local_count[c] > local_count[master])
-                master = c;
-        // Ties resolve to the lowest cluster index (matches the paper's
-        // Figure 5, where the C1 operand's cluster hosts the master).
-    }
+    if (src0 != kGlobal && (src0 == src1 || src0 == dest))
+        master = src0;
+    else if (src1 != kGlobal && src1 == dest)
+        master = src1;
+    else
+        master = std::min({src0, src1, dest});
+    if (master == kGlobal)
+        master = tie_break % map.numClusters();
+
+    Distribution dist;
     dist.masterCluster = master;
-
-    // Destination handling.
     const bool has_dest = mi.hasDest() && !mi.dest->isZero();
-    const bool dest_global = has_dest && map.isGlobal(*mi.dest);
-    const bool dest_local = has_dest && !dest_global;
-    const unsigned dest_home =
-        dest_local ? map.homeCluster(*mi.dest) : 0;
+    const bool dest_global = has_dest && dest == kGlobal;
+    dist.masterWritesDest = has_dest && (dest_global || dest == master);
 
-    dist.masterWritesDest =
-        has_dest && (dest_global || dest_home == master);
-
-    // Build slave roles, merged per cluster.
-    auto slaveFor = [&](unsigned cluster) -> SlaveRole & {
-        for (auto &s : dist.slaves)
-            if (s.cluster == cluster)
-                return s;
-        dist.slaves.push_back(SlaveRole{cluster, false, false, 0});
-        return dist.slaves.back();
-    };
-
-    for (unsigned i = 0; i < 2; ++i) {
-        const auto &src = mi.srcs[i];
-        if (!src || src->isZero() || map.isGlobal(*src))
-            continue;
-        const unsigned home = map.homeCluster(*src);
-        if (home == master)
-            continue;
-        SlaveRole &slave = slaveFor(home);
-        slave.forwardsOperand = true;
-        slave.srcMask |= (1u << i);
+    // One slave per other cluster that forwards an operand or receives
+    // the result, built in cluster order.
+    for (unsigned c = 0; c < map.numClusters(); ++c) {
+        const unsigned src_mask = (src0 == c) | (src1 == c) << 1;
+        const bool receives = dest_global || dest == c;
+        if (c != master && (src_mask != 0 || receives))
+            dist.slaves.push_back(
+                SlaveRole{c, src_mask != 0, receives, src_mask});
     }
-
-    if (dest_local && dest_home != master) {
-        slaveFor(dest_home).receivesResult = true;
-    } else if (dest_global) {
-        for (unsigned c = 0; c < nclusters; ++c)
-            if (c != master)
-                slaveFor(c).receivesResult = true;
-    }
-
-    std::sort(dist.slaves.begin(), dist.slaves.end(),
-              [](const SlaveRole &a, const SlaveRole &b) {
-                  return a.cluster < b.cluster;
-              });
     return dist;
 }
 

@@ -33,6 +33,8 @@ struct SlaveRole
     bool receivesResult = false;
     /** Bitmask of source indices the slave forwards (bit i = srcs[i]). */
     unsigned srcMask = 0;
+
+    bool operator==(const SlaveRole &) const = default;
 };
 
 /** Full distribution decision for one instruction. */

@@ -113,6 +113,9 @@ class RegisterMap
                    "unsupported cluster count");
         intHome_.fill(-1);
         fpHome_.fill(-1);
+        for (unsigned i = 0; i < 2 * kNumArchRegs; ++i)
+            refresh(RegId(static_cast<RegClass>(i / kNumArchRegs),
+                          i % kNumArchRegs));
         if (num_clusters > 1) {
             setGlobal(intReg(kStackPointer));
             setGlobal(intReg(kGlobalPointer));
@@ -121,11 +124,15 @@ class RegisterMap
 
     unsigned numClusters() const { return numClusters_; }
 
+    /** homeOrGlobal() of a register readable in every cluster. */
+    static constexpr unsigned kGlobal = 0xff;
+
     /** Mark a register as globally assigned (replicated in all clusters). */
     void
     setGlobal(RegId reg)
     {
         mask(reg.cls) |= (1u << reg.index);
+        refresh(reg);
     }
 
     /** Remove a register from the global set. */
@@ -133,15 +140,22 @@ class RegisterMap
     setLocal(RegId reg)
     {
         mask(reg.cls) &= ~(1u << reg.index);
+        refresh(reg);
     }
 
-    bool
-    isGlobal(RegId reg) const
+    /**
+     * Home cluster of a local register, or kGlobal for a global or zero
+     * register (zero registers read everywhere without a transfer). One
+     * table load: the distribution hardware's "simple inspection of
+     * register numbers" (§2.1).
+     */
+    unsigned
+    homeOrGlobal(RegId reg) const
     {
-        // Zero registers are readable everywhere without any transfer.
-        return reg.isZero() || numClusters_ == 1 ||
-               (maskOf(reg.cls) & (1u << reg.index)) != 0;
+        return home_[static_cast<unsigned>(reg.cls)][reg.index];
     }
+
+    bool isGlobal(RegId reg) const { return homeOrGlobal(reg) == kGlobal; }
 
     /**
      * Home cluster of a local register. Must not be called for globals
@@ -150,10 +164,9 @@ class RegisterMap
     unsigned
     homeCluster(RegId reg) const
     {
-        MCA_ASSERT(!isGlobal(reg), "global register has no home cluster");
-        const std::int8_t over = overrideOf(reg.cls)[reg.index];
-        return over >= 0 ? static_cast<unsigned>(over)
-                         : reg.index % numClusters_;
+        const unsigned home = homeOrGlobal(reg);
+        MCA_ASSERT(home != kGlobal, "global register has no home cluster");
+        return home;
     }
 
     /** Re-home a local register to an explicit cluster. */
@@ -163,6 +176,7 @@ class RegisterMap
         MCA_ASSERT(cluster < numClusters_, "setHome: bad cluster");
         overrideOf(reg.cls)[reg.index] =
             static_cast<std::int8_t>(cluster);
+        refresh(reg);
     }
 
     /** Drop an explicit home, restoring the mod rule. */
@@ -170,6 +184,7 @@ class RegisterMap
     clearHome(RegId reg)
     {
         overrideOf(reg.cls)[reg.index] = -1;
+        refresh(reg);
     }
 
     /** Count of registers whose effective home differs from `other`. */
@@ -200,7 +215,8 @@ class RegisterMap
     bool
     accessibleFrom(RegId reg, unsigned cluster) const
     {
-        return isGlobal(reg) || homeCluster(reg) == cluster;
+        const unsigned home = homeOrGlobal(reg);
+        return home == kGlobal || home == cluster;
     }
 
     /** Raw global-register mask of one class (checkpointing). */
@@ -227,6 +243,20 @@ class RegisterMap
     }
 
   private:
+    /** Recompute one register's homeOrGlobal() entry from the mask,
+     *  its override and the mod rule. */
+    void
+    refresh(RegId reg)
+    {
+        const std::int8_t over = overrideOf(reg.cls)[reg.index];
+        const bool global = reg.isZero() || numClusters_ == 1 ||
+                            (maskOf(reg.cls) & (1u << reg.index)) != 0;
+        home_[static_cast<unsigned>(reg.cls)][reg.index] =
+            static_cast<std::uint8_t>(global      ? kGlobal
+                                      : over >= 0 ? unsigned(over)
+                                                  : reg.index % numClusters_);
+    }
+
     std::uint32_t &
     mask(RegClass cls)
     {
@@ -256,6 +286,8 @@ class RegisterMap
     std::uint32_t fpGlobalMask_ = 0;
     std::array<std::int8_t, kNumArchRegs> intHome_;
     std::array<std::int8_t, kNumArchRegs> fpHome_;
+    /** homeOrGlobal() per class and index, kept current by refresh(). */
+    std::array<std::array<std::uint8_t, kNumArchRegs>, 2> home_;
 };
 
 } // namespace mca::isa

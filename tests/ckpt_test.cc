@@ -23,6 +23,7 @@
 #include "ckpt/snapshot.hh"
 #include "compiler/pipeline.hh"
 #include "core/processor.hh"
+#include "exec/dyninst_io.hh"
 #include "exec/trace.hh"
 #include "workloads/workloads.hh"
 
@@ -447,6 +448,154 @@ TEST(Ckpt, OutOfRangeTraceStateIsRejected)
                            handWrittenTraceState(compress.binary, 0, 0, 0,
                                                  id, {0}, len)),
               "checkpoint: restored branch pattern position out of range");
+}
+
+/**
+ * One in-flight record's distribution as a CORE section lays it out:
+ * the serialized master cluster and slave roles, then each copy's
+ * cluster and role (copies[0] is the master).
+ */
+struct HandRecord
+{
+    std::uint8_t master = 0;
+    std::vector<isa::SlaveRole> slaves;
+    std::vector<std::pair<std::uint8_t, isa::SlaveRole>> copies;
+};
+
+/** add r2 <- r3 + r4 on the default dual map: the master in cluster 0,
+ *  a slave in cluster 1 forwarding r3. */
+HandRecord
+dualAdd()
+{
+    const isa::SlaveRole slave{1, true, false, 1};
+    return {0, {slave}, {{0, isa::SlaveRole{}}, {1, slave}}};
+}
+
+/**
+ * Restore a hand-written CORE section into a fresh dual-cluster
+ * machine: an idle machine's header and default register map, the
+ * records of `window`, then `rows` dispatch-queue rows in cluster 0,
+ * each naming record 0's master. The payload ends there, so a section
+ * that passes every check fails as truncated. Returns the error.
+ */
+std::string
+coreRestoreError(const std::vector<HandRecord> &window, std::uint64_t rows)
+{
+    StatGroup sg("mca");
+    exec::VectorTrace trace({});
+    core::Processor proc(core::ProcessorConfig::dualCluster8(), trace, sg);
+    ckpt::SnapshotBuilder b(proc.configHash());
+    b.section("CORE");
+    ckpt::Writer &w = b.w();
+    for (int i = 0; i < 4; ++i)
+        w.u64(0); // cycle, stepped cycles, now, last progress
+    w.u32(0);     // consecutive replays
+    w.u64(kNoSeq); // mispredict block
+    w.u64(kNoSeq); // replay request
+    w.u32(2);
+    w.u32(1u << isa::kStackPointer | 1u << isa::kGlobalPointer);
+    w.u32(0);
+    for (unsigned i = 0; i < 2 * isa::kNumArchRegs; ++i)
+        w.u8(0xff); // no home overrides
+    w.u64(0); // store rows
+    w.u64(0); // pending branches
+    w.u64(window.size());
+    for (const HandRecord &rec : window) {
+        exec::DynInst di;
+        di.mi = isa::makeRRR(isa::Op::Add, isa::intReg(2), isa::intReg(3),
+                             isa::intReg(4));
+        exec::writeDynInst(w, di);
+        const auto writeRole = [&](const isa::SlaveRole &role) {
+            w.u8(static_cast<std::uint8_t>(role.cluster));
+            w.b(role.forwardsOperand);
+            w.b(role.receivesResult);
+            w.u32(role.srcMask);
+        };
+        w.u8(rec.master);
+        w.b(true); // the master writes the destination
+        w.u64(rec.slaves.size());
+        for (const auto &role : rec.slaves)
+            writeRole(role);
+        w.u64(rec.copies.size());
+        for (std::size_t i = 0; i < rec.copies.size(); ++i) {
+            w.u8(rec.copies[i].first);
+            w.b(i == 0);
+            writeRole(rec.copies[i].second);
+            w.u64(0); // reads
+            w.u64(0); // RTB clusters
+            w.b(true); // in the queue
+            for (int f = 0; f < 4; ++f)
+                w.b(false); // issued, suspended, woke, holds an OTB entry
+            for (int f = 0; f < 3; ++f)
+                w.u64(kNoCycle); // issue, completion, buffer-block cycles
+        }
+        w.u64(0);      // renames
+        w.u64(0);      // dispatch cycle
+        w.u32(0);      // master latency
+        w.u64(kNoSeq); // memory dependence
+        for (int f = 0; f < 5; ++f)
+            w.b(false); // miss, memory-bound, branch, taken, mispredicted
+    }
+    w.u64(rows);
+    for (std::uint64_t k = 0; k < rows; ++k) {
+        w.u32(0); // window index
+        w.u32(0); // copy index
+    }
+    const ckpt::Snapshot snap = b.finish();
+    ckpt::SnapshotParser p(snap, proc.configHash());
+    try {
+        proc.loadState(p);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+bool
+truncated(const std::string &error)
+{
+    return error.rfind("checkpoint: truncated payload", 0) == 0;
+}
+
+TEST(Ckpt, InFlightRecordDisagreeingWithItsCopiesIsRejected)
+{
+    // The hand-written layout reads through its queue rows while every
+    // record agrees with itself and the machine.
+    EXPECT_PRED1(truncated, coreRestoreError({dualAdd(), dualAdd()}, 1));
+
+    HandRecord none = dualAdd();
+    none.slaves.clear();
+    none.copies.clear();
+    EXPECT_EQ(coreRestoreError({none}, 1),
+              "checkpoint: in-flight record has no copies");
+
+    HandRecord far = dualAdd();
+    far.slaves[0].cluster = 2;
+    far.copies[1] = {2, far.slaves[0]};
+    EXPECT_EQ(coreRestoreError({far}, 1),
+              "checkpoint: copy cluster out of range");
+
+    HandRecord master = dualAdd();
+    master.master = 1;
+    HandRecord role = dualAdd();
+    role.slaves[0].receivesResult = true;
+    HandRecord missing = dualAdd();
+    missing.slaves.clear();
+    HandRecord extra = dualAdd();
+    extra.slaves.push_back(extra.slaves[0]);
+    for (const HandRecord &rec : {master, role, missing, extra})
+        EXPECT_EQ(coreRestoreError({dualAdd(), rec}, 1),
+                  "checkpoint: in-flight distribution disagrees with its "
+                  "copies");
+}
+
+TEST(Ckpt, DispatchQueueRowsBeyondCapacityAreRejected)
+{
+    const std::uint64_t cap =
+        core::ProcessorConfig::dualCluster8().dispatchQueueEntries;
+    EXPECT_PRED1(truncated, coreRestoreError({dualAdd()}, cap));
+    EXPECT_EQ(coreRestoreError({dualAdd()}, cap + 1),
+              "checkpoint: dispatch queue rows exceed its capacity");
 }
 
 TEST(Ckpt, WriterReaderScalarsRoundTrip)

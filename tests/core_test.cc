@@ -696,6 +696,73 @@ TEST(MemoryDependence, ForwardedLoadBypassesTheMissLatency)
     EXPECT_EQ(t_add, t_load + 2); // hit-latency forwarding
 }
 
+exec::DynInst
+makeStoreInst(Op op, isa::RegId data, isa::RegId base, Addr addr)
+{
+    exec::DynInst di;
+    di.mi = isa::makeStore(op, data, base, 0);
+    di.effAddr = addr;
+    return di;
+}
+
+TEST(MemoryDependence, LoadWaitsForTheYoungerOfTwoStoresToItsDword)
+{
+    // Two stores to one dword are in flight: the older one's data is
+    // ready, the younger one's waits on a mull. The load must order
+    // after the younger store, not issue behind the older one.
+    std::vector<exec::DynInst> v;
+    v.push_back(makeInst(isa::makeRRR(Op::Mull, intReg(1), intReg(2),
+                                      intReg(3))));
+    v.push_back(makeStoreInst(Op::Stl, intReg(2), intReg(4), 0x9000));
+    v.push_back(makeStoreInst(Op::Stl, intReg(1), intReg(4), 0x9004));
+    v.push_back(makeLoadInst(Op::Ldl, intReg(5), intReg(4), 0x9000));
+    SimRun run(core::ProcessorConfig::singleCluster8(), v);
+    ASSERT_TRUE(run.result.completed);
+    const Cycle t_older = run.eventCycle(1, TimelineEvent::MasterIssued);
+    const Cycle t_younger = run.eventCycle(2, TimelineEvent::MasterIssued);
+    const Cycle t_load = run.eventCycle(3, TimelineEvent::MasterIssued);
+    EXPECT_LT(t_older + 1, t_younger);
+    EXPECT_GT(t_load, t_younger);
+    EXPECT_EQ(run.counter("mem.loads_forwarded"), 1u);
+}
+
+TEST(MemoryDependence, ReplayedLoadOrdersAfterTheSurvivingOlderStore)
+{
+    // A store whose data comes from a divide in the other cluster needs
+    // an operand-buffer entry in its master's cluster. Two younger
+    // loads of its dword take both entries with their base-register
+    // slaves, and their masters wait on the store: a deadlock the
+    // replay breaks by squashing everything younger than the store,
+    // including a still younger store to the same dword. The loads
+    // re-dispatch before that store does, so they must find the older
+    // store, which is still waiting for its entry.
+    const Addr dword = 0xd000;
+    std::vector<exec::DynInst> v;
+    v.push_back(makeInst(isa::makeRRR(Op::DivD, fpReg(3), fpReg(1),
+                                      fpReg(1))));
+    v.push_back(makeStoreInst(Op::Stt, fpReg(3), intReg(4), dword));
+    v.push_back(makeLoadInst(Op::Ldt, fpReg(6), intReg(5), dword));
+    v.push_back(makeLoadInst(Op::Ldt, fpReg(8), intReg(5), dword + 4));
+    v.push_back(makeStoreInst(Op::Stt, fpReg(0), intReg(4), dword));
+    auto cfg = core::ProcessorConfig::dualCluster8();
+    cfg.operandBufferEntries = 2;
+    cfg.bufferBlockThreshold = 4;
+    cfg.paranoid = true; // checks the store queue every cycle
+    SimRun run(cfg, v);
+    ASSERT_TRUE(run.result.completed);
+    EXPECT_EQ(run.counter("sim.retired"), 5u);
+    EXPECT_GE(run.counter("replay.buffer_blocked"), 1u);
+    EXPECT_GE(run.counter("replay.squashed"), 3u);
+    const Cycle t_store = run.eventCycle(1, TimelineEvent::MasterIssued);
+    const Cycle t_replay = run.eventCycle(1, TimelineEvent::ReplayException);
+    ASSERT_NE(t_replay, kNoCycle);
+    EXPECT_GT(t_store, t_replay);
+    for (InstSeq load : {2, 3})
+        EXPECT_GT(run.eventCycle(load, TimelineEvent::MasterIssued), t_store)
+            << "load " << load;
+    EXPECT_EQ(run.counter("mem.loads_forwarded"), 2u);
+}
+
 TEST(MemoryDependence, SpilledLoopCarriedChainStaysSerial)
 {
     // The regression behind this model: a value "spilled" to memory

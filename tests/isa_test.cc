@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <optional>
+#include <random>
+#include <sstream>
 #include <type_traits>
+#include <vector>
 
 #include "isa/distribution.hh"
 #include "isa/inst.hh"
@@ -201,6 +207,96 @@ TEST(RegisterMap, FourClusters)
     EXPECT_EQ(map.homeCluster(intReg(6)), 2u);
     EXPECT_EQ(map.homeCluster(intReg(7)), 3u);
     EXPECT_TRUE(map.isGlobal(intReg(isa::kStackPointer)));
+}
+
+constexpr unsigned kGlobal = isa::RegisterMap::kGlobal;
+
+/** Register i of both classes in turn, i < 2 * kNumArchRegs. */
+isa::RegId
+nthReg(unsigned i)
+{
+    return isa::RegId(static_cast<isa::RegClass>(i / isa::kNumArchRegs),
+                      i % isa::kNumArchRegs);
+}
+
+/**
+ * A register's home read from the map's raw state rather than its
+ * lookup table: the global mask, then the home override, then the mod
+ * rule; kGlobal for global and zero registers.
+ */
+unsigned
+rawHome(const isa::RegisterMap &map, isa::RegId reg)
+{
+    if (reg.isZero() || map.numClusters() == 1 ||
+        (map.globalMask(reg.cls) >> reg.index & 1u))
+        return kGlobal;
+    const std::int8_t over = map.homeOverride(reg);
+    return over >= 0 ? static_cast<unsigned>(over)
+                     : reg.index % map.numClusters();
+}
+
+/** Every register's homeOrGlobal() against the raw state and against
+ *  isGlobal()/homeCluster(). */
+void
+expectHomeTableMatches(const isa::RegisterMap &map)
+{
+    for (unsigned i = 0; i < 2 * isa::kNumArchRegs; ++i) {
+        const isa::RegId reg = nthReg(i);
+        const unsigned home = map.homeOrGlobal(reg);
+        EXPECT_EQ(home, rawHome(map, reg)) << isa::regName(reg);
+        EXPECT_EQ(home == kGlobal, map.isGlobal(reg)) << isa::regName(reg);
+        if (home != kGlobal) {
+            EXPECT_EQ(map.homeCluster(reg), home) << isa::regName(reg);
+        }
+    }
+}
+
+/** Apply one random mutator to a random register of `map`. */
+void
+mutateRandomly(isa::RegisterMap &map, std::mt19937 &rng)
+{
+    const isa::RegId reg(static_cast<isa::RegClass>(rng() % 2),
+                         rng() % isa::kNumArchRegs);
+    switch (rng() % 4) {
+      case 0: map.setGlobal(reg); break;
+      case 1: map.setLocal(reg); break;
+      case 2: map.setHome(reg, rng() % map.numClusters()); break;
+      default: map.clearHome(reg); break;
+    }
+}
+
+TEST(RegisterMap, HomeTableFollowsEveryMutator)
+{
+    std::mt19937 rng(3);
+    for (unsigned n : {1u, 2u, 4u, 8u}) {
+        isa::RegisterMap map(n);
+        expectHomeTableMatches(map);
+        for (int step = 0; step < 100; ++step) {
+            mutateRandomly(map, rng);
+            expectHomeTableMatches(map);
+        }
+        // The snapshot restore's sequence: overwrite every register's
+        // global bit, then its home override, from another map.
+        isa::RegisterMap saved(n);
+        for (int step = 0; step < 100; ++step)
+            mutateRandomly(saved, rng);
+        for (unsigned i = 0; i < 2 * isa::kNumArchRegs; ++i) {
+            const isa::RegId reg = nthReg(i);
+            if (saved.globalMask(reg.cls) >> reg.index & 1u)
+                map.setGlobal(reg);
+            else
+                map.setLocal(reg);
+        }
+        for (unsigned i = 0; i < 2 * isa::kNumArchRegs; ++i) {
+            const isa::RegId reg = nthReg(i);
+            if (saved.homeOverride(reg) >= 0)
+                map.setHome(reg, saved.homeOverride(reg));
+            else
+                map.clearHome(reg);
+        }
+        expectHomeTableMatches(map);
+        EXPECT_EQ(map.differingHomes(saved), 0u);
+    }
 }
 
 // --- IssueSlots (Table 1 rows 1-2) ---------------------------------------
@@ -452,6 +548,109 @@ TEST(Distribution, GlobalDestFourClustersReplicatesEverywhere)
     EXPECT_EQ(d.width(), 4u);
     for (const auto &s : d.slaves)
         EXPECT_TRUE(s.receivesResult);
+}
+
+/**
+ * The distribution rule written out plainly: count the named local
+ * registers per cluster (homes from the raw map state), take the
+ * majority with ties to the lowest cluster, merge the slaves per
+ * cluster, then sort them by cluster.
+ */
+isa::Distribution
+referenceDistribution(const isa::MachInst &mi, const isa::RegisterMap &map,
+                      unsigned tie_break)
+{
+    const unsigned n = map.numClusters();
+    const auto home = [&](const std::optional<isa::RegId> &reg) {
+        return reg ? rawHome(map, *reg) : kGlobal;
+    };
+    std::array<unsigned, 8> count{};
+    bool any_local = false;
+    for (const auto &reg : {mi.srcs[0], mi.srcs[1], mi.dest})
+        if (home(reg) != kGlobal) {
+            ++count[home(reg)];
+            any_local = true;
+        }
+    isa::Distribution d;
+    d.masterCluster =
+        any_local ? static_cast<unsigned>(
+                        std::max_element(count.begin(), count.begin() + n) -
+                        count.begin())
+                  : tie_break % n;
+    const unsigned master = d.masterCluster;
+    const bool has_dest = mi.dest && !mi.dest->isZero();
+    const bool dest_global = has_dest && home(mi.dest) == kGlobal;
+    d.masterWritesDest =
+        has_dest && (dest_global || home(mi.dest) == master);
+    const auto slaveFor = [&](unsigned c) -> isa::SlaveRole & {
+        for (auto &s : d.slaves)
+            if (s.cluster == c)
+                return s;
+        d.slaves.push_back(isa::SlaveRole{c, false, false, 0});
+        return d.slaves.back();
+    };
+    for (unsigned i = 0; i < 2; ++i) {
+        const unsigned h = home(mi.srcs[i]);
+        if (h == kGlobal || h == master)
+            continue;
+        slaveFor(h).forwardsOperand = true;
+        slaveFor(h).srcMask |= 1u << i;
+    }
+    if (dest_global) {
+        for (unsigned c = 0; c < n; ++c)
+            if (c != master)
+                slaveFor(c).receivesResult = true;
+    } else if (has_dest && home(mi.dest) != master) {
+        slaveFor(home(mi.dest)).receivesResult = true;
+    }
+    std::sort(d.slaves.begin(), d.slaves.end(),
+              [](const isa::SlaveRole &a, const isa::SlaveRole &b) {
+                  return a.cluster < b.cluster;
+              });
+    return d;
+}
+
+TEST(Distribution, MatchesReferenceOnEveryOperandTriple)
+{
+    // Every register of both classes (zero registers included) and an
+    // absent operand, in each of src0, src1 and dest.
+    std::vector<std::optional<isa::RegId>> regs{std::nullopt};
+    for (unsigned i = 0; i < 2 * isa::kNumArchRegs; ++i)
+        regs.push_back(nthReg(i));
+    std::mt19937 rng(11);
+    for (unsigned n : {1u, 2u, 4u, 8u}) {
+        isa::RegisterMap map(n);
+        for (int step = 0; step < 48; ++step)
+            mutateRandomly(map, rng);
+        for (unsigned tie_break : {0u, n - 1}) {
+            std::uint64_t checked = 0, mismatched = 0;
+            std::ostringstream first;
+            isa::MachInst mi;
+            for (const auto &a : regs)
+                for (const auto &b : regs)
+                    for (const auto &dest : regs) {
+                        mi.srcs = {a, b};
+                        mi.dest = dest;
+                        const auto got =
+                            isa::decideDistribution(mi, map, tie_break);
+                        const auto want =
+                            referenceDistribution(mi, map, tie_break);
+                        ++checked;
+                        if (got.masterCluster == want.masterCluster &&
+                            got.masterWritesDest == want.masterWritesDest &&
+                            std::equal(got.slaves.begin(), got.slaves.end(),
+                                       want.slaves.begin(),
+                                       want.slaves.end()))
+                            continue;
+                        if (mismatched++ == 0)
+                            first << mi.toString();
+                    }
+            EXPECT_EQ(checked, regs.size() * regs.size() * regs.size());
+            EXPECT_EQ(mismatched, 0u)
+                << n << " clusters, tie-break " << tie_break
+                << ", first mismatch: " << first.str();
+        }
+    }
 }
 
 TEST(Distribution, DoublyReadSourceAttractsMaster)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "ckpt/snapshot.hh"
 #include "core/processor.hh"
 #include "exec/trace.hh"
 #include "support/stats.hh"
@@ -175,6 +178,46 @@ TEST(Remap, TransferLatencyDelaysFirstUse)
     RemapRun throttled(slow(), /*transfer_rate=*/1);
     EXPECT_GT(throttled.stats.counterAt("remap.regs_moved").value(), 0u);
     EXPECT_GT(throttled.result.cycles, fast.result.cycles);
+}
+
+TEST(Remap, ResumeAfterSwitchIsBitIdentical)
+{
+    // A snapshot taken after the switch holds the live, re-homed map.
+    // The restore decodes it through the map's mutators, and dispatch
+    // after the resume must route by it: r3 and r5 now read in cluster
+    // 0, which no longer maps them in cluster 1.
+    std::vector<exec::DynInst> v;
+    for (int i = 0; i < 40; ++i)
+        v.push_back(add(3, 3, 5));
+    v.front().remapIndex = 0;
+    v = exec::VectorTrace::normalize(std::move(v));
+    core::ProcessorConfig cfg = core::ProcessorConfig::dualCluster8();
+    cfg.mapSchedule = {rehomedMap()};
+
+    const auto statsAfter = [&](Cycle snapshot_at) {
+        StatGroup stats("remap");
+        exec::VectorTrace trace(v);
+        core::Processor cpu(cfg, trace, stats);
+        if (snapshot_at != 0) {
+            StatGroup first_stats("remap");
+            exec::VectorTrace first_trace(v);
+            core::Processor first(cfg, first_trace, first_stats);
+            first.run(snapshot_at);
+            EXPECT_EQ(first_stats.counterAt("remap.events").value(), 1u);
+            EXPECT_LT(first_stats.counterAt("sim.retired").value(), 40u);
+            ckpt::SnapshotBuilder b(first.configHash());
+            first.saveState(b);
+            const ckpt::Snapshot snap = b.finish();
+            ckpt::SnapshotParser p(snap, cpu.configHash());
+            cpu.loadState(p);
+        }
+        EXPECT_TRUE(cpu.run(100'000).completed);
+        EXPECT_EQ(stats.counterAt("dist.dual").value(), 0u);
+        std::ostringstream os;
+        stats.dumpJson(os);
+        return os.str();
+    };
+    EXPECT_EQ(statsAfter(20), statsAfter(0));
 }
 
 TEST(Remap, StateIsConsistentAcrossManySwitches)
