@@ -182,6 +182,31 @@ if [ -z "$direct" ] || [ "$direct" != "$replay" ]; then
     exit 1
 fi
 
+# Corrupt-trace probes: a 2000-instruction trace with one record field
+# corrupted must fail by name (exit 1, "trace:" on stderr), not abort,
+# hang or simulate. Records are 52 bytes after a 24-byte header; the
+# opcode is byte 40 of a record, the dest register bytes 42-43 (index,
+# then class). Arguments: name, record, byte offset, printf bytes.
+"$SIM" --benchmark gcc1 --max-insts 2000 \
+    --save-trace "$TMP/small.mct" --quiet >/dev/null
+corrupt_trace_probe() {
+    cp "$TMP/small.mct" "$TMP/$1.mct"
+    printf "$4" | dd of="$TMP/$1.mct" bs=1 seek=$((24 + $2 * 52 + $3)) \
+        conv=notrunc status=none
+    status=0
+    timeout 60 "$SIM" --load-trace "$TMP/$1.mct" --quiet \
+        >/dev/null 2>"$TMP/$1.err" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q "trace:" "$TMP/$1.err"; then
+        echo "ci.sh: corrupt trace ($1) must exit 1 naming it, got" \
+            "$status:"
+        cat "$TMP/$1.err"
+        exit 1
+    fi
+}
+corrupt_trace_probe opcode-250 100 40 '\372'
+corrupt_trace_probe dest-index-200 0 42 '\310\000'
+corrupt_trace_probe dest-class-7 0 42 '\003\007'
+
 # Sampled-simulation smoke: the mcasim --sample path and the mcarun
 # samplePeriods axis both run end to end.
 "$SIM" --benchmark gcc1 --scale 1 \

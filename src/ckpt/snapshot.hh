@@ -7,7 +7,7 @@
  * machine that produced it. The on-disk format is:
  *
  *   bytes  0..7   magic "MCACKPT1"
- *   bytes  8..11  format version (little-endian u32, currently 3)
+ *   bytes  8..11  format version (little-endian u32, currently 4)
  *   bytes 12..19  configuration hash (u64)
  *   bytes 20..27  payload length (u64)
  *   ...           payload
@@ -35,9 +35,13 @@ namespace mca::ckpt
  * Current on-disk format version. Version 2 dropped the issue
  * scheduler's wake state from the CORE section (a restored scheduler
  * starts from a full scan instead); version 3 added a fingerprint of
- * the traced program to the TRAC section.
+ * the traced program to the TRAC section; version 4 encodes every
+ * DynInst with the trace-file record codec (exec/dyninst_io.hh) and
+ * drops from CORE what restore derives from the retire window: the
+ * store issue rows, the per-record distribution bytes and the
+ * dispatch-queue rows.
  */
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 struct Snapshot
 {

@@ -1,5 +1,7 @@
 #include "core/fetch.hh"
 
+#include <stdexcept>
+
 #include "exec/dyninst_io.hh"
 #include "isa/opcodes.hh"
 
@@ -104,20 +106,29 @@ FetchUnit::saveState(ckpt::Writer &w) const
 void
 FetchUnit::loadState(ckpt::Reader &r)
 {
+    const auto remaps = static_cast<std::uint32_t>(m_.cfg.mapSchedule.size());
     buffer_.clear();
+    // Fetch fills the buffer to its capacity, and a replay pushes the
+    // squashed part of the window back in front of it.
     const std::uint64_t n = r.u64();
+    if (n > m_.cfg.fetchBufferEntries + m_.cfg.retireWindow)
+        throw std::runtime_error("checkpoint: fetch buffer count out of range");
     for (std::uint64_t i = 0; i < n; ++i)
-        buffer_.push_back(exec::readDynInst(r));
+        exec::readDynInst(r, buffer_.emplace_back(), remaps, "checkpoint");
     pendingFetch_.reset();
     if (r.b())
-        pendingFetch_ = exec::readDynInst(r);
+        exec::readDynInst(r, pendingFetch_.emplace(), remaps, "checkpoint");
     traceEnded_ = r.b();
     stallUntil_ = r.u64();
     icacheReadyAt_ = r.u64();
     lastFetchBlock_ = r.u64();
     icachePending_ = r.b();
     icachePendingBlock_ = r.u64();
-    blockReason_ = static_cast<Block>(r.u8());
+    const std::uint8_t block = r.u8();
+    if (block > static_cast<std::uint8_t>(Block::TraceEnd))
+        throw std::runtime_error(
+            "checkpoint: fetch block reason out of range");
+    blockReason_ = static_cast<Block>(block);
 }
 
 } // namespace mca::core

@@ -772,6 +772,29 @@ Processor::trace()
 namespace
 {
 
+/** Restored id `v`, or a named error unless it is below `end`. */
+template <typename T>
+T
+below(T v, std::uint64_t end, const char *what)
+{
+    if (v >= end)
+        throw std::runtime_error(std::string("checkpoint: ") + what +
+                                 " out of range");
+    return v;
+}
+
+/** Restored count `n`, or a named error when it exceeds `max`; checked
+ *  before anything is sized by it. */
+template <typename T>
+T
+atMost(T n, std::uint64_t max, const char *what)
+{
+    if (n > max)
+        throw std::runtime_error(std::string("checkpoint: ") + what +
+                                 " out of range");
+    return n;
+}
+
 /** Canonical encoding of a RegisterMap (configHash + live-map state). */
 void
 encodeRegMap(ckpt::Writer &w, const isa::RegisterMap &map)
@@ -810,7 +833,9 @@ decodeRegMap(ckpt::Reader &r, isa::RegisterMap &map)
             const isa::RegId reg(cls, i);
             const auto over = static_cast<std::int8_t>(r.u8());
             if (over >= 0)
-                map.setHome(reg, static_cast<unsigned>(over));
+                map.setHome(reg, below(static_cast<unsigned>(over),
+                                       map.numClusters(),
+                                       "register home cluster"));
             else
                 map.clearHome(reg);
         }
@@ -827,27 +852,23 @@ writeSlaveRole(ckpt::Writer &w, const isa::SlaveRole &role)
 }
 
 isa::SlaveRole
-readSlaveRole(ckpt::Reader &r)
+readSlaveRole(ckpt::Reader &r, unsigned clusters)
 {
     isa::SlaveRole role;
-    role.cluster = r.u8();
+    role.cluster = below(r.u8(), clusters, "slave role cluster");
     role.forwardsOperand = r.b();
     role.receivesResult = r.b();
     role.srcMask = r.u32();
     return role;
 }
 
+/** The record's DynInst goes through the shared record codec; its
+ *  distribution lives in the copies, as in the live record. */
 void
 writeInFlightInst(ckpt::Writer &w, const InFlightInst &inst)
 {
     exec::writeDynInst(w, inst.di);
-    // The distribution (master cluster, slave roles), derived from the
-    // copies that carry it.
-    w.u8(inst.copies[0].cluster);
     w.b(inst.masterWritesDest);
-    w.u64(inst.copies.size() - 1);
-    for (std::size_t i = 1; i < inst.copies.size(); ++i)
-        writeSlaveRole(w, inst.copies[i].role);
     w.u64(inst.copies.size());
     for (const auto &copy : inst.copies) {
         w.u8(copy.cluster);
@@ -890,44 +911,40 @@ writeInFlightInst(ckpt::Writer &w, const InFlightInst &inst)
     w.b(inst.mispredicted);
 }
 
+/** Mirror of writeInFlightInst; every count, cluster, register class
+ *  and physical register is checked against the restoring machine. */
 void
-readInFlightInst(ckpt::Reader &r, InFlightInst &inst, unsigned clusters)
+readInFlightInst(ckpt::Reader &r, InFlightInst &inst, const MachineState &m)
 {
-    inst.di = exec::readDynInst(r);
-    // The distribution bytes must agree with the copies that carry it.
-    const char *const disagrees =
-        "checkpoint: in-flight distribution disagrees with its copies";
-    isa::Distribution dist;
-    dist.masterCluster = r.u8();
+    const unsigned clusters = m.cfg.numClusters;
+    const auto physRegs = [&](unsigned c, isa::RegClass cls) {
+        return m.clusters[c].regs(cls).readyAt.size();
+    };
+    exec::readDynInst(r, inst.di,
+                      static_cast<std::uint32_t>(m.cfg.mapSchedule.size()),
+                      "checkpoint");
     inst.masterWritesDest = r.b();
-    const std::uint64_t n_slaves = r.u64();
-    if (n_slaves >= clusters)
-        throw std::runtime_error(disagrees);
-    dist.slaves.resize(n_slaves);
-    for (auto &role : dist.slaves)
-        role = readSlaveRole(r);
-    const std::uint64_t n_copies = r.u64();
+    const std::uint64_t n_copies = atMost(r.u64(), clusters, "copy count");
     if (n_copies == 0)
         throw std::runtime_error("checkpoint: in-flight record has no copies");
-    if (n_copies != n_slaves + 1)
-        throw std::runtime_error(disagrees);
     inst.copies.resize(n_copies);
     for (auto &copy : inst.copies) {
-        copy.cluster = r.u8();
-        if (copy.cluster >= clusters)
-            throw std::runtime_error("checkpoint: copy cluster out of range");
+        copy.cluster = below(r.u8(), clusters, "copy cluster");
         copy.isMaster = r.b();
-        copy.role = readSlaveRole(r);
-        copy.reads.resize(r.u64());
+        copy.role = readSlaveRole(r, clusters);
+        copy.reads.resize(atMost(r.u64(), 2, "source read count"));
         for (auto &rd : copy.reads) {
-            rd.srcIndex = r.u8();
-            rd.cluster = r.u8();
-            rd.cls = static_cast<isa::RegClass>(r.u8());
-            rd.phys = r.u16();
+            rd.srcIndex = below(r.u8(), 2, "read source index");
+            rd.cluster = below(r.u8(), clusters, "read cluster");
+            rd.cls = static_cast<isa::RegClass>(
+                below(r.u8(), 2, "register class"));
+            rd.phys = below(r.u16(), physRegs(rd.cluster, rd.cls),
+                            "read physical register");
         }
-        copy.rtbClusters.resize(r.u64());
+        copy.rtbClusters.resize(
+            atMost(r.u64(), clusters, "RTB cluster count"));
         for (auto &c : copy.rtbClusters)
-            c = r.u8();
+            c = below(r.u8(), clusters, "RTB cluster");
         copy.inQueue = r.b();
         copy.issued = r.b();
         copy.suspended = r.b();
@@ -937,18 +954,15 @@ readInFlightInst(ckpt::Reader &r, InFlightInst &inst, unsigned clusters)
         copy.completeCycle = r.u64();
         copy.bufferBlockedSince = r.u64();
     }
-    bool agree = dist.masterCluster == inst.copies[0].cluster;
-    for (std::size_t i = 1; i < inst.copies.size(); ++i)
-        agree = agree && dist.slaves[i - 1] == inst.copies[i].role;
-    if (!agree)
-        throw std::runtime_error(disagrees);
-    inst.renames.resize(r.u64());
+    inst.renames.resize(atMost(r.u64(), clusters, "rename count"));
     for (auto &ru : inst.renames) {
-        ru.cluster = r.u8();
-        ru.cls = static_cast<isa::RegClass>(r.u8());
-        ru.arch = r.u8();
-        ru.newPhys = r.u16();
-        ru.prevPhys = r.u16();
+        ru.cluster = below(r.u8(), clusters, "rename cluster");
+        ru.cls = static_cast<isa::RegClass>(
+            below(r.u8(), 2, "register class"));
+        ru.arch = below(r.u8(), isa::kNumArchRegs, "rename register");
+        const std::size_t n_phys = physRegs(ru.cluster, ru.cls);
+        ru.newPhys = below(r.u16(), n_phys, "rename physical register");
+        ru.prevPhys = below(r.u16(), n_phys, "rename physical register");
     }
     inst.dispatchCycle = r.u64();
     inst.masterEffLat = r.u32();
@@ -972,8 +986,10 @@ writeTransferBuffer(ckpt::Writer &w, const TransferBuffer &buf)
 void
 readTransferBuffer(ckpt::Reader &r, TransferBuffer &buf)
 {
-    const unsigned in_use = r.u32();
-    std::vector<Cycle> pending(r.u64());
+    const unsigned in_use =
+        atMost(r.u32(), buf.capacity(), "transfer-buffer occupancy");
+    std::vector<Cycle> pending(
+        atMost(r.u64(), buf.capacity(), "transfer-buffer pending frees"));
     for (Cycle &c : pending)
         c = r.u64();
     buf.restore(in_use, std::move(pending));
@@ -999,9 +1015,9 @@ readPhysRegFile(ckpt::Reader &r, PhysRegFile &rf)
             "checkpoint: physical register file size mismatch");
     for (Cycle &c : rf.readyAt)
         c = r.u64();
-    rf.freeList.resize(r.u64());
+    rf.freeList.resize(atMost(r.u64(), n, "free-list length"));
     for (std::uint16_t &p : rf.freeList)
-        p = r.u16();
+        p = below(r.u16(), n, "free-list physical register");
 }
 
 } // namespace
@@ -1079,22 +1095,6 @@ Processor::saveState(ckpt::SnapshotBuilder &b) const
     // The live register map: §6 remaps mutate it at runtime, so it is
     // machine state, distinct from the constructed config's map.
     encodeRegMap(w, im.m.cfg.regMap);
-    // In-flight stores' issue cycles, in the legacy map layout (seq ->
-    // issue cycle, ascending seq). The data is derived from the stores'
-    // master copies — the live map was eliminated — and the retire
-    // window is seq-ordered, matching the old std::map iteration.
-    std::uint64_t n_store_rows = 0;
-    for (std::size_t i = 0; i < im.m.rob.size(); ++i)
-        if (isa::isStore(im.m.pool.get(im.m.rob.at(i)).di.mi.op))
-            ++n_store_rows;
-    w.u64(n_store_rows);
-    for (std::size_t i = 0; i < im.m.rob.size(); ++i) {
-        const InFlightInst &inst = im.m.pool.get(im.m.rob.at(i));
-        if (!isa::isStore(inst.di.mi.op))
-            continue;
-        w.u64(inst.di.seq);
-        w.u64(inst.copies[0].issueCycle);
-    }
     w.u64(im.m.pendingBranches.size());
     for (const auto &pb : im.m.pendingBranches) {
         w.u64(pb.seq);
@@ -1106,34 +1106,9 @@ Processor::saveState(ckpt::SnapshotBuilder &b) const
     w.u64(im.m.rob.size());
     for (std::size_t i = 0; i < im.m.rob.size(); ++i)
         writeInFlightInst(w, im.m.pool.get(im.m.rob.at(i)));
-    // Clusters; dispatch-queue slots name their instruction by retire-
-    // window index (handles do not survive serialization). The rows
-    // are derived from the retire window rather than the live scan
-    // list: in window mode an issued copy's entry lives on only as a
-    // cl.held count, but the serialized queue keeps one row per
-    // occupied entry in age order, preserving the byte format.
-    for (unsigned c = 0; c < im.m.clusters.size(); ++c) {
-        const auto forEachRow = [&](auto &&fn) {
-            for (std::size_t i = 0; i < im.m.rob.size(); ++i) {
-                const InFlightInst &qi = im.m.pool.get(im.m.rob.at(i));
-                for (std::uint32_t ci = 0; ci < qi.copies.size(); ++ci) {
-                    const CopyState &copy = qi.copies[ci];
-                    if (copy.cluster != c ||
-                        (!copy.inQueue &&
-                         !im.m.cfg.holdQueueUntilRetire))
-                        continue;
-                    fn(static_cast<std::uint32_t>(i), ci);
-                }
-            }
-        };
-        std::uint64_t n_rows = 0;
-        forEachRow([&](std::uint32_t, std::uint32_t) { ++n_rows; });
-        w.u64(n_rows);
-        forEachRow([&](std::uint32_t i, std::uint32_t ci) {
-            w.u32(i);
-            w.u32(ci);
-        });
-        const Cluster &cl = im.m.clusters[c];
+    // Clusters. The dispatch queues are not written: restore rebuilds
+    // them from the copies' inQueue flags in the window.
+    for (const Cluster &cl : im.m.clusters) {
         writePhysRegFile(w, cl.intRegs);
         writePhysRegFile(w, cl.fpRegs);
         for (unsigned ci = 0; ci < 2; ++ci)
@@ -1211,15 +1186,8 @@ Processor::loadState(ckpt::SnapshotParser &p)
     im.m.mispredictBlockSeq = r.u64();
     im.m.replayRequestSeq = r.u64();
     decodeRegMap(r, im.m.cfg.regMap);
-    // The legacy store-issue map rows carry no independent state (each
-    // value equals the store's master-copy issueCycle, restored with
-    // the window below): read and discard, keeping the byte format.
-    const std::uint64_t n_store_rows = r.u64();
-    for (std::uint64_t i = 0; i < n_store_rows; ++i) {
-        r.u64(); // seq
-        r.u64(); // issue cycle
-    }
-    im.m.pendingBranches.resize(r.u64());
+    im.m.pendingBranches.resize(
+        atMost(r.u64(), im.m.cfg.retireWindow, "pending branch count"));
     for (auto &pb : im.m.pendingBranches) {
         pb.seq = r.u64();
         pb.pc = r.u64();
@@ -1229,63 +1197,54 @@ Processor::loadState(ckpt::SnapshotParser &p)
     }
     im.m.rob.clear();
     im.m.pool.clear();
+    im.m.storeQueue.clear();
+    for (Cluster &cl : im.m.clusters) {
+        cl.queue.clear();
+        cl.held = 0;
+    }
     const std::uint64_t n_rob = r.u64();
     if (n_rob > im.m.pool.capacity())
         throw std::runtime_error(
             "checkpoint: retire window larger than configured");
+    // Each record also rebuilds, in age order, what the window
+    // determines: the store queue; the loads' memory-dependence handles
+    // (a store that already left the window stays unresolved, reset()'s
+    // kNoHandle, the same observable state as a stale handle); and the
+    // dispatch queues, whose scan lists hold the copies still awaiting
+    // issue or a suspended slave's wake (inQueue), while in window mode
+    // every other copy holds its entry until retirement.
     for (std::uint64_t i = 0; i < n_rob; ++i) {
         const InFlightHandle h = im.m.pool.alloc();
         InFlightInst &inst = im.m.pool.get(h);
         inst.reset();
-        readInFlightInst(r, inst, im.m.cfg.numClusters);
+        readInFlightInst(r, inst, im.m);
         im.m.rob.pushBack(h);
-    }
-    // Rebuild the store queue, and the loads' memory-dependence
-    // handles from the serialized sequence numbers; a store that
-    // already left the window simply stays unresolved (reset()'s
-    // kNoHandle), the same observable state as a stale handle.
-    im.m.storeQueue.clear();
-    for (std::size_t i = 0; i < im.m.rob.size(); ++i) {
-        InFlightInst &inst = im.m.pool.get(im.m.rob.at(i));
         if (isa::isStore(inst.di.mi.op))
-            im.m.storeQueue.pushBack(
-                {inst.di.effAddr >> 3, im.m.rob.at(i), inst.di.seq});
+            im.m.storeQueue.pushBack({inst.di.effAddr >> 3, h, inst.di.seq});
         for (std::size_t j = 0; j < im.m.storeQueue.size(); ++j)
             if (im.m.storeQueue.at(j).seq == inst.memDepStoreSeq)
                 inst.memDepStore = im.m.storeQueue.at(j).handle;
-    }
-    for (auto &cl : im.m.clusters) {
-        // Split the serialized queue rows back into the live scan list
-        // (copies still awaiting issue/wake, i.e. inQueue) and the
-        // window-mode held count (issued copies whose entries stay
-        // occupied until retirement).
-        cl.queue.clear();
-        cl.held = 0;
-        const std::uint64_t n_rows = r.u64();
-        if (n_rows > cl.queueCapacity)
-            throw std::runtime_error(
-                "checkpoint: dispatch queue rows exceed its capacity");
-        for (std::uint64_t k = 0; k < n_rows; ++k) {
-            const std::uint32_t rob_idx = r.u32();
-            if (rob_idx >= im.m.rob.size())
-                throw std::runtime_error(
-                    "checkpoint: queue slot outside retire window");
-            const std::uint32_t copy_idx = r.u32();
-            const InFlightHandle h = im.m.rob.at(rob_idx);
-            const InFlightInst &qi = im.m.pool.get(h);
-            if (copy_idx >= qi.copies.size())
-                throw std::runtime_error(
-                    "checkpoint: queue slot copy index out of range");
-            if (qi.copies[copy_idx].inQueue)
-                cl.queue.push_back({h, copy_idx});
-            else
+        for (unsigned ci = 0; ci < inst.copies.size(); ++ci) {
+            Cluster &cl = im.m.clusters[inst.copies[ci].cluster];
+            if (inst.copies[ci].inQueue)
+                cl.queue.push_back({h, ci});
+            else if (im.m.cfg.holdQueueUntilRetire)
                 ++cl.held;
+            if (cl.occupancy() > cl.queueCapacity)
+                throw std::runtime_error(
+                    "checkpoint: dispatch queue occupancy exceeds its "
+                    "capacity");
         }
+    }
+    for (Cluster &cl : im.m.clusters) {
         readPhysRegFile(r, cl.intRegs);
         readPhysRegFile(r, cl.fpRegs);
-        for (unsigned ci = 0; ci < 2; ++ci)
+        for (unsigned ci = 0; ci < 2; ++ci) {
+            const auto &rf = cl.regs(static_cast<isa::RegClass>(ci));
             for (unsigned a = 0; a < isa::kNumArchRegs; ++a)
-                cl.renameMap[ci][a] = r.u16();
+                cl.renameMap[ci][a] = below(r.u16(), rf.readyAt.size(),
+                                            "rename-map physical register");
+        }
         for (unsigned ci = 0; ci < 2; ++ci)
             for (unsigned a = 0; a < isa::kNumArchRegs; ++a)
                 cl.mapped[ci][a] = r.b();

@@ -1,8 +1,8 @@
 #include "exec/trace_io.hh"
 
-#include <cstring>
 #include <stdexcept>
 
+#include "exec/dyninst_io.hh"
 #include "support/panic.hh"
 
 namespace mca::exec
@@ -11,75 +11,10 @@ namespace mca::exec
 namespace
 {
 
-/** On-disk record layout (little-endian, 48 bytes). */
-struct PackedRecord
+[[noreturn]] void
+fail(const std::string &what, const std::string &path)
 {
-    std::uint64_t seq;
-    std::uint64_t pc;
-    std::uint64_t effAddr;
-    std::uint64_t nextPc;
-    std::int64_t imm;
-    std::uint8_t op;
-    std::uint8_t flags; // bit0 taken, bit1 isSpill, bit2 hasDest
-    std::uint16_t dest; // cls<<8 | index, 0xffff = none
-    std::uint16_t src0; // likewise
-    std::uint16_t src1;
-};
-static_assert(sizeof(PackedRecord) == 48, "record layout changed");
-
-std::uint16_t
-packReg(const std::optional<isa::RegId> &reg)
-{
-    if (!reg)
-        return 0xffff;
-    return static_cast<std::uint16_t>(
-        (static_cast<unsigned>(reg->cls) << 8) | reg->index);
-}
-
-std::optional<isa::RegId>
-unpackReg(std::uint16_t packed)
-{
-    if (packed == 0xffff)
-        return std::nullopt;
-    return isa::RegId(static_cast<isa::RegClass>(packed >> 8),
-                      packed & 0xff);
-}
-
-PackedRecord
-pack(const DynInst &di)
-{
-    PackedRecord r{};
-    r.seq = di.seq;
-    r.pc = di.pc;
-    r.effAddr = di.effAddr;
-    r.nextPc = di.nextPc;
-    r.imm = di.mi.imm;
-    r.op = static_cast<std::uint8_t>(di.mi.op);
-    r.flags = static_cast<std::uint8_t>((di.taken ? 1 : 0) |
-                                        (di.isSpill ? 2 : 0));
-    r.dest = packReg(di.mi.dest);
-    r.src0 = packReg(di.mi.srcs[0]);
-    r.src1 = packReg(di.mi.srcs[1]);
-    return r;
-}
-
-void
-unpack(const PackedRecord &r, DynInst &di)
-{
-    di.seq = r.seq;
-    di.pc = r.pc;
-    di.effAddr = r.effAddr;
-    di.nextPc = r.nextPc;
-    di.mi.imm = r.imm;
-    di.mi.op = static_cast<isa::Op>(r.op);
-    MCA_ASSERT(r.op < static_cast<std::uint8_t>(isa::Op::NumOps),
-               "corrupt trace record: bad opcode");
-    di.taken = (r.flags & 1) != 0;
-    di.isSpill = (r.flags & 2) != 0;
-    di.mi.dest = unpackReg(r.dest);
-    di.mi.srcs[0] = unpackReg(r.src0);
-    di.mi.srcs[1] = unpackReg(r.src1);
-    di.remapIndex = DynInst::kNoRemap;
+    throw std::runtime_error("trace: " + what + ": " + path);
 }
 
 } // namespace
@@ -89,62 +24,77 @@ writeTrace(const std::string &path, TraceSource &source,
            const std::vector<isa::RegId> &global_regs,
            std::uint64_t max_insts)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        MCA_FATAL("cannot open trace file for writing: ", path);
-
-    std::uint64_t count = 0;
-    // Header: magic + count placeholder + the producer's global
-    // registers as per-class bitmasks.
-    std::fwrite(kTraceMagic, 1, sizeof(kTraceMagic), f);
-    std::fwrite(&count, sizeof(count), 1, f);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        fail("cannot open for writing", path);
+    const auto put = [&](const ckpt::Writer &w) {
+        out.write(w.data().data(),
+                  static_cast<std::streamsize>(w.data().size()));
+    };
     std::uint32_t masks[2] = {0, 0};
     for (const auto &reg : global_regs)
-        masks[static_cast<unsigned>(reg.cls)] |= (1u << reg.index);
-    std::fwrite(masks, sizeof(masks), 1, f);
+        masks[static_cast<unsigned>(reg.cls)] |= 1u << reg.index;
+    const auto putHeader = [&](std::uint64_t count) {
+        ckpt::Writer w;
+        for (char c : kTraceMagic)
+            w.u8(static_cast<std::uint8_t>(c));
+        w.u64(count);
+        w.u32(masks[0]);
+        w.u32(masks[1]);
+        put(w);
+    };
 
+    putHeader(0); // the count is patched below
+    std::uint64_t count = 0;
     DynInst di;
     while (count < max_insts && source.next(di)) {
-        MCA_ASSERT(di.remapIndex == DynInst::kNoRemap,
-                   "remap points are not serializable");
-        const PackedRecord r = pack(di);
-        if (std::fwrite(&r, sizeof(r), 1, f) != 1)
-            MCA_FATAL("short write to trace file: ", path);
+        MCA_ASSERT(di.seq == count && di.remapIndex == DynInst::kNoRemap,
+                   "trace records must number from 0 and carry no remap "
+                   "points");
+        ckpt::Writer w;
+        writeDynInst(w, di);
+        put(w);
         ++count;
     }
-
-    // Patch the count.
-    std::fseek(f, sizeof(kTraceMagic), SEEK_SET);
-    std::fwrite(&count, sizeof(count), 1, f);
-    std::fclose(f);
+    out.seekp(0);
+    putHeader(count);
+    out.close();
+    if (!out)
+        fail("short write", path);
     return count;
 }
 
 FileTrace::FileTrace(const std::string &path)
+    : in_(path, std::ios::binary), record_(kDynInstBytes, '\0')
 {
-    file_ = std::fopen(path.c_str(), "rb");
-    if (!file_)
-        MCA_FATAL("cannot open trace file: ", path);
-    char magic[sizeof(kTraceMagic)];
-    if (std::fread(magic, 1, sizeof(magic), file_) != sizeof(magic) ||
-        std::memcmp(magic, kTraceMagic, sizeof(magic)) != 0)
-        MCA_FATAL("not a multicluster trace file: ", path);
-    if (std::fread(&count_, sizeof(count_), 1, file_) != 1)
-        MCA_FATAL("truncated trace header: ", path);
-    std::uint32_t masks[2];
-    if (std::fread(masks, sizeof(masks), 1, file_) != 1)
-        MCA_FATAL("truncated trace header: ", path);
+    if (!in_)
+        fail("cannot open", path);
+    std::string header(kTraceHeaderBytes, '\0');
+    in_.read(header.data(), kTraceHeaderBytes);
+    header.resize(static_cast<std::size_t>(in_.gcount()));
+    const std::string magic(kTraceMagic, sizeof(kTraceMagic));
+    if (header.compare(0, magic.size(), magic) != 0)
+        fail("bad magic, not an " + magic + " trace file", path);
+    if (header.size() < kTraceHeaderBytes)
+        fail("truncated header", path);
+    ckpt::Reader r(header);
+    r.u64(); // the magic
+    count_ = r.u64();
+    const std::uint32_t masks[2] = {r.u32(), r.u32()};
     for (unsigned ci = 0; ci < 2; ++ci)
         for (unsigned i = 0; i < isa::kNumArchRegs; ++i)
             if (masks[ci] & (1u << i))
                 globalRegs_.push_back(
                     isa::RegId(static_cast<isa::RegClass>(ci), i));
-}
-
-FileTrace::~FileTrace()
-{
-    if (file_)
-        std::fclose(file_);
+    // Every record must be present, and nothing may follow them.
+    in_.seekg(0, std::ios::end);
+    const auto body =
+        static_cast<std::uint64_t>(in_.tellg()) - kTraceHeaderBytes;
+    if (body % kDynInstBytes != 0 || body / kDynInstBytes != count_)
+        fail("file size does not match the header's count of " +
+                 std::to_string(count_) + " records",
+             path);
+    in_.seekg(kTraceHeaderBytes);
 }
 
 bool
@@ -152,11 +102,17 @@ FileTrace::next(DynInst &out)
 {
     if (read_ >= count_)
         return false;
-    PackedRecord r;
-    if (std::fread(&r, sizeof(r), 1, file_) != 1)
-        MCA_FATAL("trace file shorter than its header promises");
+    if (!in_.read(record_.data(), kDynInstBytes))
+        throw std::runtime_error("trace: short read at record " +
+                                 std::to_string(read_));
+    ckpt::Reader r(record_);
+    readDynInst(r, out, 0, "trace");
+    if (out.seq != read_)
+        throw std::runtime_error(
+            "trace: record field seq has invalid value " +
+            std::to_string(out.seq) + " (expected " +
+            std::to_string(read_) + ")");
     ++read_;
-    unpack(r, out);
     return true;
 }
 
@@ -180,13 +136,8 @@ FileTrace::loadState(ckpt::Reader &r)
     if (read_ > count_)
         throw std::runtime_error(
             "checkpoint: trace cursor beyond end of file");
-    // Header: magic + count + global-register masks, then records.
-    const long header = static_cast<long>(sizeof(kTraceMagic) +
-                                          sizeof(count_) +
-                                          2 * sizeof(std::uint32_t));
-    const long offset =
-        header + static_cast<long>(read_ * sizeof(PackedRecord));
-    if (std::fseek(file_, offset, SEEK_SET) != 0)
+    in_.clear();
+    if (!in_.seekg(kTraceHeaderBytes + read_ * kDynInstBytes))
         throw std::runtime_error("checkpoint: trace file seek failed");
 }
 

@@ -4,17 +4,18 @@
  *
  * A classic trace-driven-simulation workflow: capture the dynamic
  * instruction stream of a compiled program once, then replay the file
- * through any machine configuration. The format is a little-endian
- * binary stream — a 16-byte header (magic, version, record count)
- * followed by fixed-size records — so traces are portable between runs
- * and diffable by checksum.
+ * through any machine configuration. The format is little-endian,
+ * written and read through ckpt::Writer/Reader: a 24-byte header (the
+ * magic, a u64 record count, and the producer's global registers as
+ * one u32 mask per register class) followed by `count` 52-byte
+ * DynInst records (exec/dyninst_io.hh), so traces are portable between
+ * hosts and diffable by checksum.
  */
 
 #ifndef MCA_EXEC_TRACE_IO_HH
 #define MCA_EXEC_TRACE_IO_HH
 
-#include <cstdio>
-#include <memory>
+#include <fstream>
 #include <string>
 
 #include "exec/trace.hh"
@@ -25,7 +26,10 @@ namespace mca::exec
 
 /** Magic bytes at the start of every trace file. */
 inline constexpr char kTraceMagic[8] = {'M', 'C', 'A', 'T',
-                                        'R', 'C', '0', '2'};
+                                        'R', 'C', '0', '3'};
+
+/** Header size: magic, record count, two global-register masks. */
+inline constexpr std::size_t kTraceHeaderBytes = 24;
 
 /**
  * Drain `source` (up to max_insts) into a trace file.
@@ -35,20 +39,22 @@ inline constexpr char kTraceMagic[8] = {'M', 'C', 'A', 'T',
  *     replaying machine can reconstruct the register-to-cluster map —
  *     without it, promoted globals would silently replay as locals.
  * @return number of instructions written.
+ * @throws std::runtime_error ("trace: ...") when the file cannot be
+ *     written.
  */
 std::uint64_t writeTrace(const std::string &path, TraceSource &source,
                          const std::vector<isa::RegId> &global_regs = {},
                          std::uint64_t max_insts = ~std::uint64_t{0});
 
-/** Streaming trace-file reader. Fatal on malformed files. */
+/**
+ * Streaming trace-file reader. A malformed file throws
+ * std::runtime_error "trace: ...": the header and the file size at
+ * construction, a record (its seq must be its index) in next().
+ */
 class FileTrace : public TraceSource
 {
   public:
     explicit FileTrace(const std::string &path);
-    ~FileTrace() override;
-
-    FileTrace(const FileTrace &) = delete;
-    FileTrace &operator=(const FileTrace &) = delete;
 
     using TraceSource::next;
     bool next(DynInst &out) override;
@@ -75,10 +81,12 @@ class FileTrace : public TraceSource
     void loadState(ckpt::Reader &r) override;
 
   private:
-    std::FILE *file_ = nullptr;
+    std::ifstream in_;
     std::uint64_t count_ = 0;
     std::uint64_t read_ = 0;
     std::vector<isa::RegId> globalRegs_;
+    /** One record's bytes, reused by next(). */
+    std::string record_;
 };
 
 } // namespace mca::exec

@@ -202,12 +202,11 @@ finishProfile(const Options &opt, obs::PerfettoExporter *exporter,
     }
 }
 
-} // namespace
-
+/** One mcasim run; main reports what it throws (a malformed trace
+ *  file, say, at open or at its first corrupt record). */
 int
-main(int argc, char **argv)
+simulate(const Options &opt)
 {
-    const Options opt = parse(argc, argv);
     core::ProcessorConfig cfg = runner::machineConfigFor(opt.spec);
     cfg.paranoid = opt.paranoid;
     cfg.idleSkip = !opt.noIdleSkip;
@@ -618,4 +617,17 @@ main(int argc, char **argv)
     if (opt.jsonStats)
         stats.dumpJson(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const Options opt = parse(argc, argv);
+    try {
+        return simulate(opt);
+    } catch (const std::exception &e) {
+        MCA_FATAL(e.what());
+    }
 }

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -55,11 +56,15 @@ compileBenchmark(const std::string &name, unsigned clusters,
     return Compiled{out.binary, out.hardwareMap(clusters)};
 }
 
+/** Dispatch-queue entries free at retirement (window) or at issue. */
+enum class QueueMode { Window, Rs };
+
 core::ProcessorConfig
-dualConfig(const isa::RegisterMap &map)
+dualConfig(const isa::RegisterMap &map, QueueMode mode = QueueMode::Window)
 {
     auto cfg = core::ProcessorConfig::dualCluster8();
     cfg.regMap = map;
+    cfg.holdQueueUntilRetire = mode == QueueMode::Window;
     return cfg;
 }
 
@@ -73,11 +78,11 @@ statsJson(const StatGroup &sg)
 
 /** Run uninterrupted to completion; returns (cycles, stats JSON). */
 std::pair<Cycle, std::string>
-referenceRun(const Compiled &c)
+referenceRun(const Compiled &c, QueueMode mode = QueueMode::Window)
 {
     StatGroup sg("mca");
     exec::ProgramTrace trace(c.binary, kTraceSeed, kMaxInsts);
-    core::Processor proc(dualConfig(c.map), trace, sg);
+    core::Processor proc(dualConfig(c.map, mode), trace, sg);
     const auto res = proc.run();
     EXPECT_TRUE(res.completed);
     return {res.cycles, statsJson(sg)};
@@ -85,13 +90,14 @@ referenceRun(const Compiled &c)
 
 /** Run to `stop_at` cycles, snapshot, restore elsewhere, finish. */
 std::pair<Cycle, std::string>
-interruptedRun(const Compiled &c, Cycle stop_at)
+interruptedRun(const Compiled &c, Cycle stop_at,
+               QueueMode mode = QueueMode::Window)
 {
     ckpt::Snapshot snap;
     {
         StatGroup sg("mca");
         exec::ProgramTrace trace(c.binary, kTraceSeed, kMaxInsts);
-        core::Processor proc(dualConfig(c.map), trace, sg);
+        core::Processor proc(dualConfig(c.map, mode), trace, sg);
         proc.run(stop_at);
         ckpt::SnapshotBuilder b(proc.configHash());
         proc.saveState(b);
@@ -99,7 +105,7 @@ interruptedRun(const Compiled &c, Cycle stop_at)
     }
     StatGroup sg("mca");
     exec::ProgramTrace trace(c.binary, kTraceSeed, kMaxInsts);
-    core::Processor proc(dualConfig(c.map), trace, sg);
+    core::Processor proc(dualConfig(c.map, mode), trace, sg);
     ckpt::SnapshotParser p(snap, proc.configHash());
     proc.loadState(p);
     const auto res = proc.run();
@@ -109,12 +115,16 @@ interruptedRun(const Compiled &c, Cycle stop_at)
 
 TEST(CkptRoundTrip, ResumeIsBitIdenticalMidRun)
 {
+    // Restore rebuilds the dispatch queues from the window, which must
+    // be exact whether entries free at retirement or at issue.
     const auto c = compileBenchmark("compress", 2);
-    const auto ref = referenceRun(c);
-    ASSERT_GT(ref.first, 2000u);
-    const auto cut = interruptedRun(c, ref.first / 2);
-    EXPECT_EQ(ref.first, cut.first);
-    EXPECT_EQ(ref.second, cut.second);
+    for (const QueueMode mode : {QueueMode::Window, QueueMode::Rs}) {
+        const auto ref = referenceRun(c, mode);
+        ASSERT_GT(ref.first, 2000u);
+        const auto cut = interruptedRun(c, ref.first / 2, mode);
+        EXPECT_EQ(ref.first, cut.first);
+        EXPECT_EQ(ref.second, cut.second);
+    }
 }
 
 TEST(CkptRoundTrip, ResumeIsBitIdenticalNearStart)
@@ -285,24 +295,25 @@ TEST(Ckpt, TruncatedFileIsRejected)
 
 TEST(Ckpt, OldFormatVersionIsRejected)
 {
-    // Version 2 snapshots carry no trace program fingerprint; version 3
-    // does, so a version-2 file must be refused by name. Only the header
-    // differs: readFrom checks the version before the content hash.
+    // Version 3 snapshots encode DynInsts and the CORE section in
+    // another layout, so a version-3 file must be refused by name. Only
+    // the header differs: readFrom checks the version before the
+    // content hash.
     ckpt::Snapshot snap;
     snap.payload = "payload";
     std::ostringstream os;
     snap.writeTo(os);
     std::string bytes = os.str();
     ckpt::Writer old_version;
-    old_version.u32(2);
+    old_version.u32(3);
     bytes.replace(8, 4, old_version.data());
     std::istringstream is(bytes);
     try {
         ckpt::Snapshot::readFrom(is);
-        FAIL() << "version-2 snapshot accepted";
+        FAIL() << "version-3 snapshot accepted";
     } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "checkpoint: format version 2 unsupported "
-                               "(expected 3)");
+        EXPECT_STREQ(e.what(), "checkpoint: format version 3 unsupported "
+                               "(expected 4)");
     }
 }
 
@@ -450,15 +461,10 @@ TEST(Ckpt, OutOfRangeTraceStateIsRejected)
               "checkpoint: restored branch pattern position out of range");
 }
 
-/**
- * One in-flight record's distribution as a CORE section lays it out:
- * the serialized master cluster and slave roles, then each copy's
- * cluster and role (copies[0] is the master).
- */
+/** One in-flight record: each copy's cluster and slave role
+ *  (copies[0] is the master). */
 struct HandRecord
 {
-    std::uint8_t master = 0;
-    std::vector<isa::SlaveRole> slaves;
     std::vector<std::pair<std::uint8_t, isa::SlaveRole>> copies;
 };
 
@@ -467,26 +473,57 @@ struct HandRecord
 HandRecord
 dualAdd()
 {
-    const isa::SlaveRole slave{1, true, false, 1};
-    return {0, {slave}, {{0, isa::SlaveRole{}}, {1, slave}}};
+    return {{{0, isa::SlaveRole{}}, {1, isa::SlaveRole{1, true, false, 1}}}};
 }
+
+/**
+ * Values that replace the defaults of named fields in a hand-written
+ * CORE section; a count names how many entries follow it (at most 1000
+ * are written, so a huge count is all the restore sees).
+ */
+using Fields = std::map<std::string, std::uint64_t>;
 
 /**
  * Restore a hand-written CORE section into a fresh dual-cluster
  * machine: an idle machine's header and default register map, the
- * records of `window`, then `rows` dispatch-queue rows in cluster 0,
- * each naming record 0's master. The payload ends there, so a section
- * that passes every check fails as truncated. Returns the error.
+ * records of `window`, then idle clusters and an empty fetch unit,
+ * with the fields named in `fields` replaced. The payload ends with
+ * the section, so one that passes every check fails at the TRAC tag.
+ * Returns the error.
  */
 std::string
-coreRestoreError(const std::vector<HandRecord> &window, std::uint64_t rows)
+coreRestoreError(const std::vector<HandRecord> &window,
+                 const Fields &fields = {})
 {
+    const auto cfg = core::ProcessorConfig::dualCluster8();
     StatGroup sg("mca");
     exec::VectorTrace trace({});
-    core::Processor proc(core::ProcessorConfig::dualCluster8(), trace, sg);
+    core::Processor proc(cfg, trace, sg);
     ckpt::SnapshotBuilder b(proc.configHash());
     b.section("CORE");
     ckpt::Writer &w = b.w();
+    const auto field = [&](const char *name, std::uint64_t value) {
+        const auto it = fields.find(name);
+        return it == fields.end() ? value : it->second;
+    };
+    // Write a count field; returns how many entries to write after it.
+    const auto count = [&](const char *name, std::uint64_t value) {
+        const std::uint64_t n = field(name, value);
+        w.u64(n);
+        return std::min<std::uint64_t>(n, 1000);
+    };
+    exec::DynInst add;
+    add.mi = isa::makeRRR(isa::Op::Add, isa::intReg(2), isa::intReg(3),
+                          isa::intReg(4));
+    const auto writeInst = [&] {
+        exec::DynInst di = add;
+        di.mi.op = static_cast<isa::Op>(
+            field("opcode", static_cast<std::uint8_t>(di.mi.op)));
+        di.remapIndex = static_cast<std::uint32_t>(
+            field("remap index", exec::DynInst::kNoRemap));
+        exec::writeDynInst(w, di);
+    };
+
     for (int i = 0; i < 4; ++i)
         w.u64(0); // cycle, stepped cycles, now, last progress
     w.u32(0);     // consecutive replays
@@ -496,51 +533,94 @@ coreRestoreError(const std::vector<HandRecord> &window, std::uint64_t rows)
     w.u32(1u << isa::kStackPointer | 1u << isa::kGlobalPointer);
     w.u32(0);
     for (unsigned i = 0; i < 2 * isa::kNumArchRegs; ++i)
-        w.u8(0xff); // no home overrides
-    w.u64(0); // store rows
-    w.u64(0); // pending branches
+        w.u8(static_cast<std::uint8_t>(field("home", 0xff)));
+    for (std::uint64_t i = count("pending branches", 0); i > 0; --i) {
+        w.u64(0); // seq
+        w.u64(0); // pc
+        w.b(false);
+        w.b(false);
+        w.u64(0); // write-back cycle
+    }
     w.u64(window.size());
     for (const HandRecord &rec : window) {
-        exec::DynInst di;
-        di.mi = isa::makeRRR(isa::Op::Add, isa::intReg(2), isa::intReg(3),
-                             isa::intReg(4));
-        exec::writeDynInst(w, di);
-        const auto writeRole = [&](const isa::SlaveRole &role) {
-            w.u8(static_cast<std::uint8_t>(role.cluster));
+        writeInst();
+        w.b(true); // the master writes the destination
+        const std::uint64_t n_copies = count("copies", rec.copies.size());
+        for (std::uint64_t i = 0; i < std::min<std::uint64_t>(
+                                          n_copies, rec.copies.size());
+             ++i) {
+            const auto &[cluster, role] = rec.copies[i];
+            w.u8(cluster);
+            w.b(i == 0);
+            w.u8(static_cast<std::uint8_t>(
+                field("role cluster", role.cluster)));
             w.b(role.forwardsOperand);
             w.b(role.receivesResult);
             w.u32(role.srcMask);
-        };
-        w.u8(rec.master);
-        w.b(true); // the master writes the destination
-        w.u64(rec.slaves.size());
-        for (const auto &role : rec.slaves)
-            writeRole(role);
-        w.u64(rec.copies.size());
-        for (std::size_t i = 0; i < rec.copies.size(); ++i) {
-            w.u8(rec.copies[i].first);
-            w.b(i == 0);
-            writeRole(rec.copies[i].second);
-            w.u64(0); // reads
-            w.u64(0); // RTB clusters
+            for (std::uint64_t k = count("reads", 1); k > 0; --k) {
+                w.u8(static_cast<std::uint8_t>(field("read source", 0)));
+                w.u8(static_cast<std::uint8_t>(
+                    field("read cluster", cluster)));
+                w.u8(static_cast<std::uint8_t>(field("read class", 0)));
+                w.u16(static_cast<std::uint16_t>(field("read phys", 0)));
+            }
+            for (std::uint64_t k = count("rtb clusters", 0); k > 0; --k)
+                w.u8(static_cast<std::uint8_t>(field("rtb cluster", 0)));
             w.b(true); // in the queue
             for (int f = 0; f < 4; ++f)
                 w.b(false); // issued, suspended, woke, holds an OTB entry
             for (int f = 0; f < 3; ++f)
                 w.u64(kNoCycle); // issue, completion, buffer-block cycles
         }
-        w.u64(0);      // renames
+        for (std::uint64_t k = count("renames", 1); k > 0; --k) {
+            w.u8(static_cast<std::uint8_t>(field("rename cluster", 0)));
+            w.u8(static_cast<std::uint8_t>(field("rename class", 0)));
+            w.u8(static_cast<std::uint8_t>(field("rename arch", 2)));
+            w.u16(static_cast<std::uint16_t>(field("rename new", 0)));
+            w.u16(static_cast<std::uint16_t>(field("rename prev", 1)));
+        }
         w.u64(0);      // dispatch cycle
         w.u32(0);      // master latency
         w.u64(kNoSeq); // memory dependence
         for (int f = 0; f < 5; ++f)
             w.b(false); // miss, memory-bound, branch, taken, mispredicted
     }
-    w.u64(rows);
-    for (std::uint64_t k = 0; k < rows; ++k) {
-        w.u32(0); // window index
-        w.u32(0); // copy index
+    for (unsigned c = 0; c < cfg.numClusters; ++c) {
+        for (const unsigned n_phys : {cfg.physIntRegs, cfg.physFpRegs}) {
+            w.u64(n_phys);
+            for (unsigned p = 0; p < n_phys; ++p)
+                w.u64(0); // ready cycle
+            for (std::uint64_t k = count("free list", 1); k > 0; --k)
+                w.u16(static_cast<std::uint16_t>(field("free reg", 0)));
+        }
+        for (unsigned i = 0; i < 2 * isa::kNumArchRegs; ++i)
+            w.u16(static_cast<std::uint16_t>(field("rename map", 0)));
+        for (unsigned i = 0; i < 2 * isa::kNumArchRegs; ++i)
+            w.b(false); // mapped
+        for (const char *buf : {"otb", "rtb"}) {
+            w.u32(static_cast<std::uint32_t>(
+                field((std::string(buf) + " in use").c_str(), 0)));
+            for (std::uint64_t k =
+                     count((std::string(buf) + " pending").c_str(), 0);
+                 k > 0; --k)
+                w.u64(0);
+        }
+        // One divider per FP divide issue slot, at least one.
+        const unsigned n_div = std::max(1u, cfg.issueRules.fpDiv);
+        w.u64(n_div);
+        for (unsigned d = 0; d < n_div; ++d)
+            w.u64(0);
     }
+    for (std::uint64_t k = count("fetch buffer", 0); k > 0; --k)
+        writeInst();
+    w.b(false); // no pending fetch
+    w.b(false); // trace not ended
+    w.u64(0);   // stall window
+    w.u64(0);   // icache ready
+    w.u64(~0ull); // last fetch block
+    w.b(false);   // no icache miss pending
+    w.u64(0);     // its block
+    w.u8(static_cast<std::uint8_t>(field("block reason", 0)));
     const ckpt::Snapshot snap = b.finish();
     ckpt::SnapshotParser p(snap, proc.configHash());
     try {
@@ -551,51 +631,103 @@ coreRestoreError(const std::vector<HandRecord> &window, std::uint64_t rows)
     return "";
 }
 
+/** The restore got through the whole CORE section. */
 bool
-truncated(const std::string &error)
+passesCore(const std::string &error)
 {
-    return error.rfind("checkpoint: truncated payload", 0) == 0;
+    return error == "checkpoint: truncated before section 'TRAC'";
 }
 
 TEST(Ckpt, InFlightRecordDisagreeingWithItsCopiesIsRejected)
 {
-    // The hand-written layout reads through its queue rows while every
+    // The hand-written layout reads through the section while every
     // record agrees with itself and the machine.
-    EXPECT_PRED1(truncated, coreRestoreError({dualAdd(), dualAdd()}, 1));
+    EXPECT_PRED1(passesCore, coreRestoreError({dualAdd(), dualAdd()}));
 
-    HandRecord none = dualAdd();
-    none.slaves.clear();
-    none.copies.clear();
-    EXPECT_EQ(coreRestoreError({none}, 1),
+    EXPECT_EQ(coreRestoreError({HandRecord{}}),
               "checkpoint: in-flight record has no copies");
 
     HandRecord far = dualAdd();
-    far.slaves[0].cluster = 2;
-    far.copies[1] = {2, far.slaves[0]};
-    EXPECT_EQ(coreRestoreError({far}, 1),
-              "checkpoint: copy cluster out of range");
-
-    HandRecord master = dualAdd();
-    master.master = 1;
-    HandRecord role = dualAdd();
-    role.slaves[0].receivesResult = true;
-    HandRecord missing = dualAdd();
-    missing.slaves.clear();
-    HandRecord extra = dualAdd();
-    extra.slaves.push_back(extra.slaves[0]);
-    for (const HandRecord &rec : {master, role, missing, extra})
-        EXPECT_EQ(coreRestoreError({dualAdd(), rec}, 1),
-                  "checkpoint: in-flight distribution disagrees with its "
-                  "copies");
+    far.copies[1] = {2, isa::SlaveRole{2, true, false, 1}};
+    EXPECT_EQ(coreRestoreError({far}), "checkpoint: copy cluster out of range");
 }
 
 TEST(Ckpt, DispatchQueueRowsBeyondCapacityAreRejected)
 {
-    const std::uint64_t cap =
+    // Every copy of the window is in its queue: a window of `cap` dual
+    // records fills both queues, one more overfills them.
+    const std::size_t cap =
         core::ProcessorConfig::dualCluster8().dispatchQueueEntries;
-    EXPECT_PRED1(truncated, coreRestoreError({dualAdd()}, cap));
-    EXPECT_EQ(coreRestoreError({dualAdd()}, cap + 1),
-              "checkpoint: dispatch queue rows exceed its capacity");
+    EXPECT_PRED1(passesCore,
+                 coreRestoreError(std::vector<HandRecord>(cap, dualAdd())));
+    EXPECT_EQ(coreRestoreError(std::vector<HandRecord>(cap + 1, dualAdd())),
+              "checkpoint: dispatch queue occupancy exceeds its capacity");
+}
+
+TEST(Ckpt, CoreRestoreBoundsEveryCountAndId)
+{
+    // Each case replaces one field of the valid section; the restore
+    // must name it before sizing or indexing anything by it (a 2^60
+    // count must not reach a resize). dual8: 2 clusters, 64 physical
+    // registers per file, 8 OTB entries.
+    const std::uint64_t huge = 1ull << 60;
+    const struct
+    {
+        const char *field;
+        std::uint64_t value;
+        const char *error;
+    } cases[] = {
+        {"home", 2, "register home cluster out of range"},
+        {"pending branches", huge, "pending branch count out of range"},
+        {"opcode", 250, "record field opcode has invalid value 250"},
+        {"remap index", 0, "record field remapIndex has invalid value 0"},
+        {"copies", 3, "copy count out of range"},
+        {"copies", huge, "copy count out of range"},
+        {"role cluster", 2, "slave role cluster out of range"},
+        {"reads", 3, "source read count out of range"},
+        {"reads", huge, "source read count out of range"},
+        {"read source", 2, "read source index out of range"},
+        {"read cluster", 2, "read cluster out of range"},
+        {"read class", 2, "register class out of range"},
+        {"read phys", 64, "read physical register out of range"},
+        {"rtb clusters", 3, "RTB cluster count out of range"},
+        {"rtb clusters", huge, "RTB cluster count out of range"},
+        {"rtb cluster", 2, "RTB cluster out of range"},
+        {"renames", 3, "rename count out of range"},
+        {"renames", huge, "rename count out of range"},
+        {"rename cluster", 2, "rename cluster out of range"},
+        {"rename class", 7, "register class out of range"},
+        {"rename arch", 32, "rename register out of range"},
+        {"rename new", 64, "rename physical register out of range"},
+        {"rename prev", 64, "rename physical register out of range"},
+        {"free list", 65, "free-list length out of range"},
+        {"free list", huge, "free-list length out of range"},
+        {"free reg", 64, "free-list physical register out of range"},
+        {"rename map", 64, "rename-map physical register out of range"},
+        {"otb in use", 9, "transfer-buffer occupancy out of range"},
+        {"rtb pending", huge, "transfer-buffer pending frees out of range"},
+        {"fetch buffer", huge, "fetch buffer count out of range"},
+        {"block reason", 7, "fetch block reason out of range"},
+    };
+    // The window records' fields and the fetch buffer's, which a
+    // replay can fill past its capacity with the squashed window.
+    const std::uint64_t past_capacity =
+        core::ProcessorConfig::dualCluster8().fetchBufferEntries + 1;
+    EXPECT_PRED1(passesCore,
+                 coreRestoreError({dualAdd()},
+                                  {{"rtb clusters", 1},
+                                   {"fetch buffer", past_capacity}}));
+    for (const auto &c : cases) {
+        Fields fields = {{c.field, c.value}};
+        if (std::string(c.field) == "rtb cluster")
+            fields["rtb clusters"] = 1;
+        EXPECT_EQ(coreRestoreError({dualAdd()}, fields),
+                  std::string("checkpoint: ") + c.error)
+            << c.field << " = " << c.value;
+    }
+    // A fetch-buffer record goes through the same codec.
+    EXPECT_EQ(coreRestoreError({}, {{"fetch buffer", 1}, {"opcode", 250}}),
+              "checkpoint: record field opcode has invalid value 250");
 }
 
 TEST(Ckpt, WriterReaderScalarsRoundTrip)

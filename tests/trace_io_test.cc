@@ -1,15 +1,19 @@
 /**
  * @file
- * Tests for trace-file I/O: roundtrip fidelity, header validation,
- * replay equivalence on the timing model.
+ * Tests for trace-file I/O: roundtrip fidelity, header and record
+ * validation, replay equivalence on the timing model.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 
 #include "compiler/pipeline.hh"
+#include "exec/dyninst_io.hh"
 #include "exec/trace.hh"
 #include "exec/trace_io.hh"
 #include "harness/experiment.hh"
@@ -39,6 +43,35 @@ struct TraceIoFixture : ::testing::Test
 
     void TearDown() override { std::remove(path.c_str()); }
 
+    /** Open and drain a trace file; its error, or "" when it reads. */
+    static std::string
+    replayError(const std::string &file)
+    {
+        try {
+            exec::FileTrace trace(file);
+            exec::DynInst di;
+            while (trace.next(di)) {
+            }
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "";
+    }
+
+    static std::string
+    fileBytes(const std::string &file)
+    {
+        std::ifstream in(file, std::ios::binary);
+        return {std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>()};
+    }
+
+    static void
+    writeFile(const std::string &file, const std::string &bytes)
+    {
+        std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+    }
+
     static compiler::CompileOutput
     compiledCompress()
     {
@@ -63,6 +96,8 @@ TEST_F(TraceIoFixture, RoundtripPreservesEveryField)
     exec::ProgramTrace reference(out.binary, 7, 5'000);
     exec::FileTrace replay(path);
     EXPECT_EQ(replay.count(), 5'000u);
+    EXPECT_EQ(std::filesystem::file_size(path),
+              exec::kTraceHeaderBytes + 5'000 * exec::kDynInstBytes);
     const auto records = test::drainReused(replay, reference);
     EXPECT_EQ(records.size(), 5'000u);
     EXPECT_FALSE(replay.next().has_value());
@@ -113,14 +148,78 @@ TEST_F(TraceIoFixture, RejectsForeignFiles)
     ASSERT_NE(f, nullptr);
     std::fputs("definitely not a trace", f);
     std::fclose(f);
-    EXPECT_DEATH({ exec::FileTrace t(path); },
-                 "not a multicluster trace");
+    EXPECT_THROW(exec::FileTrace{path}, std::runtime_error);
+    EXPECT_EQ(replayError(path),
+              "trace: bad magic, not an MCATRC03 trace file: " + path);
 }
 
 TEST_F(TraceIoFixture, RejectsMissingFile)
 {
-    EXPECT_DEATH({ exec::FileTrace t("/nonexistent/nope.mct"); },
-                 "cannot open");
+    const std::string missing = "/nonexistent/nope.mct";
+    EXPECT_THROW(exec::FileTrace{missing}, std::runtime_error);
+    EXPECT_EQ(replayError(missing), "trace: cannot open: " + missing);
+}
+
+TEST_F(TraceIoFixture, CorruptFieldsFailByName)
+{
+    // One clean 200-record file, then one corruption per case: bytes
+    // written at an offset of a record (or the header), or the file cut
+    // short. Every case must throw a "trace:" error naming the field.
+    const auto out = compiledCompress();
+    {
+        exec::ProgramTrace source(out.binary, 7, 200);
+        ASSERT_EQ(exec::writeTrace(path, source), 200u);
+    }
+    const std::string clean = fileBytes(path);
+    ASSERT_EQ(clean.size(),
+              exec::kTraceHeaderBytes + 200 * exec::kDynInstBytes);
+    EXPECT_EQ(replayError(path), "");
+
+    // Field offsets within a record (exec/dyninst_io.hh).
+    constexpr std::size_t kOp = 40, kFlags = 41, kDest = 42, kSrc0 = 44,
+                          kSrc1 = 46, kRemap = 48;
+    const auto record = [](std::size_t i, std::size_t offset) {
+        return exec::kTraceHeaderBytes + i * exec::kDynInstBytes + offset;
+    };
+    const struct
+    {
+        const char *name;
+        std::size_t at;
+        std::string bytes;
+        const char *field;
+    } cases[] = {
+        {"opcode 250", record(100, kOp), "\xfa", "opcode"},
+        {"dest class 7", record(0, kDest), "\x03\x07", "dest class"},
+        {"dest index 200", record(0, kDest), std::string("\xc8\0", 2),
+         "dest index"},
+        {"src0 class 7", record(0, kSrc0), "\x03\x07", "src0 class"},
+        {"src0 index 200", record(0, kSrc0), std::string("\xc8\0", 2),
+         "src0 index"},
+        {"src1 class 7", record(0, kSrc1), "\x03\x07", "src1 class"},
+        {"src1 index 200", record(0, kSrc1), std::string("\xc8\0", 2),
+         "src1 index"},
+        {"flag bits 0xf8", record(0, kFlags), "\xf8", "flags"},
+        {"seq out of order", record(5, 0), "\x07", "seq"},
+        {"remapIndex set", record(0, kRemap), std::string(4, '\0'),
+         "remapIndex"},
+        {"header count past the file", 8, "\xc9", "count"},
+        {"old magic", 0, "MCATRC02", "magic"},
+    };
+    for (const auto &c : cases) {
+        std::string bytes = clean;
+        bytes.replace(c.at, c.bytes.size(), c.bytes);
+        writeFile(path, bytes);
+        const std::string error = replayError(path);
+        EXPECT_EQ(error.rfind("trace: ", 0), 0u) << c.name << ": " << error;
+        EXPECT_NE(error.find(c.field), std::string::npos)
+            << c.name << ": " << error;
+    }
+    writeFile(path, clean.substr(0, clean.size() - 1));
+    const std::string cut = replayError(path);
+    EXPECT_EQ(cut.rfind("trace: file size does not match the header's "
+                        "count", 0),
+              0u)
+        << "truncated last record: " << cut;
 }
 
 TEST_F(TraceIoFixture, GlobalRegistersRoundtripThroughTheHeader)
