@@ -5,7 +5,8 @@
  * 0.18 um, the break-even clock-reduction rule (a 25% slowdown needs a
  * 20% smaller period), and the net run-time effect of clustering per
  * benchmark at each feature size — the paper's bottom-line argument
- * that the multicluster architecture wins below 0.35 um.
+ * that the multicluster architecture wins below 0.35 um. The cycle
+ * ratios come from the Table-2 campaign (runner/table2.hh).
  *
  * Usage: cycletime_analysis [scale] [max_insts]
  */
@@ -13,7 +14,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "harness/experiment.hh"
+#include "runner/table2.hh"
 #include "support/table.hh"
 #include "timing/delay_model.hh"
 
@@ -68,8 +69,8 @@ main(int argc, char **argv)
     net.header({"benchmark", "cycle ratio", "net @ 0.35um",
                 "net @ 0.25um", "net @ 0.18um"});
     double worst_ratio = 1.0;
-    for (const auto &bench : workloads::allBenchmarks()) {
-        const auto row = harness::runTable2Row(bench, opt);
+    const auto result = runner::runTable2Campaign(opt, {});
+    for (const auto &row : result.rows) {
         const double ratio =
             static_cast<double>(row.dualLocal.cycles) /
             static_cast<double>(row.single.cycles);

@@ -4,7 +4,7 @@
  * 8-way machines and reported the 8-way numbers ("these more clearly
  * show the important trends"); this bench regenerates the 4-way view:
  * a 4-way single cluster against a dual-cluster machine built from two
- * 2-way clusters.
+ * 2-way clusters. It runs as the Table-2 campaign (runner/table2.hh).
  *
  * Usage: table2_fourway [scale] [max_insts]
  */
@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "harness/experiment.hh"
+#include "runner/table2.hh"
 #include "support/table.hh"
 
 int
@@ -33,14 +33,13 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"benchmark", "none", "local", "single cycles",
                   "dual-none cycles", "dual-local cycles"});
-    for (const auto &bench : workloads::allBenchmarks()) {
-        const auto row = harness::runTable2Row(bench, opt);
+    const auto result = runner::runTable2Campaign(opt, {});
+    for (const auto &row : result.rows)
         table.row({row.benchmark, TextTable::signedPercent(row.pctNone),
                    TextTable::signedPercent(row.pctLocal),
                    std::to_string(row.single.cycles),
                    std::to_string(row.dualNone.cycles),
                    std::to_string(row.dualLocal.cycles)});
-    }
     table.print(std::cout);
     std::cout << "\n(The paper reports only the 8-way data; this view "
                  "is provided for\ncompleteness — the trends are less "

@@ -4,9 +4,10 @@
  * question for *your* workload — "at which feature size does the
  * multicluster organization win?"
  *
- * Runs one benchmark through the Table-2 methodology, then sweeps
- * feature sizes to find the crossover where the dual-cluster machine's
- * faster clock outweighs its extra cycles.
+ * Runs one benchmark's native binary on the 8-way single cluster and
+ * its locally-rescheduled binary on the dual cluster (two of the
+ * Table-2 jobs), then sweeps feature sizes to find the crossover where
+ * the dual-cluster machine's faster clock outweighs its extra cycles.
  *
  * Usage: cycletime_tradeoff [benchmark] [scale]
  */
@@ -14,7 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "harness/experiment.hh"
+#include "runner/jobspec.hh"
 #include "support/table.hh"
 #include "timing/delay_model.hh"
 
@@ -24,14 +25,25 @@ main(int argc, char **argv)
     using namespace mca;
 
     const std::string bench_name = argc > 1 ? argv[1] : "tomcatv";
-    harness::ExperimentOptions opt;
-    opt.workload.scale = argc > 2 ? std::atof(argv[2]) : 0.2;
-    opt.maxInsts = 150'000;
+    runner::JobSpec single;
+    single.benchmark = bench_name;
+    single.scale = argc > 2 ? std::atof(argv[2]) : 0.2;
+    single.maxInsts = 150'000;
+    single.machine = "single8";
+    single.scheduler = "native";
+    runner::JobSpec dual = single;
+    dual.machine = "dual8";
+    dual.scheduler = "local";
 
-    const auto row = harness::runTable2Row(
-        workloads::benchmarkByName(bench_name), opt);
-    const double ratio = static_cast<double>(row.dualLocal.cycles) /
-                         static_cast<double>(row.single.cycles);
+    const runner::JobResult base = runner::runJob(single);
+    const runner::JobResult clustered = runner::runJob(dual);
+    for (const runner::JobResult *r : {&base, &clustered})
+        if (r->status != runner::JobStatus::Ok) {
+            std::cerr << "cycletime_tradeoff: " << r->error << "\n";
+            return 1;
+        }
+    const double ratio = static_cast<double>(clustered.cycles) /
+                         static_cast<double>(base.cycles);
 
     std::cout << "benchmark '" << bench_name << "': dual-cluster needs "
               << TextTable::num(100.0 * (ratio - 1.0), 1)

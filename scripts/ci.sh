@@ -172,7 +172,12 @@ python3 scripts/check_ckpt.py "$SIM"
 # direct run: same retired count, same cycles (14085 for this point).
 "$SIM" --benchmark gcc1 --max-insts 20000 --quiet >"$TMP/direct.txt"
 "$SIM" --benchmark gcc1 --max-insts 20000 \
-    --save-trace "$TMP/gcc1.mct" --quiet >/dev/null
+    --save-trace "$TMP/gcc1.mct" --quiet >"$TMP/save.txt"
+if [ -s "$TMP/save.txt" ]; then
+    echo "ci.sh: --save-trace --quiet wrote to stdout:"
+    cat "$TMP/save.txt"
+    exit 1
+fi
 "$SIM" --load-trace "$TMP/gcc1.mct" --quiet >"$TMP/replay.txt"
 direct="$(sed 's/^.*: //' "$TMP/direct.txt")"
 replay="$(sed 's/^.*: //' "$TMP/replay.txt")"
@@ -208,13 +213,26 @@ corrupt_trace_probe dest-index-200 0 42 '\310\000'
 corrupt_trace_probe dest-class-7 0 42 '\003\007'
 
 # Sampled-simulation smoke: the mcasim --sample path and the mcarun
-# samplePeriods axis both run end to end.
+# samplePeriods axis both run end to end. The campaign's JSONL and CSV
+# must carry one column list in one order, and mark exactly the one
+# sampled job.
 "$SIM" --benchmark gcc1 --scale 1 \
     --sample "systematic:period=20000,detail=4000,warmup=1000" \
     --quiet >/dev/null
 "$BUILD/src/tools/mcarun" --benchmarks compress \
     --sample-periods 0,20000 --scale 0.5 --max-insts 60000 \
-    --no-cache --quiet >/dev/null
+    --no-cache --quiet --out "$TMP/sampled.jsonl" \
+    --csv "$TMP/sampled.csv" >/dev/null
+python3 - "$TMP/sampled.jsonl" "$TMP/sampled.csv" <<'PY'
+import csv, json, sys
+rows = [json.loads(line) for line in open(sys.argv[1])]
+with open(sys.argv[2], newline="") as f:
+    header, *cells = list(csv.reader(f))
+if any(list(row) != header for row in rows):
+    sys.exit("ci.sh: CSV header differs from the JSONL key order")
+if [row[header.index("sampled")] for row in cells].count("true") != 1:
+    sys.exit("ci.sh: expected exactly one CSV row with sampled true")
+PY
 
 # Sampled-simulation benchmark: full detailed run vs SMARTS-style
 # sampled estimate; fails unless one benchmark reaches a 7x per-core

@@ -57,61 +57,6 @@ simulate(const prog::MachProgram &binary, const isa::RegisterMap &map,
     return out;
 }
 
-Table2Row
-runTable2Row(const workloads::BenchmarkInfo &bench,
-             const ExperimentOptions &options)
-{
-    Table2Row row;
-    row.benchmark = bench.name;
-
-    const prog::Program program = bench.make(options.workload);
-
-    // Native binary (cluster-unaware compilation).
-    compiler::CompileOptions nopt = compiler::compileOptionsFor("native", 1);
-    nopt.profileSeed = options.traceSeed;
-    const auto native = compiler::compile(program, nopt);
-
-    // Rescheduled binary (local scheduler, dual-cluster target).
-    compiler::CompileOptions lopt = compiler::compileOptionsFor("local", 2);
-    lopt.imbalanceThreshold = options.imbalanceThreshold;
-    lopt.profileSeed = options.traceSeed;
-    const auto local = compiler::compile(program, lopt);
-    row.spillLoadsLocal = local.alloc.spillLoadsInserted;
-    row.spillStoresLocal = local.alloc.spillStoresInserted;
-    row.otherClusterSpills = local.alloc.otherClusterSpills;
-
-    const auto singleCfg = options.eightWay
-                               ? core::ProcessorConfig::singleCluster8()
-                               : core::ProcessorConfig::singleCluster4();
-    const auto dualCfg = options.eightWay
-                             ? core::ProcessorConfig::dualCluster8()
-                             : core::ProcessorConfig::dualCluster4();
-
-    row.single = simulate(native.binary, native.hardwareMap(1), singleCfg,
-                          options.traceSeed, options.maxInsts);
-    row.dualNone = simulate(native.binary, native.hardwareMap(2), dualCfg,
-                            options.traceSeed, options.maxInsts);
-    row.dualLocal = simulate(local.binary, local.hardwareMap(2), dualCfg,
-                             options.traceSeed, options.maxInsts);
-
-    auto pct = [&](const RunStats &dual) {
-        return 100.0 - 100.0 * (static_cast<double>(dual.cycles) /
-                                static_cast<double>(row.single.cycles));
-    };
-    row.pctNone = pct(row.dualNone);
-    row.pctLocal = pct(row.dualLocal);
-    return row;
-}
-
-std::vector<Table2Row>
-runTable2(const ExperimentOptions &options)
-{
-    std::vector<Table2Row> rows;
-    for (const auto &bench : workloads::allBenchmarks())
-        rows.push_back(runTable2Row(bench, options));
-    return rows;
-}
-
 const std::vector<PaperTable2Entry> &
 paperTable2()
 {

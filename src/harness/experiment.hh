@@ -1,7 +1,7 @@
 /**
  * @file
- * Experiment harness: compile-and-simulate pipelines and the Table-2
- * experiment (the paper's headline result).
+ * Experiment harness: one simulation of a compiled binary, and the
+ * shapes of the Table-2 experiment (the paper's headline result).
  *
  * Methodology reproduced from §4: the *native* binary (cluster-unaware
  * compilation) runs on the single-cluster machine to give the baseline
@@ -9,7 +9,9 @@
  * (Table 2 column "none"); and the binary rescheduled with the local
  * scheduler runs on the dual-cluster machine (column "local"). The
  * reported percentage is 100 - 100 * (C_dual / C_single): positive =
- * speedup, negative = slowdown.
+ * speedup, negative = slowdown. The experiment runs as a campaign
+ * (runner/table2.hh): three jobs per benchmark, assembled into
+ * Table2Rows.
  */
 
 #ifndef MCA_HARNESS_EXPERIMENT_HH
@@ -89,13 +91,6 @@ struct Table2Row
     std::uint64_t spillStoresLocal = 0;
     std::uint64_t otherClusterSpills = 0;
 };
-
-/** Run one benchmark through the full Table-2 methodology. */
-Table2Row runTable2Row(const workloads::BenchmarkInfo &bench,
-                       const ExperimentOptions &options);
-
-/** Run all six benchmarks (Table-2 order). */
-std::vector<Table2Row> runTable2(const ExperimentOptions &options);
 
 /** The paper's published Table 2, for side-by-side printing. */
 struct PaperTable2Entry

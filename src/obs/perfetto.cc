@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <utility>
+
+#include "support/format.hh"
 
 namespace mca::obs
 {
@@ -21,32 +22,6 @@ jsonNumber(double value)
     char buf[40];
     const auto r = std::to_chars(buf, buf + sizeof buf, value);
     return r.ec == std::errc{} ? std::string(buf, r.ptr) : "0";
-}
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** One instruction copy's lifetime inside one cluster. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -10,6 +9,7 @@
 #include <unordered_map>
 
 #include "prof/hwcounters.hh"
+#include "support/format.hh"
 #include "support/panic.hh"
 
 namespace mca::prof
@@ -343,33 +343,11 @@ namespace
 {
 
 void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (const char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
-void
 dumpNode(std::ostream &os, const ProfileNode &node, int indent)
 {
     const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-    os << pad << "{\"name\": \"";
-    jsonEscape(os, node.name);
-    os << "\", \"calls\": " << node.calls
+    os << pad << "{\"name\": \"" << jsonEscape(node.name)
+       << "\", \"calls\": " << node.calls
        << ", \"total_ns\": " << node.totalNs
        << ", \"self_ns\": " << node.selfNs();
     if (node.hw.valid) {

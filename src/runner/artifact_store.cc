@@ -1,9 +1,11 @@
 #include "runner/artifact_store.hh"
 
-#include <cstdio>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "prof/prof.hh"
 #include "support/panic.hh"
@@ -14,19 +16,37 @@ namespace mca::runner
 namespace
 {
 
-// v6: unified artifact-store layout — a `type` line names the payload
-// kind so every artifact class shares one addressing scheme. v5 and
-// older entries (the pre-ArtifactStore result cache) fail the version
-// check and read as cold; a rerun overwrites them in place.
-constexpr int kFormatVersion = 6;
+// v7: every line after the key, and every name in the key, comes from
+// the record's field list (jobspec.hh forEachField), spelled as in the
+// JSONL. v6 and older entries fail the version check and read as
+// cold; a rerun overwrites them in place.
+constexpr int kFormatVersion = 7;
 
-/** Shortest round-trippable decimal form, stable across platforms. */
-std::string
-formatDouble(double value)
+/** Read one stored value back into `value`: true only if `text` is a
+ *  whole value of the field's type, as fieldText() writes it. */
+template <class T>
+bool
+parseField(const std::string &text, T &value)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
+    if constexpr (std::is_same_v<T, std::string>) {
+        value = text;
+        return true;
+    } else if constexpr (std::is_same_v<T, JobStatus>) {
+        for (const JobStatus status :
+             {JobStatus::Ok, JobStatus::TimedOut, JobStatus::Failed})
+            if (text == jobStatusName(status)) {
+                value = status;
+                return true;
+            }
+        return false;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        value = text == "true";
+        return value || text == "false";
+    } else {
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+        return ec == std::errc{} && ptr == end;
+    }
 }
 
 } // namespace
@@ -48,7 +68,7 @@ ArtifactStore::loadResult(const JobSpec &spec) const
     if (!in)
         return std::nullopt;
 
-    std::map<std::string, std::string> fields;
+    std::map<std::string, std::string, std::less<>> fields;
     std::string line;
     while (std::getline(in, line)) {
         const auto tab = line.find('\t');
@@ -65,54 +85,23 @@ ArtifactStore::loadResult(const JobSpec &spec) const
         fields["key"] != spec.canonicalKey())
         return std::nullopt;
 
-    try {
-        JobResult out;
-        out.spec = spec;
-        const std::string &status = fields.at("status");
-        if (status == "ok")
-            out.status = JobStatus::Ok;
-        else if (status == "timeout")
-            out.status = JobStatus::TimedOut;
-        else
-            return std::nullopt;
-        out.error = fields["error"];
-        out.cycles = std::stoull(fields.at("cycles"));
-        out.retired = std::stoull(fields.at("retired"));
-        out.ipc = std::stod(fields.at("ipc"));
-        out.distSingle = std::stoull(fields.at("distSingle"));
-        out.distDual = std::stoull(fields.at("distDual"));
-        out.operandForwards = std::stoull(fields.at("operandForwards"));
-        out.resultForwards = std::stoull(fields.at("resultForwards"));
-        out.replays = std::stoull(fields.at("replays"));
-        out.issueDisorder = std::stoull(fields.at("issueDisorder"));
-        out.bpredAccuracy = std::stod(fields.at("bpredAccuracy"));
-        out.dcacheMissRate = std::stod(fields.at("dcacheMissRate"));
-        out.icacheMissRate = std::stod(fields.at("icacheMissRate"));
-        out.l2MissRate = std::stod(fields.at("l2MissRate"));
-        out.spillLoads = std::stoull(fields.at("spillLoads"));
-        out.spillStores = std::stoull(fields.at("spillStores"));
-        out.otherClusterSpills = std::stoull(fields.at("otherClusterSpills"));
-        out.partitionCut = std::stoull(fields.at("partitionCut"));
-        out.partitionBalance = std::stod(fields.at("partitionBalance"));
-        out.stackSlots =
-            static_cast<unsigned>(std::stoul(fields.at("stackSlots")));
-        for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
-            out.stackSlotCycles[i] = std::stoull(fields.at(
-                std::string("stack_") +
-                obs::stallCauseName(static_cast<obs::StallCause>(i))));
-        out.sampled = fields.at("sampled") == "1";
-        out.sampledIntervals = std::stoull(fields.at("sampledIntervals"));
-        out.cpiCi95 = std::stod(fields.at("cpiCi95"));
-        out.wallMs = std::stod(fields.at("wallMs"));
-        out.fromCache = true;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.resultHits;
-        }
-        return out;
-    } catch (const std::exception &) {
-        return std::nullopt; // malformed artifact == miss; rerun overwrites
+    // A malformed or incomplete artifact is a miss; the rerun
+    // overwrites it. Failed jobs are never stored, so one is foreign.
+    JobResult out;
+    out.spec = spec;
+    bool valid = true;
+    forEachField(out, [&](std::string_view name, auto &value) {
+        const auto it = fields.find(name);
+        valid = valid && it != fields.end() && parseField(it->second, value);
+    });
+    if (!valid || out.status == JobStatus::Failed)
+        return std::nullopt;
+    out.fromCache = true;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.resultHits;
     }
+    return out;
 }
 
 void
@@ -140,41 +129,14 @@ ArtifactStore::storeResult(const JobResult &result) const
             MCA_WARN("artifact store: cannot write '", tmp, "'");
             return;
         }
-        out << "version\t" << kFormatVersion << "\n"
-            << "type\tresult\n"
-            << "key\t" << result.spec.canonicalKey() << "\n"
-            << "status\t" << jobStatusName(result.status) << "\n"
-            << "error\t" << result.error << "\n"
-            << "cycles\t" << result.cycles << "\n"
-            << "retired\t" << result.retired << "\n"
-            << "ipc\t" << formatDouble(result.ipc) << "\n"
-            << "distSingle\t" << result.distSingle << "\n"
-            << "distDual\t" << result.distDual << "\n"
-            << "operandForwards\t" << result.operandForwards << "\n"
-            << "resultForwards\t" << result.resultForwards << "\n"
-            << "replays\t" << result.replays << "\n"
-            << "issueDisorder\t" << result.issueDisorder << "\n"
-            << "bpredAccuracy\t" << formatDouble(result.bpredAccuracy) << "\n"
-            << "dcacheMissRate\t" << formatDouble(result.dcacheMissRate)
-            << "\n"
-            << "icacheMissRate\t" << formatDouble(result.icacheMissRate)
-            << "\n"
-            << "l2MissRate\t" << formatDouble(result.l2MissRate) << "\n"
-            << "spillLoads\t" << result.spillLoads << "\n"
-            << "spillStores\t" << result.spillStores << "\n"
-            << "otherClusterSpills\t" << result.otherClusterSpills << "\n"
-            << "partitionCut\t" << result.partitionCut << "\n"
-            << "partitionBalance\t" << formatDouble(result.partitionBalance)
-            << "\n"
-            << "stackSlots\t" << result.stackSlots << "\n";
-        for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
-            out << "stack_"
-                << obs::stallCauseName(static_cast<obs::StallCause>(i))
-                << "\t" << result.stackSlotCycles[i] << "\n";
-        out << "sampled\t" << (result.sampled ? 1 : 0) << "\n"
-            << "sampledIntervals\t" << result.sampledIntervals << "\n"
-            << "cpiCi95\t" << formatDouble(result.cpiCi95) << "\n"
-            << "wallMs\t" << formatDouble(result.wallMs) << "\n";
+        std::string text = "version\t" + std::to_string(kFormatVersion) +
+                           "\ntype\tresult\nkey\t" +
+                           result.spec.canonicalKey() + "\n";
+        forEachField(result, [&](std::string_view name, const auto &value) {
+            text.append(name).append("\t");
+            text.append(fieldText(value)).append("\n");
+        });
+        out << text;
     }
     std::filesystem::rename(tmp, path, ec);
     if (ec) {
@@ -235,10 +197,8 @@ std::string
 ArtifactStore::compileKeyFor(const JobSpec &spec,
                              const compiler::CompileOptions &options)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", spec.scale);
-    return "benchmark=" + spec.benchmark + ";scale=" + buf + ";" +
-           options.canonicalKey();
+    return "benchmark=" + spec.benchmark + ";scale=" +
+           formatDouble(spec.scale) + ";" + options.canonicalKey();
 }
 
 } // namespace mca::runner

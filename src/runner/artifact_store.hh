@@ -11,14 +11,17 @@
  * key string, and the payload type decides residency.
  *
  *  - **result** artifacts persist on disk, one text file per job at
- *    `<dir>/<hash>.result` holding `name<TAB>value` lines (format v6;
- *    see docs/campaigns.md). The file stores the full canonical key
- *    and loadResult() verifies it against the requesting spec, so a
- *    hash collision degrades to a miss. Writes go through a temporary
- *    + rename, a killed run never leaves a truncated entry, Failed
- *    jobs are never stored (a rerun retries them), and TimedOut jobs
- *    are (the cycle budget is part of the spec). Pre-v6 entries fail
- *    the version check and read as cold — no migration step.
+ *    `<dir>/<hash>.result` holding `name<TAB>value` lines (format v7;
+ *    see docs/campaigns.md): the version, the payload type, the full
+ *    canonical key, then one line per field of the result's field
+ *    list (forEachField in jobspec.hh). loadResult() verifies the key
+ *    against the requesting spec, so a hash collision degrades to a
+ *    miss, as does an entry missing a field or holding a value that
+ *    does not parse whole. Writes go through a temporary + rename, a
+ *    killed run never leaves a truncated entry, Failed jobs are never
+ *    stored (a rerun retries them), and TimedOut jobs are (the cycle
+ *    budget is part of the spec). Pre-v7 entries fail the version
+ *    check and read as cold — no migration step.
  *
  *  - **compile** artifacts are in-memory and single-flight:
  *    getOrCompile() publishes a shared_future under the lock before

@@ -65,9 +65,7 @@ expandGrid(const CampaignGrid &grid)
                       spec.predictor = grid.predictor;
                       spec.maxInsts = grid.maxInsts;
                       spec.maxCycles = grid.maxCycles;
-                      spec.profileSeed = grid.profileSeedFollowsTraceSeed
-                                             ? seed
-                                             : spec.profileSeed;
+                      spec.profileSeed = seed;
                       specs.push_back(std::move(spec));
                     }
     return specs;

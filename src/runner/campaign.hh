@@ -40,7 +40,7 @@ namespace mca::runner
 
 /** Parameter grid; expansion nests benchmark(outer) → machine →
  *  scheduler → threshold → traceSeed → l2Kb → l2Lat → memLat →
- *  samplePeriod(inner). */
+ *  samplePeriod(inner). Each spec's profileSeed is its traceSeed. */
 struct CampaignGrid
 {
     std::vector<std::string> benchmarks = {"compress"};
@@ -67,9 +67,6 @@ struct CampaignGrid
     std::uint64_t sampleWarmup = 2'000;
     std::uint64_t maxInsts = 300'000;
     Cycle maxCycles = 100'000'000;
-    /** Tie each spec's profileSeed to its traceSeed (Table-2 harness
-     *  convention). When false, profileSeed stays at the spec default. */
-    bool profileSeedFollowsTraceSeed = true;
 };
 
 /** Flatten the grid. Throws std::runtime_error if any axis is empty. */

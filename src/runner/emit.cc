@@ -1,51 +1,16 @@
 #include "runner/emit.hh"
 
 #include <cstdio>
+#include <string_view>
+#include <type_traits>
+
+#include "support/format.hh"
 
 namespace mca::runner
 {
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    // JSON has no inf/nan literals; the stats never produce them, but
-    // degrade to null rather than emit an invalid document if one does.
-    for (const char *p = buf; *p; ++p)
-        if ((*p >= 'a' && *p <= 'z' && *p != 'e') ||
-            (*p >= 'A' && *p <= 'Z' && *p != 'E'))
-            return "null";
-    return buf;
-}
 
 std::string
 csvEscape(const std::string &s)
@@ -62,62 +27,37 @@ csvEscape(const std::string &s)
     return out;
 }
 
+/** The columns both formats share, in order: `hash`, the spec's and
+ *  the result's field lists, `from_cache`. */
+template <class F>
+void
+forEachColumn(const JobResult &r, F &&f)
+{
+    f("hash", r.spec.contentHash());
+    forEachField(r.spec, f);
+    forEachField(r, f);
+    f("from_cache", r.fromCache);
+}
+
 } // namespace
 
 void
 emitJsonLine(std::ostream &os, const JobResult &r)
 {
-    os << "{"
-       << "\"hash\":\"" << r.spec.contentHash() << "\""
-       << ",\"benchmark\":\"" << jsonEscape(r.spec.benchmark) << "\""
-       << ",\"machine\":\"" << jsonEscape(r.spec.machine) << "\""
-       << ",\"scheduler\":\"" << jsonEscape(r.spec.scheduler) << "\""
-       << ",\"threshold\":" << r.spec.threshold
-       << ",\"unroll\":" << r.spec.unroll
-       << ",\"predictor\":\"" << jsonEscape(r.spec.predictor) << "\""
-       << ",\"scale\":" << jsonDouble(r.spec.scale)
-       << ",\"trace_seed\":" << r.spec.traceSeed
-       << ",\"profile_seed\":" << r.spec.profileSeed
-       << ",\"max_insts\":" << r.spec.maxInsts
-       << ",\"max_cycles\":" << r.spec.maxCycles
-       << ",\"l2_kb\":" << r.spec.l2Kb
-       << ",\"l2_lat\":" << r.spec.l2Lat
-       << ",\"mem_lat\":" << r.spec.memLat
-       << ",\"fill_ports\":" << r.spec.fillPorts
-       << ",\"sample_period\":" << r.spec.samplePeriod
-       << ",\"sample_detail\":" << r.spec.sampleDetail
-       << ",\"sample_warmup\":" << r.spec.sampleWarmup
-       << ",\"status\":\"" << jobStatusName(r.status) << "\""
-       << ",\"error\":\"" << jsonEscape(r.error) << "\""
-       << ",\"cycles\":" << r.cycles
-       << ",\"retired\":" << r.retired
-       << ",\"ipc\":" << jsonDouble(r.ipc)
-       << ",\"dist_single\":" << r.distSingle
-       << ",\"dist_dual\":" << r.distDual
-       << ",\"operand_forwards\":" << r.operandForwards
-       << ",\"result_forwards\":" << r.resultForwards
-       << ",\"replays\":" << r.replays
-       << ",\"issue_disorder\":" << r.issueDisorder
-       << ",\"bpred_accuracy\":" << jsonDouble(r.bpredAccuracy)
-       << ",\"dcache_miss_rate\":" << jsonDouble(r.dcacheMissRate)
-       << ",\"icache_miss_rate\":" << jsonDouble(r.icacheMissRate)
-       << ",\"l2_miss_rate\":" << jsonDouble(r.l2MissRate)
-       << ",\"spill_loads\":" << r.spillLoads
-       << ",\"spill_stores\":" << r.spillStores
-       << ",\"other_cluster_spills\":" << r.otherClusterSpills
-       << ",\"partition_cut\":" << r.partitionCut
-       << ",\"partition_balance\":" << jsonDouble(r.partitionBalance)
-       << ",\"stack_slots\":" << r.stackSlots;
-    for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
-        os << ",\"stack_"
-           << obs::stallCauseName(static_cast<obs::StallCause>(i))
-           << "\":" << r.stackSlotCycles[i];
-    os << ",\"sampled\":" << (r.sampled ? "true" : "false")
-       << ",\"sampled_intervals\":" << r.sampledIntervals
-       << ",\"cpi_ci95\":" << jsonDouble(r.cpiCi95)
-       << ",\"wall_ms\":" << jsonDouble(r.wallMs)
-       << ",\"from_cache\":" << (r.fromCache ? "true" : "false")
-       << "}";
+    std::string line;
+    const char *sep = "{\"";
+    forEachColumn(r, [&](std::string_view name, const auto &value) {
+        using T = std::decay_t<decltype(value)>;
+        line.append(sep).append(name).append("\":");
+        sep = ",\"";
+        if constexpr (std::is_same_v<T, double>)
+            line += jsonDouble(value);
+        else if constexpr (std::is_arithmetic_v<T>)
+            line += fieldText(value);
+        else
+            line += '"' + jsonEscape(fieldText(value)) + '"';
+    });
+    os << line << '}';
 }
 
 void
@@ -132,46 +72,25 @@ emitJsonLines(std::ostream &os, const std::vector<JobResult> &results)
 void
 emitCsvHeader(std::ostream &os)
 {
-    os << "hash,benchmark,machine,scheduler,threshold,unroll,predictor,"
-          "scale,trace_seed,profile_seed,max_insts,max_cycles,l2_kb,"
-          "l2_lat,mem_lat,fill_ports,status,error,cycles,retired,ipc,"
-          "dist_single,dist_dual,operand_forwards,result_forwards,"
-          "replays,issue_disorder,bpred_accuracy,dcache_miss_rate,"
-          "icache_miss_rate,l2_miss_rate,spill_loads,spill_stores,"
-          "other_cluster_spills,partition_cut,partition_balance,"
-          "stack_slots";
-    for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
-        os << ",stack_"
-           << obs::stallCauseName(static_cast<obs::StallCause>(i));
-    os << ",wall_ms,from_cache\n";
+    std::string header;
+    const char *sep = "";
+    forEachColumn(JobResult{}, [&](std::string_view name, const auto &) {
+        header.append(sep).append(name);
+        sep = ",";
+    });
+    os << header << '\n';
 }
 
 void
 emitCsvRow(std::ostream &os, const JobResult &r)
 {
-    os << r.spec.contentHash() << ',' << csvEscape(r.spec.benchmark) << ','
-       << csvEscape(r.spec.machine) << ',' << csvEscape(r.spec.scheduler)
-       << ',' << r.spec.threshold << ',' << r.spec.unroll << ','
-       << csvEscape(r.spec.predictor) << ',' << jsonDouble(r.spec.scale)
-       << ',' << r.spec.traceSeed << ',' << r.spec.profileSeed << ','
-       << r.spec.maxInsts << ',' << r.spec.maxCycles << ','
-       << r.spec.l2Kb << ',' << r.spec.l2Lat << ',' << r.spec.memLat
-       << ',' << r.spec.fillPorts << ','
-       << jobStatusName(r.status) << ',' << csvEscape(r.error) << ','
-       << r.cycles << ',' << r.retired << ',' << jsonDouble(r.ipc) << ','
-       << r.distSingle << ',' << r.distDual << ',' << r.operandForwards
-       << ',' << r.resultForwards << ',' << r.replays << ','
-       << r.issueDisorder << ',' << jsonDouble(r.bpredAccuracy) << ','
-       << jsonDouble(r.dcacheMissRate) << ','
-       << jsonDouble(r.icacheMissRate) << ','
-       << jsonDouble(r.l2MissRate) << ',' << r.spillLoads << ','
-       << r.spillStores << ',' << r.otherClusterSpills << ','
-       << r.partitionCut << ',' << jsonDouble(r.partitionBalance) << ','
-       << r.stackSlots;
-    for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
-        os << ',' << r.stackSlotCycles[i];
-    os << ',' << jsonDouble(r.wallMs) << ','
-       << (r.fromCache ? "true" : "false") << '\n';
+    std::string row;
+    const char *sep = "";
+    forEachColumn(r, [&](std::string_view, const auto &value) {
+        row.append(sep).append(csvEscape(fieldText(value)));
+        sep = ",";
+    });
+    os << row << '\n';
 }
 
 void

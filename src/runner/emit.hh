@@ -4,7 +4,9 @@
  *
  * JSON lines (one flat object per job, machine-diffable, streamable)
  * and CSV (spreadsheet-ready, one header row). Both formats carry the
- * full spec alongside the measurements so a results file is
+ * same columns in the same order: `hash`, the spec's and the result's
+ * field lists (forEachField in jobspec.hh), then `from_cache`. The
+ * full spec travels with the measurements, so a results file is
  * self-describing — no join against the command line that produced it.
  *
  * ProgressPrinter renders the live `[done/total]` line campaigns show

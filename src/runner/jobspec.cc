@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "compiler/pipeline.hh"
@@ -21,15 +20,6 @@ namespace mca::runner
 
 namespace
 {
-
-/** Shortest round-trippable decimal form, stable across platforms. */
-std::string
-canonicalDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
-}
 
 /** The machines a spec can name: the paper's §4.1 pair, their 4-way
  *  variants, and the 4- and 8-cluster splits of the 8-way machine. */
@@ -155,38 +145,27 @@ jobCompileOptions(const JobSpec &spec, unsigned machine_clusters)
     return copt;
 }
 
+const std::string &
+stackFieldName(std::size_t cause)
+{
+    static const auto kNames = [] {
+        std::array<std::string, obs::kNumStallCauses> names;
+        for (std::size_t i = 0; i < names.size(); ++i)
+            names[i] = std::string("stack_") +
+                       obs::stallCauseName(static_cast<obs::StallCause>(i));
+        return names;
+    }();
+    return kNames[cause];
+}
+
 std::string
 JobSpec::canonicalKey() const
 {
-    std::ostringstream oss;
-    oss << "benchmark=" << benchmark
-        << ";scale=" << canonicalDouble(scale)
-        << ";machine=" << machine
-        << ";scheduler=" << scheduler
-        << ";threshold=" << threshold
-        << ";unroll=" << unroll
-        << ";predictor=" << predictor
-        << ";traceSeed=" << traceSeed
-        << ";profileSeed=" << profileSeed
-        << ";maxInsts=" << maxInsts
-        << ";maxCycles=" << maxCycles
-        << ";l2Kb=" << l2Kb
-        << ";l2Lat=" << l2Lat
-        << ";memLat=" << memLat
-        << ";fillPorts=" << fillPorts
-        << ";samplePeriod=" << samplePeriod
-        << ";sampleDetail=" << sampleDetail
-        << ";sampleWarmup=" << sampleWarmup
-        << ";dq=" << dqEntries
-        << ";otb=" << otbEntries
-        << ";rtb=" << rtbEntries
-        << ";mshr=" << mshrEntries
-        << ";icacheKb=" << icacheKb
-        << ";dcacheKb=" << dcacheKb
-        << ";queueMode=" << queueMode
-        << ";specHistory=" << specHistory
-        << ";reserveOldest=" << reserveOldest;
-    return oss.str();
+    std::string key;
+    forEachField(*this, [&key](std::string_view name, const auto &value) {
+        key.append(name).append("=").append(fieldText(value)).append(";");
+    });
+    return key;
 }
 
 std::string

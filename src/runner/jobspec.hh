@@ -9,6 +9,10 @@
  * result cache is keyed by — re-running a sweep only simulates points
  * whose spec changed.
  *
+ * forEachField() is the record's one field list: the canonical key,
+ * the JSONL and CSV emitters and the artifact store all loop over it,
+ * so they name the same fields in the same order.
+ *
  * Jobs are validated before they run (unknown benchmark / machine /
  * scheduler / predictor names throw std::runtime_error rather than
  * taking down the process), and a job whose simulation exhausts its
@@ -20,12 +24,15 @@
 #define MCA_RUNNER_JOBSPEC_HH
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.hh"
 #include "obs/cycle_stack.hh"
+#include "support/format.hh"
 #include "support/types.hh"
 
 namespace mca::compiler
@@ -87,7 +94,7 @@ struct JobSpec
     std::uint64_t sampleWarmup = 2'000;
 
     std::uint64_t traceSeed = 42;
-    /** Seed for the profiling run (paper harness ties it to traceSeed). */
+    /** Seed for the profiling run (campaigns tie it to traceSeed). */
     std::uint64_t profileSeed = 42;
     std::uint64_t maxInsts = 300'000;
     /**
@@ -99,8 +106,9 @@ struct JobSpec
     Cycle maxCycles = 100'000'000;
 
     /**
-     * Canonical key: every outcome-affecting field in a fixed order.
-     * Two specs with equal keys produce bit-identical results.
+     * Canonical key: `name=value;` for every field of forEachField(), in
+     * list order. Two specs with equal keys produce bit-identical
+     * results.
      */
     std::string canonicalKey() const;
 
@@ -179,6 +187,110 @@ struct JobResult
     /** True when this result was served from the on-disk cache. */
     bool fromCache = false;
 };
+
+/** `stack_<cause>`: the record name of one cycle-stack entry. */
+const std::string &stackFieldName(std::size_t cause);
+
+/**
+ * The record's field list, spec part: `f(name, member)` once for each
+ * outcome-affecting JobSpec field, in record order. The name is the
+ * field's JSONL key, CSV column and canonical-key name.
+ */
+template <class Spec, class F>
+    requires std::same_as<std::remove_const_t<Spec>, JobSpec>
+void
+forEachField(Spec &spec, F &&f)
+{
+    f("benchmark", spec.benchmark);
+    f("machine", spec.machine);
+    f("scheduler", spec.scheduler);
+    f("threshold", spec.threshold);
+    f("unroll", spec.unroll);
+    f("predictor", spec.predictor);
+    f("scale", spec.scale);
+    f("trace_seed", spec.traceSeed);
+    f("profile_seed", spec.profileSeed);
+    f("max_insts", spec.maxInsts);
+    f("max_cycles", spec.maxCycles);
+    f("l2_kb", spec.l2Kb);
+    f("l2_lat", spec.l2Lat);
+    f("mem_lat", spec.memLat);
+    f("fill_ports", spec.fillPorts);
+    f("sample_period", spec.samplePeriod);
+    f("sample_detail", spec.sampleDetail);
+    f("sample_warmup", spec.sampleWarmup);
+    f("dq_entries", spec.dqEntries);
+    f("otb_entries", spec.otbEntries);
+    f("rtb_entries", spec.rtbEntries);
+    f("mshr_entries", spec.mshrEntries);
+    f("icache_kb", spec.icacheKb);
+    f("dcache_kb", spec.dcacheKb);
+    f("queue_mode", spec.queueMode);
+    f("spec_history", spec.specHistory);
+    f("reserve_oldest", spec.reserveOldest);
+}
+
+/**
+ * The record's field list, result part: `f(name, member)` once for
+ * each measurement, in record order (the spec and fromCache, which
+ * says where the record came from, are not measurements). The name is
+ * the field's JSONL key, CSV column and artifact-store line.
+ */
+template <class Result, class F>
+    requires std::same_as<std::remove_const_t<Result>, JobResult>
+void
+forEachField(Result &result, F &&f)
+{
+    f("status", result.status);
+    f("error", result.error);
+    f("cycles", result.cycles);
+    f("retired", result.retired);
+    f("ipc", result.ipc);
+    f("dist_single", result.distSingle);
+    f("dist_dual", result.distDual);
+    f("operand_forwards", result.operandForwards);
+    f("result_forwards", result.resultForwards);
+    f("replays", result.replays);
+    f("issue_disorder", result.issueDisorder);
+    f("bpred_accuracy", result.bpredAccuracy);
+    f("dcache_miss_rate", result.dcacheMissRate);
+    f("icache_miss_rate", result.icacheMissRate);
+    f("l2_miss_rate", result.l2MissRate);
+    f("spill_loads", result.spillLoads);
+    f("spill_stores", result.spillStores);
+    f("other_cluster_spills", result.otherClusterSpills);
+    f("partition_cut", result.partitionCut);
+    f("partition_balance", result.partitionBalance);
+    f("stack_slots", result.stackSlots);
+    for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
+        f(stackFieldName(i), result.stackSlotCycles[i]);
+    f("sampled", result.sampled);
+    f("sampled_intervals", result.sampledIntervals);
+    f("cpi_ci95", result.cpiCi95);
+    f("wall_ms", result.wallMs);
+}
+
+/**
+ * A field's value as plain text, as the canonical key, the artifact
+ * store and CSV cells write it: strings verbatim, doubles
+ * round-trippable (formatDouble), bools `true`/`false`, a status by
+ * its name, integers in decimal.
+ */
+template <class T>
+std::string
+fieldText(const T &value)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return value;
+    else if constexpr (std::is_same_v<T, double>)
+        return formatDouble(value);
+    else if constexpr (std::is_same_v<T, bool>)
+        return value ? "true" : "false";
+    else if constexpr (std::is_same_v<T, JobStatus>)
+        return jobStatusName(value);
+    else
+        return std::to_string(value);
+}
 
 class ArtifactStore;
 

@@ -49,7 +49,7 @@ table2Jobs(const harness::ExperimentOptions &options)
         base.scale = options.workload.scale;
         base.threshold = options.imbalanceThreshold;
         base.traceSeed = options.traceSeed;
-        // runTable2Row seeds the profiling run with the trace seed.
+        // The profiling run uses the trace seed, as in every campaign.
         base.profileSeed = options.traceSeed;
         base.maxInsts = options.maxInsts;
 

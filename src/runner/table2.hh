@@ -5,11 +5,11 @@
  * Each benchmark contributes three independent jobs — native binary on
  * the single-cluster machine, native on dual, locally-rescheduled on
  * dual — and the rows are assembled from the job results afterward.
- * Because every job re-derives its workload and compilation
- * deterministically from its spec, the assembled rows are bit-identical
- * to `harness::runTable2Row` (which compiles once and simulates three
- * times in sequence), at any `--jobs` width, with cache hits, or across
- * reruns.
+ * This is the only way the experiment runs. Because every job
+ * re-derives its workload and compilation deterministically from its
+ * spec, the assembled rows are bit-identical at any `--jobs` width,
+ * with cache hits, or across reruns; tests/table2_reference.hh pins
+ * them to checked-in cycle counts.
  */
 
 #ifndef MCA_RUNNER_TABLE2_HH

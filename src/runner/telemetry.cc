@@ -1,52 +1,11 @@
 #include "runner/telemetry.hh"
 
-#include <cstdio>
 #include <stdexcept>
+
+#include "support/format.hh"
 
 namespace mca::runner
 {
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    for (const char *p = buf; *p; ++p)
-        if ((*p >= 'a' && *p <= 'z' && *p != 'e') ||
-            (*p >= 'A' && *p <= 'Z' && *p != 'E'))
-            return "null";
-    return buf;
-}
-
-} // namespace
 
 TelemetryWriter::TelemetryWriter(const std::string &path)
     : out_(path, std::ios::trunc), start_(std::chrono::steady_clock::now())

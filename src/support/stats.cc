@@ -2,9 +2,9 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 
+#include "support/format.hh"
 #include "support/panic.hh"
 
 namespace mca
@@ -249,32 +249,6 @@ jsonNumber(double value)
     // Keep integral doubles visually typed ("3.0", not "3").
     if (out.find_first_of(".eE") == std::string::npos)
         out += ".0";
-    return out;
-}
-
-/** Escape a string for use inside a JSON double-quoted literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
     return out;
 }
 

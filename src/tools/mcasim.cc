@@ -268,8 +268,9 @@ simulate(const Options &opt)
             const auto n = exec::writeTrace(opt.saveTrace, pt,
                                             compiled->alloc.globalRegs,
                                             spec.maxInsts);
-            std::cout << "wrote " << n << " instructions to "
-                      << opt.saveTrace << "\n";
+            if (!opt.quiet)
+                std::cout << "wrote " << n << " instructions to "
+                          << opt.saveTrace << "\n";
             return 0;
         }
         if (opt.dumpBinary)

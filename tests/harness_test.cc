@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the experiment harness: the Table-2 methodology runner,
- * the Figure-6 fixture, the scenario runner plumbing, and the
- * delay-model integration used by the cycle-time bench.
+ * Tests for the experiment harness: the Table-2 methodology (rows
+ * built by the campaign), the Figure-6 fixture, the scenario runner
+ * plumbing, and the delay-model integration used by the cycle-time
+ * bench.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "harness/experiment.hh"
 #include "harness/figure6.hh"
 #include "harness/scenarios.hh"
+#include "table2_row.hh"
 #include "timing/delay_model.hh"
 
 namespace
@@ -50,8 +52,7 @@ TEST(Harness, Table2RowRunsAllThreeConfigurations)
     harness::ExperimentOptions opt;
     opt.workload.scale = 0.02;
     opt.maxInsts = 15'000;
-    const auto row = harness::runTable2Row(
-        workloads::benchmarkByName("tomcatv"), opt);
+    const auto row = test::table2Row("tomcatv", opt);
     EXPECT_TRUE(row.single.completed);
     EXPECT_TRUE(row.dualNone.completed);
     EXPECT_TRUE(row.dualLocal.completed);
@@ -113,15 +114,13 @@ TEST(Golden, CompressPinnedCycleCounts)
     harness::ExperimentOptions opt;
     opt.workload.scale = 0.05;
     opt.maxInsts = 30'000;
-    const auto row = harness::runTable2Row(
-        workloads::benchmarkByName("compress"), opt);
+    const auto row = test::table2Row("compress", opt);
     // Relative pin: the dual machine needs more cycles, within a band.
     const double none_pct = row.pctNone;
     EXPECT_LT(none_pct, -5.0);
     EXPECT_GT(none_pct, -30.0);
     // Absolute determinism pin.
-    const auto again = harness::runTable2Row(
-        workloads::benchmarkByName("compress"), opt);
+    const auto again = test::table2Row("compress", opt);
     EXPECT_EQ(row.single.cycles, again.single.cycles);
     EXPECT_EQ(row.dualNone.cycles, again.dualNone.cycles);
     EXPECT_EQ(row.dualLocal.cycles, again.dualLocal.cycles);

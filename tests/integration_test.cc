@@ -9,6 +9,7 @@
 #include "compiler/pipeline.hh"
 #include "exec/trace.hh"
 #include "harness/experiment.hh"
+#include "table2_row.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -113,8 +114,7 @@ TEST(Integration, Table2RowComputesPercentages)
     harness::ExperimentOptions opt;
     opt.workload.scale = 0.02;
     opt.maxInsts = 20'000;
-    const auto row = harness::runTable2Row(
-        workloads::benchmarkByName("compress"), opt);
+    const auto row = test::table2Row("compress", opt);
     EXPECT_GT(row.single.cycles, 0u);
     EXPECT_GT(row.dualNone.cycles, 0u);
     EXPECT_GT(row.dualLocal.cycles, 0u);

@@ -18,11 +18,13 @@
 #include <gtest/gtest.h>
 
 #include "compiler/pipeline.hh"
+#include "obs/json.hh"
 #include "runner/campaign.hh"
 #include "runner/artifact_store.hh"
 #include "runner/emit.hh"
 #include "runner/table2.hh"
 #include "runner/thread_pool.hh"
+#include "table2_reference.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -138,7 +140,7 @@ TEST(JobSpecHash, StableAndCanonical)
     // can affect the outcome.
     EXPECT_NE(a.canonicalKey().find("benchmark=compress"),
               std::string::npos);
-    EXPECT_NE(a.canonicalKey().find("maxInsts=10000"), std::string::npos);
+    EXPECT_NE(a.canonicalKey().find("max_insts=10000;"), std::string::npos);
 }
 
 TEST(JobSpecHash, EveryOutcomeFieldChangesTheHash)
@@ -421,15 +423,11 @@ TEST(Campaign, ProgressCallbackSeesEveryJob)
     EXPECT_EQ(calls, 4u);
 }
 
-TEST(Table2Campaign, MatchesTheSerialHarness)
+TEST(Table2Campaign, MatchesTheCheckedInReference)
 {
     harness::ExperimentOptions opt;
     opt.workload.scale = 0.05;
-    opt.maxInsts = 10'000;
-
-    // Reference: the original single-threaded harness path.
-    const auto reference = harness::runTable2Row(
-        workloads::allBenchmarks().front(), opt);
+    opt.maxInsts = 20'000;
 
     runner::CampaignOptions campaign;
     campaign.jobs = 3;
@@ -437,21 +435,81 @@ TEST(Table2Campaign, MatchesTheSerialHarness)
     ASSERT_EQ(result.rows.size(), workloads::allBenchmarks().size());
     ASSERT_EQ(result.jobs.size(), 3 * result.rows.size());
 
-    const auto &row = result.rows.front();
-    EXPECT_EQ(row.benchmark, reference.benchmark);
-    EXPECT_EQ(row.single.cycles, reference.single.cycles);
-    EXPECT_EQ(row.dualNone.cycles, reference.dualNone.cycles);
-    EXPECT_EQ(row.dualLocal.cycles, reference.dualLocal.cycles);
-    EXPECT_DOUBLE_EQ(row.pctNone, reference.pctNone);
-    EXPECT_DOUBLE_EQ(row.pctLocal, reference.pctLocal);
-    EXPECT_EQ(row.spillLoadsLocal, reference.spillLoadsLocal);
-    EXPECT_EQ(row.spillStoresLocal, reference.spillStoresLocal);
+    // The reference lists each benchmark's single/native, dual/native
+    // and dual/local jobs in that order, at this scale and length.
+    const auto &reference = tests::kTable2Reference;
+    ASSERT_EQ(std::size(reference), result.jobs.size());
+    for (std::size_t i = 0; i < result.rows.size(); ++i) {
+        const auto &single = reference[3 * i];
+        const auto &none = reference[3 * i + 1];
+        const auto &local = reference[3 * i + 2];
+        SCOPED_TRACE(single.benchmark);
+        ASSERT_STREQ(single.machine, "single8");
+        ASSERT_STREQ(none.scheduler, "native");
+        ASSERT_STREQ(local.scheduler, "local");
+
+        const auto &row = result.rows[i];
+        EXPECT_EQ(row.benchmark, single.benchmark);
+        EXPECT_EQ(row.single.cycles, single.cycles);
+        EXPECT_EQ(row.dualNone.cycles, none.cycles);
+        EXPECT_EQ(row.dualLocal.cycles, local.cycles);
+        // Table 2's percentage: 100 - 100 * (C_dual / C_single).
+        const auto pct = [&](std::uint64_t dual) {
+            return 100.0 - 100.0 * (static_cast<double>(dual) /
+                                    static_cast<double>(single.cycles));
+        };
+        EXPECT_DOUBLE_EQ(row.pctNone, pct(none.cycles));
+        EXPECT_DOUBLE_EQ(row.pctLocal, pct(local.cycles));
+    }
+}
+
+/** The keys of one flat JSON object, in order. */
+std::vector<std::string>
+jsonKeys(const std::string &line)
+{
+    std::vector<std::string> keys;
+    std::string token;
+    bool inString = false;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        const char c = line[i];
+        if (!inString) {
+            inString = c == '"';
+            token.clear();
+        } else if (c == '\\') {
+            token += line[++i];
+        } else if (c != '"') {
+            token += c;
+        } else {
+            inString = false;
+            if (i + 1 < line.size() && line[i + 1] == ':')
+                keys.push_back(token);
+        }
+    }
+    return keys;
+}
+
+/** The cells of one CSV line (no quoted commas in these records). */
+std::vector<std::string>
+csvCells(const std::string &line)
+{
+    std::vector<std::string> cells;
+    std::istringstream in(line);
+    for (std::string cell; std::getline(in, cell, ',');)
+        cells.push_back(cell);
+    return cells;
 }
 
 TEST(Emit, JsonAndCsvShapes)
 {
     const JobResult result = runner::runJob(tinySpec());
     ASSERT_EQ(result.status, JobStatus::Ok);
+    JobSpec sampledSpec = tinySpec();
+    sampledSpec.samplePeriod = 5'000;
+    sampledSpec.sampleDetail = 2'000;
+    sampledSpec.sampleWarmup = 1'000;
+    const JobResult sampled = runner::runJob(sampledSpec);
+    ASSERT_EQ(sampled.status, JobStatus::Ok) << sampled.error;
+    ASSERT_TRUE(sampled.sampled);
 
     std::ostringstream json;
     runner::emitJsonLine(json, result);
@@ -465,18 +523,42 @@ TEST(Emit, JsonAndCsvShapes)
     EXPECT_EQ(line.find('\n'), std::string::npos);
 
     std::ostringstream csv;
-    runner::emitCsv(csv, {result});
-    const std::string text = csv.str();
-    // Header column count == row column count.
-    const auto countCommas = [](const std::string &s) {
-        return std::count(s.begin(), s.end(), ',');
+    runner::emitCsv(csv, {result, sampled});
+    std::istringstream csvLines(csv.str());
+    std::string headerLine, fullRow, sampledRow, extra;
+    ASSERT_TRUE(std::getline(csvLines, headerLine));
+    ASSERT_TRUE(std::getline(csvLines, fullRow));
+    ASSERT_TRUE(std::getline(csvLines, sampledRow));
+    EXPECT_FALSE(std::getline(csvLines, extra));
+    const std::vector<std::string> header = csvCells(headerLine);
+
+    // Both formats carry one column list in one order, sampled or not,
+    // including the sample axes, the sampled-run extras and the
+    // machine overrides.
+    for (const std::string name :
+         {"hash", "sample_period", "sampled", "cpi_ci95", "otb_entries",
+          "from_cache"})
+        EXPECT_EQ(std::count(header.begin(), header.end(), name), 1)
+            << name;
+    std::ostringstream sampledJson;
+    runner::emitJsonLine(sampledJson, sampled);
+    for (const std::string &text : {line, sampledJson.str()}) {
+        std::string error;
+        EXPECT_TRUE(obs::isValidJson(text, &error)) << error;
+        EXPECT_EQ(jsonKeys(text), header);
+    }
+
+    // Header column count == row column count, and the row says which
+    // run was sampled.
+    const auto column = [&](const std::string &name) {
+        return static_cast<std::size_t>(
+            std::find(header.begin(), header.end(), name) - header.begin());
     };
-    const auto nl = text.find('\n');
-    ASSERT_NE(nl, std::string::npos);
-    const std::string header = text.substr(0, nl);
-    const std::string row = text.substr(nl + 1);
-    EXPECT_EQ(countCommas(header), countCommas(row));
-    EXPECT_NE(header.find("cycles"), std::string::npos);
+    for (const std::string &row : {fullRow, sampledRow})
+        ASSERT_EQ(csvCells(row).size(), header.size());
+    EXPECT_EQ(csvCells(fullRow)[column("sampled")], "false");
+    EXPECT_EQ(csvCells(sampledRow)[column("sampled")], "true");
+    EXPECT_EQ(csvCells(sampledRow)[column("sample_period")], "5000");
 }
 
 TEST(ArtifactStoreTest, OneBuildPerKey)
@@ -553,6 +635,133 @@ TEST(ArtifactStoreTest, KeyIgnoresMachineAndRunControlFields)
         runner::ArtifactStore::compileKeyFor(
             a, compiler::compileOptionsFor("local", 2)),
         runner::ArtifactStore::compileKeyFor(a, copt));
+}
+
+/** A result with a non-default value in every listed field. */
+JobResult
+everyFieldSet()
+{
+    JobResult r;
+    r.spec = tinySpec();
+    r.status = JobStatus::TimedOut;
+    r.error = "cycle budget exhausted (500 cycles)";
+    r.cycles = 500;
+    r.retired = 401;
+    r.ipc = 0.802;
+    r.distSingle = 301;
+    r.distDual = 100;
+    r.operandForwards = 17;
+    r.resultForwards = 19;
+    r.replays = 3;
+    r.issueDisorder = 23;
+    r.bpredAccuracy = 0.9375;
+    r.dcacheMissRate = 1.0 / 3.0;
+    r.icacheMissRate = 0.015625;
+    r.l2MissRate = 0.1;
+    r.spillLoads = 5;
+    r.spillStores = 6;
+    r.otherClusterSpills = 2;
+    r.partitionCut = 1234;
+    r.partitionBalance = 1.0625;
+    r.stackSlots = 8;
+    for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
+        r.stackSlotCycles[i] = 1000 + i;
+    r.sampled = true;
+    r.sampledIntervals = 7;
+    r.cpiCi95 = 0.0123456789012345;
+    r.wallMs = 42.5;
+    return r;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(ArtifactStoreTest, StoredResultRoundTripsEveryField)
+{
+    const JobResult result = everyFieldSet();
+    // Every listed field differs from its default, so a field the store
+    // dropped would come back changed.
+    std::vector<std::string> set, unset;
+    runner::forEachField(result, [&](std::string_view, const auto &v) {
+        set.push_back(runner::fieldText(v));
+    });
+    const JobResult defaults;
+    runner::forEachField(defaults, [&](std::string_view, const auto &v) {
+        unset.push_back(runner::fieldText(v));
+    });
+    ASSERT_EQ(set.size(), unset.size());
+    for (std::size_t i = 0; i < set.size(); ++i)
+        EXPECT_NE(set[i], unset[i]) << "field " << i << " left at default";
+
+    const TempDir dir("roundtrip");
+    const runner::ArtifactStore store(dir.str());
+    store.storeResult(result);
+    const auto back = store.loadResult(result.spec);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_TRUE(back->fromCache);
+    EXPECT_EQ(back->spec.canonicalKey(), result.spec.canonicalKey());
+    EXPECT_EQ(back->status, JobStatus::TimedOut);
+    EXPECT_EQ(back->error, result.error);
+    EXPECT_EQ(back->cycles, result.cycles);
+    EXPECT_EQ(back->retired, result.retired);
+    EXPECT_EQ(back->ipc, result.ipc);
+    EXPECT_EQ(back->distSingle, result.distSingle);
+    EXPECT_EQ(back->distDual, result.distDual);
+    EXPECT_EQ(back->operandForwards, result.operandForwards);
+    EXPECT_EQ(back->resultForwards, result.resultForwards);
+    EXPECT_EQ(back->replays, result.replays);
+    EXPECT_EQ(back->issueDisorder, result.issueDisorder);
+    EXPECT_EQ(back->bpredAccuracy, result.bpredAccuracy);
+    EXPECT_EQ(back->dcacheMissRate, result.dcacheMissRate);
+    EXPECT_EQ(back->icacheMissRate, result.icacheMissRate);
+    EXPECT_EQ(back->l2MissRate, result.l2MissRate);
+    EXPECT_EQ(back->spillLoads, result.spillLoads);
+    EXPECT_EQ(back->spillStores, result.spillStores);
+    EXPECT_EQ(back->otherClusterSpills, result.otherClusterSpills);
+    EXPECT_EQ(back->partitionCut, result.partitionCut);
+    EXPECT_EQ(back->partitionBalance, result.partitionBalance);
+    EXPECT_EQ(back->stackSlots, result.stackSlots);
+    EXPECT_EQ(back->stackSlotCycles, result.stackSlotCycles);
+    EXPECT_EQ(back->sampled, result.sampled);
+    EXPECT_EQ(back->sampledIntervals, result.sampledIntervals);
+    EXPECT_EQ(back->cpiCi95, result.cpiCi95);
+    EXPECT_EQ(back->wallMs, result.wallMs);
+}
+
+TEST(ArtifactStoreTest, OlderFormatOrMalformedEntryIsAMiss)
+{
+    const JobResult result = everyFieldSet();
+    const TempDir dir("v6");
+    const runner::ArtifactStore store(dir.str());
+    store.storeResult(result);
+    const std::string path = store.resultPath(result.spec);
+    const std::string v7 = readFile(path);
+    ASSERT_EQ(v7.rfind("version\t7\n", 0), 0u);
+    ASSERT_TRUE(store.loadResult(result.spec).has_value());
+
+    // A v6 entry carrying the right key and every field is still a miss.
+    std::string v6 = v7;
+    v6.replace(0, 9, "version\t6");
+    std::ofstream(path, std::ios::trunc) << v6;
+    EXPECT_FALSE(store.loadResult(result.spec).has_value());
+
+    // So is a v7 entry with one value that does not parse whole, or one
+    // with a field missing.
+    std::string garbled = v7;
+    const auto cycles = garbled.find("\ncycles\t500\n");
+    ASSERT_NE(cycles, std::string::npos);
+    garbled.insert(cycles + 11, "x");
+    std::ofstream(path, std::ios::trunc) << garbled;
+    EXPECT_FALSE(store.loadResult(result.spec).has_value());
+    std::string missing = v7;
+    missing.erase(cycles + 1, 11);
+    std::ofstream(path, std::ios::trunc) << missing;
+    EXPECT_FALSE(store.loadResult(result.spec).has_value());
 }
 
 TEST(Campaign, CompileCacheSharesCompilesAcrossTheGrid)
