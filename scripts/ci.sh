@@ -20,8 +20,9 @@ cmake --build "$BUILD" -j "$(nproc)"
 cd "$BUILD"
 ctest --output-on-failure -j
 
-# Sanitizer job: the full test suite again under ASan+UBSan (separate
-# build tree; every finding is fatal via -fno-sanitize-recover=all).
+# Sanitizer job: the full test suite again under ASan+UBSan with
+# libstdc++'s bounds-checked containers (separate build tree; every
+# finding is fatal via -fno-sanitize-recover=all).
 cd "$ROOT"
 cmake -B "$BUILD-asan" -S . -DMCA_SANITIZE=ON
 cmake --build "$BUILD-asan" -j "$(nproc)"
@@ -102,6 +103,21 @@ for point in "--benchmark ora --max-insts 5000" \
         exit 1
     fi
 done
+
+# Replay-livelock probe: with two OTB entries per cluster on the
+# 4-cluster machine, replays never let the oldest instruction retire.
+# The run must fail by name (exit 1, "fatal:" naming the livelock), not
+# abort.
+status=0
+"$SIM" --benchmark tomcatv --clusters 4 --otb 2 --max-insts 20000 \
+    >/dev/null 2>"$TMP/livelock.txt" || status=$?
+if [ "$status" -ne 1 ] ||
+    ! grep -q "^fatal: replay exceptions are not making progress" \
+        "$TMP/livelock.txt"; then
+    echo "ci.sh: the replay livelock must exit 1 naming it, got $status:"
+    cat "$TMP/livelock.txt"
+    exit 1
+fi
 
 # Verified-compile smoke: every pass's output passes prog::verifyIR on
 # all three schedulers, with dumps and per-pass stats exercised.

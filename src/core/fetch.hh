@@ -33,7 +33,14 @@ class FetchUnit : public ckpt::Checkpointable
     /** Run one fetch cycle. */
     void tick();
 
-    /** The shared fetch buffer; replay pushes squashed work back in. */
+    /**
+     * The shared fetch buffer; replay pushes squashed work back in, so
+     * it can exceed fetchBufferEntries. The bound is joint:
+     * window size + buffer size <= retireWindow + fetchBufferEntries.
+     * Fetch adds only while the buffer is below fetchBufferEntries,
+     * dispatch and replay only move records between the two, and
+     * retire removes them (`--paranoid` checks it every cycle).
+     */
     std::deque<exec::DynInst> &buffer() { return buffer_; }
     const std::deque<exec::DynInst> &buffer() const { return buffer_; }
 

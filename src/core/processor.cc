@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string>
 
 #include "core/dispatch.hh"
 #include "exec/dyninst_io.hh"
@@ -175,10 +176,18 @@ Processor::Impl::replayFromIndex(std::size_t keep)
     m.lastProgress = m.now;
     m.activityThisCycle = true;
     ++m.consecutiveReplays;
-    if (m.consecutiveReplays > 16)
-        MCA_PANIC("replay exceptions are not making progress (seq ",
-                  m.rob.empty() ? 0 : m.pool.get(m.rob.front()).di.seq,
-                  ")");
+    // A livelock the replay policy cannot break (seen with too few OTB
+    // entries on 4- and 8-cluster machines) is a property of the
+    // simulated point, so it fails the run by name instead of aborting.
+    if (m.consecutiveReplays > 16) {
+        const InstSeq oldest =
+            m.rob.empty() ? 0 : m.pool.get(m.rob.front()).di.seq;
+        throw std::runtime_error(
+            "replay exceptions are not making progress (seq " +
+            std::to_string(oldest) + ", " +
+            std::to_string(m.consecutiveReplays) +
+            " replays without a retirement)");
+    }
     sched.reset();
 }
 
@@ -368,11 +377,17 @@ Processor::Impl::checkInvariants()
     MCA_ASSERT(sched.oldestUnissued() == oldest,
                "scheduler cursor names seq ", sched.oldestUnissued(),
                ", oldest unissued is ", oldest, " at cycle ", m.now);
-    // The fetch buffer must hold program order as well.
+    // The fetch buffer must hold program order as well, and with the
+    // window it stays within the bound FetchUnit::buffer() states.
     const auto &fb = fetch.buffer();
     for (std::size_t i = 1; i < fb.size(); ++i)
         MCA_ASSERT(fb[i - 1].seq < fb[i].seq,
                    "fetch buffer out of program order at cycle ", m.now);
+    MCA_ASSERT(m.rob.size() + fb.size() <=
+                   m.cfg.retireWindow + m.cfg.fetchBufferEntries,
+               "window ", m.rob.size(), " + fetch buffer ", fb.size(),
+               " exceed retireWindow + fetchBufferEntries at cycle ",
+               m.now);
 }
 
 /**

@@ -243,23 +243,21 @@ profileProgram(const prog::Program &prog, std::uint64_t seed,
     for (std::size_t f = 0; f < prog.functions.size(); ++f)
         result.visits[f].assign(prog.functions[f].blocks.size(), 0);
 
+    // A walk from the entry enters every block at its first instruction
+    // and only the cap stops a step inside a block, so each step is one
+    // visit.
     CfgWalker<prog::Program> walker(prog, seed);
     WalkSite site;
     std::uint64_t n = 0;
-    bool completed = true;
     while (n < max_insts) {
-        if (!walker.step(site)) {
+        const std::uint64_t k = walker.stepBlock(site, max_insts - n);
+        if (k == 0)
             break;
-        }
-        // Count a visit when entering instruction 0 of a block.
-        if (site.idx == 0)
-            ++result.visits[site.fn][site.blk];
-        ++n;
+        ++result.visits[site.fn][site.blk];
+        n += k;
     }
-    if (n >= max_insts)
-        completed = false;
     result.totalInsts = n;
-    result.completed = completed;
+    result.completed = walker.ended();
     return result;
 }
 

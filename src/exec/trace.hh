@@ -118,14 +118,19 @@ struct ProfileResult
     /** visits[fn][blk] = number of times the block was entered. */
     std::vector<std::vector<std::uint64_t>> visits;
     std::uint64_t totalInsts = 0;
-    /** True if the walk ended because main returned (vs. inst cap). */
+    /** True if main returned, also when its final return was the
+     *  max_insts-th instruction; false if the cap stopped the walk. */
     bool completed = false;
 };
 
 /**
  * Execute the IL program's CFG and count block visits (the "profiling
  * run" the paper uses to derive the local scheduler's execution
- * estimates).
+ * estimates). The walk advances a basic block per step, so its cost is
+ * per block visited; `max_insts` is still an exact instruction cap (a
+ * cap inside a block stops there, and that partial block counts as a
+ * visit). Visits, totalInsts and completed equal an
+ * instruction-by-instruction walk's.
  */
 ProfileResult profileProgram(const prog::Program &prog, std::uint64_t seed,
                              std::uint64_t max_insts);

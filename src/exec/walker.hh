@@ -2,9 +2,10 @@
  * @file
  * Deterministic CFG walker shared by the tracer and the profiler.
  *
- * The walker advances instruction by instruction through a program's CFG,
- * resolving conditional branches through their behaviour models and
- * indirect jumps through per-site weighted draws. All randomness is
+ * The walker advances through a program's CFG an instruction or a basic
+ * block at a time, resolving conditional branches through their
+ * behaviour models and indirect jumps through per-site weighted draws,
+ * in the one terminator routine both step kinds share. All randomness is
  * derived by hashing (seed, site identifiers), so the walk is a pure
  * function of (program shape, seed) — the property that lets the native
  * and rescheduled binaries replay the identical path.
@@ -102,100 +103,46 @@ class CfgWalker
     }
 
     /**
-     * Advance one instruction. Returns false when the program has ended
-     * (main returned); `out` is untouched in that case.
+     * Advance one instruction: a block step limited to one. Returns
+     * false when the program has ended (main returned); `out` is
+     * untouched in that case.
      */
-    bool
-    step(WalkSite &out)
+    bool step(WalkSite &out) { return stepBlock(out, 1) != 0; }
+
+    /**
+     * Advance through the rest of the current block, at most `limit`
+     * instructions, and return how many were passed: 0 when the program
+     * has ended or `limit` is 0, and `out` is untouched then. `out`
+     * names the first instruction passed (fn, blk, idx, pc) and how the
+     * walk left the last one (taken, nextPc). Branch outcomes and jump
+     * targets are drawn only at terminators, so a walk by blocks draws
+     * them in the same order as a walk by instructions, and after the
+     * same instruction count both walkers are in the same state.
+     */
+    std::uint64_t
+    stepBlock(WalkSite &out, std::uint64_t limit)
     {
-        if (ended_)
-            return false;
-
-        const auto &fn = prog_->functions[fn_];
-        const auto &blk = fn.blocks[blk_];
-        MCA_ASSERT(idx_ < blk.instrs.size() || blk.instrs.empty(),
-                   "walker index out of range");
-
-        // Empty blocks simply fall through.
-        if (blk.instrs.empty()) {
-            MCA_ASSERT(blk.succs.size() == 1, "empty block needs 1 succ");
-            blk_ = blk.succs[0];
-            idx_ = 0;
-            return step(out);
-        }
-
-        const auto &in = blk.instrs[idx_];
-        const isa::Op op = instrOp(in);
-
+        if (ended_ || limit == 0)
+            return 0;
+        const auto &blk = enterBlock();
         out.fn = fn_;
         out.blk = blk_;
         out.idx = idx_;
         out.pc = blk.startPc + 4 * idx_;
         out.taken = false;
-
-        const bool is_term = (idx_ + 1 == blk.instrs.size());
-
-        if (!is_term || !isa::isCtrlFlow(op)) {
-            // Mid-block instruction, or a fall-through terminator.
-            if (!is_term) {
-                ++idx_;
-                out.nextPc = out.pc + 4;
-            } else {
-                MCA_ASSERT(blk.succs.size() == 1,
-                           "fall-through block needs 1 succ");
-                moveTo(blk.succs[0]);
-                out.nextPc = currentPc();
-            }
-            return true;
+        const std::uint64_t left = blk.instrs.size() - idx_;
+        if (limit < left) {
+            idx_ += static_cast<std::uint32_t>(limit);
+            out.nextPc = blk.startPc + 4 * idx_;
+            return limit;
         }
-
-        // Control-flow terminator.
-        switch (op) {
-          case isa::Op::Br:
-            out.taken = true;
-            moveTo(blk.succs[0]);
-            break;
-          case isa::Op::Beq: case isa::Op::Bne:
-          case isa::Op::FBeq: case isa::Op::FBne: {
-            const bool taken = branchOutcome(in);
-            out.taken = taken;
-            moveTo(blk.succs[taken ? 1 : 0]);
-            break;
-          }
-          case isa::Op::Jmp: {
-            out.taken = true;
-            moveTo(blk.succs[pickSuccessor(blk)]);
-            break;
-          }
-          case isa::Op::Jsr: {
-            out.taken = true;
-            const prog::FunctionId callee = instrCallee(in);
-            callStack_.push_back({fn_, blk.succs[0]});
-            fn_ = callee;
-            blk_ = 0;
-            idx_ = 0;
-            break;
-          }
-          case isa::Op::Ret: {
-            out.taken = true;
-            if (callStack_.empty()) {
-                ended_ = true;
-                out.nextPc = 0;
-                return true;
-            }
-            const auto frame = callStack_.back();
-            callStack_.pop_back();
-            fn_ = frame.fn;
-            blk_ = frame.contBlock;
-            idx_ = 0;
-            break;
-          }
-          default:
-            MCA_PANIC("unhandled terminator op");
-        }
-        out.nextPc = currentPc();
-        return true;
+        idx_ = static_cast<std::uint32_t>(blk.instrs.size() - 1);
+        leaveBlock(blk, out);
+        return left;
     }
+
+    /** True once main has returned. */
+    bool ended() const { return ended_; }
 
     /** Count of dynamic call-stack frames (diagnostics). */
     std::size_t stackDepth() const { return callStack_.size(); }
@@ -325,20 +272,95 @@ class CfgWalker
         idx_ = 0;
     }
 
-    /** PC of the walker's current position (skipping empty blocks). */
+    /**
+     * The block at the cursor, after falling through empty blocks (the
+     * cursor moves past them).
+     */
+    const auto &
+    enterBlock()
+    {
+        for (;;) {
+            const auto &blk = prog_->functions[fn_].blocks[blk_];
+            MCA_ASSERT(idx_ < blk.instrs.size() || blk.instrs.empty(),
+                       "walker index out of range");
+            if (!blk.instrs.empty())
+                return blk;
+            MCA_ASSERT(blk.succs.size() == 1, "empty block needs 1 succ");
+            moveTo(blk.succs[0]);
+        }
+    }
+
+    /**
+     * Pass the terminator of `blk`, the block at the cursor, whose last
+     * instruction the cursor names: resolve its control flow, move the
+     * cursor on, and set out.taken and out.nextPc.
+     */
+    template <typename BlockT>
+    void
+    leaveBlock(const BlockT &blk, WalkSite &out)
+    {
+        const auto &in = blk.instrs[idx_];
+        const isa::Op op = instrOp(in);
+        if (!isa::isCtrlFlow(op)) {
+            MCA_ASSERT(blk.succs.size() == 1,
+                       "fall-through block needs 1 succ");
+            moveTo(blk.succs[0]);
+            out.nextPc = currentPc();
+            return;
+        }
+
+        switch (op) {
+          case isa::Op::Br:
+            out.taken = true;
+            moveTo(blk.succs[0]);
+            break;
+          case isa::Op::Beq: case isa::Op::Bne:
+          case isa::Op::FBeq: case isa::Op::FBne: {
+            const bool taken = branchOutcome(in);
+            out.taken = taken;
+            moveTo(blk.succs[taken ? 1 : 0]);
+            break;
+          }
+          case isa::Op::Jmp: {
+            out.taken = true;
+            moveTo(blk.succs[pickSuccessor(blk)]);
+            break;
+          }
+          case isa::Op::Jsr: {
+            out.taken = true;
+            const prog::FunctionId callee = instrCallee(in);
+            callStack_.push_back({fn_, blk.succs[0]});
+            fn_ = callee;
+            blk_ = 0;
+            idx_ = 0;
+            break;
+          }
+          case isa::Op::Ret: {
+            out.taken = true;
+            if (callStack_.empty()) {
+                ended_ = true;
+                out.nextPc = 0;
+                return;
+            }
+            const auto frame = callStack_.back();
+            callStack_.pop_back();
+            fn_ = frame.fn;
+            blk_ = frame.contBlock;
+            idx_ = 0;
+            break;
+          }
+          default:
+            MCA_PANIC("unhandled terminator op");
+        }
+        out.nextPc = currentPc();
+    }
+
+    /** PC of the walker's current position (skipping empty blocks, so
+     *  the reported nextPc is a real instruction). */
     Addr
     currentPc()
     {
-        // Skip empty blocks so the reported nextPc is a real instruction.
-        for (;;) {
-            const auto &fn = prog_->functions[fn_];
-            const auto &blk = fn.blocks[blk_];
-            if (!blk.instrs.empty())
-                return blk.startPc + 4 * idx_;
-            MCA_ASSERT(blk.succs.size() == 1, "empty block needs 1 succ");
-            blk_ = blk.succs[0];
-            idx_ = 0;
-        }
+        return enterBlock().startPc + 4 * idx_;
     }
 
     template <typename InstrT>

@@ -4,6 +4,10 @@
  * calls/returns, profiling, and trace sources.
  */
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "compiler/pipeline.hh"
@@ -255,6 +259,25 @@ TEST(Walker, IndirectJumpFollowsWeights)
     EXPECT_NEAR(v2 / 4000.0, 0.1, 0.02);
 }
 
+TEST(Walker, BlockStepStopsAtTheLimitInsideABlock)
+{
+    const auto p = loopProgram(3);
+    exec::CfgWalker<prog::Program> walker(p, 1);
+    exec::WalkSite site;
+    // Entry holds one instruction; the body holds three.
+    EXPECT_EQ(walker.stepBlock(site, 100), 1u);
+    EXPECT_EQ(walker.stepBlock(site, 2), 2u);
+    EXPECT_EQ(site.blk, 1u);
+    EXPECT_EQ(site.idx, 0u);
+    EXPECT_FALSE(site.taken);
+    EXPECT_EQ(site.nextPc, site.pc + 8);
+    // The rest of the body is its branch, taken back to the body.
+    EXPECT_EQ(walker.stepBlock(site, 100), 1u);
+    EXPECT_EQ(site.idx, 2u);
+    EXPECT_TRUE(site.taken);
+    EXPECT_EQ(walker.stepBlock(site, 0), 0u);
+}
+
 // --- profiling --------------------------------------------------------
 
 TEST(Profile, CountsBlockVisits)
@@ -281,6 +304,131 @@ TEST(Profile, InstCapMarksIncomplete)
     const auto prof = exec::profileProgram(p, 1, 50);
     EXPECT_FALSE(prof.completed);
     EXPECT_EQ(prof.totalInsts, 50u);
+}
+
+TEST(Profile, CompletedWhenMainReturnsOnTheCap)
+{
+    const auto p = loopProgram(5);
+    const std::uint64_t n = exec::profileProgram(p, 1, 100000).totalInsts;
+    const auto on_cap = exec::profileProgram(p, 1, n);
+    EXPECT_TRUE(on_cap.completed);
+    EXPECT_EQ(on_cap.totalInsts, n);
+    const auto below_cap = exec::profileProgram(p, 1, n - 1);
+    EXPECT_FALSE(below_cap.completed);
+    EXPECT_EQ(below_cap.totalInsts, n - 1);
+}
+
+/** Empty blocks at the entry, on a loop exit and before the return. */
+prog::Program
+emptyBlockProgram()
+{
+    prog::Builder b("empty");
+    const auto fn = b.function("main");
+    const auto b0 = b.block(fn, 1, "empty_entry");
+    const auto b1 = b.block(fn, 4, "body");
+    const auto b2 = b.block(fn, 1, "empty_exit");
+    const auto b3 = b.block(fn, 1, "empty_tail");
+    const auto b4 = b.block(fn, 1, "ret");
+    b.edge(fn, b0, b1);
+    b.setInsertPoint(fn, b1);
+    const auto i = b.emitConst(RegClass::Int, 0, "i");
+    const auto c = b.emitRRI(Op::CmpLt, i, 4, "c");
+    b.emitBranch(Op::Bne, c, b.branch(prog::BranchModel::loop(4)));
+    b.edge(fn, b1, b2);
+    b.edge(fn, b1, b1);
+    b.edge(fn, b2, b3);
+    b.edge(fn, b3, b4);
+    b.setInsertPoint(fn, b4);
+    b.emitRet();
+    return b.build();
+}
+
+/** The walker's checkpoint bytes: cursors, stack, model and RNG states. */
+std::string
+walkerState(const exec::CfgWalker<prog::Program> &walker)
+{
+    ckpt::Writer w;
+    walker.saveState(w);
+    return w.data();
+}
+
+/**
+ * Reference profile: step one instruction at a time and count a visit
+ * at each block's first instruction. Also returns the walker's state.
+ */
+std::pair<exec::ProfileResult, std::string>
+profileByInstruction(const prog::Program &p, std::uint64_t seed,
+                     std::uint64_t cap)
+{
+    exec::ProfileResult r;
+    for (const auto &fn : p.functions)
+        r.visits.emplace_back(fn.blocks.size(), 0);
+    exec::CfgWalker<prog::Program> walker(p, seed);
+    exec::WalkSite site;
+    while (r.totalInsts < cap && walker.step(site)) {
+        if (site.idx == 0)
+            ++r.visits[site.fn][site.blk];
+        ++r.totalInsts;
+    }
+    r.completed = walker.ended();
+    return {r, walkerState(walker)};
+}
+
+/** A walker's state after passing `cap` instructions by block steps. */
+std::string
+stateAfterBlockSteps(const prog::Program &p, std::uint64_t seed,
+                     std::uint64_t cap)
+{
+    exec::CfgWalker<prog::Program> walker(p, seed);
+    exec::WalkSite site;
+    std::uint64_t n = 0;
+    while (n < cap) {
+        const std::uint64_t k = walker.stepBlock(site, cap - n);
+        if (k == 0)
+            break;
+        n += k;
+    }
+    return walkerState(walker);
+}
+
+TEST(Profile, BlockWalkMatchesInstructionWalk)
+{
+    std::vector<std::pair<std::string, prog::Program>> inputs;
+    for (const double scale : {0.05, 1.0})
+        for (const auto &bench : workloads::allBenchmarks())
+            inputs.emplace_back(bench.name + "@" + std::to_string(scale),
+                                bench.make(workloads::WorkloadParams{scale}));
+    inputs.emplace_back("chase", workloads::makePointerChase());
+    inputs.emplace_back("loop", loopProgram(5));
+    inputs.emplace_back("calls", callProgram());
+    inputs.emplace_back("empty", emptyBlockProgram());
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        workloads::RandomProgramParams rp;
+        rp.seed = seed;
+        inputs.emplace_back("random" + std::to_string(seed),
+                            workloads::makeRandomProgram(rp));
+    }
+
+    for (const auto &[name, p] : inputs)
+        for (const std::uint64_t seed : {1ull, 42ull}) {
+            // The fixed caps, plus caps on and just before main's return.
+            std::vector<std::uint64_t> caps = {1,    7,       50,
+                                               1000, 200'000, 10'000'000};
+            const std::uint64_t length =
+                profileByInstruction(p, seed, caps.back()).first.totalInsts;
+            caps.insert(caps.end(), {length, length - 1});
+            for (const std::uint64_t cap : caps) {
+                SCOPED_TRACE(name + " cap " + std::to_string(cap) +
+                             " seed " + std::to_string(seed));
+                const auto [ref, ref_state] =
+                    profileByInstruction(p, seed, cap);
+                const auto prof = exec::profileProgram(p, seed, cap);
+                ASSERT_EQ(prof.visits, ref.visits);
+                ASSERT_EQ(prof.totalInsts, ref.totalInsts);
+                ASSERT_EQ(prof.completed, ref.completed);
+                ASSERT_EQ(stateAfterBlockSteps(p, seed, cap), ref_state);
+            }
+        }
 }
 
 // --- ProgramTrace -----------------------------------------------------

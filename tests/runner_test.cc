@@ -271,6 +271,48 @@ TEST(RunJob, CycleBudgetExhaustionIsTimeout)
     EXPECT_NE(result.error.find("cycle budget"), std::string::npos);
 }
 
+/**
+ * A point whose replays never let the oldest instruction retire: two
+ * OTB entries per cluster on the 4-cluster machine.
+ */
+JobSpec
+replayLivelockSpec()
+{
+    JobSpec spec;
+    spec.benchmark = "tomcatv";
+    spec.machine = "quad8";
+    spec.otbEntries = 2;
+    spec.maxInsts = 20'000;
+    return spec;
+}
+
+TEST(RunJob, ReplayLivelockFailsByName)
+{
+    const JobResult result = runner::runJob(replayLivelockSpec());
+    EXPECT_EQ(result.status, JobStatus::Failed);
+    EXPECT_NE(result.error.find("replay exceptions are not making "
+                                "progress (seq 35, 17 replays"),
+              std::string::npos)
+        << result.error;
+}
+
+TEST(Campaign, ReplayLivelockFailsOnlyItsJob)
+{
+    const std::vector<JobSpec> specs = {replayLivelockSpec(), tinySpec()};
+    runner::CampaignOptions options;
+    runner::CampaignSummary summary;
+    const auto results = runner::runCampaign(specs, options, &summary);
+
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].status, JobStatus::Failed);
+    EXPECT_NE(results[0].error.find("not making progress"),
+              std::string::npos);
+    EXPECT_EQ(results[1].status, JobStatus::Ok);
+    EXPECT_EQ(results[1].retired, 10'000u);
+    EXPECT_EQ(summary.ok, 1u);
+    EXPECT_EQ(summary.failed, 1u);
+}
+
 TEST(Campaign, FailuresDoNotAbortTheCampaign)
 {
     std::vector<JobSpec> specs(3, tinySpec());
