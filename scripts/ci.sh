@@ -104,6 +104,11 @@ for point in "--benchmark ora --max-insts 5000" \
     fi
 done
 
+# An OTB smaller than one instruction can need in one cluster (2 on
+# three or more clusters) is a usage error found before any compile.
+probe mcasim compress/quad8/local --clusters 4 --otb 1
+probe mcasim tomcatv/octa8/local --benchmark tomcatv --machine octa8 --otb 1
+
 # Replay-livelock probe: with two OTB entries per cluster on the
 # 4-cluster machine, replays never let the oldest instruction retire.
 # The run must fail by name (exit 1, "fatal:" naming the livelock), not
@@ -135,9 +140,9 @@ fi
 
 # Compile-cache invariant: the Table-2 campaign compiles each distinct
 # (workload, compile-config) pair exactly once — 12 compiles for 18
-# jobs, 6 shared.
+# jobs, 6 shared. The summary line is on stderr (not under --quiet).
 SUMMARY="$("$BUILD/src/tools/mcarun" --table2 --scale 0.05 \
-    --max-insts 20000 --jobs 4 --no-cache --quiet 2>&1 >/dev/null)"
+    --max-insts 20000 --jobs 4 --no-cache 2>&1 >/dev/null)"
 echo "$SUMMARY" | grep -q "compiles: 12 (6 shared)" || {
     echo "ci.sh: compile-cache expected 'compiles: 12 (6 shared)', got:"
     echo "$SUMMARY"
@@ -231,14 +236,20 @@ corrupt_trace_probe dest-class-7 0 42 '\003\007'
 # Sampled-simulation smoke: the mcasim --sample path and the mcarun
 # samplePeriods axis both run end to end. The campaign's JSONL and CSV
 # must carry one column list in one order, and mark exactly the one
-# sampled job.
+# sampled job; under --quiet mcarun prints only the results, so its
+# stderr stays empty.
 "$SIM" --benchmark gcc1 --scale 1 \
     --sample "systematic:period=20000,detail=4000,warmup=1000" \
     --quiet >/dev/null
 "$BUILD/src/tools/mcarun" --benchmarks compress \
     --sample-periods 0,20000 --scale 0.5 --max-insts 60000 \
     --no-cache --quiet --out "$TMP/sampled.jsonl" \
-    --csv "$TMP/sampled.csv" >/dev/null
+    --csv "$TMP/sampled.csv" >/dev/null 2>"$TMP/sampled.err"
+if [ -s "$TMP/sampled.err" ]; then
+    echo "ci.sh: mcarun --quiet wrote to stderr:"
+    cat "$TMP/sampled.err"
+    exit 1
+fi
 python3 - "$TMP/sampled.jsonl" "$TMP/sampled.csv" <<'PY'
 import csv, json, sys
 rows = [json.loads(line) for line in open(sys.argv[1])]

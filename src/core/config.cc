@@ -1,5 +1,7 @@
 #include "core/config.hh"
 
+#include <algorithm>
+
 namespace mca::core
 {
 
@@ -59,6 +61,18 @@ ProcessorConfig::validate() const
     if (regMap.numClusters() != numClusters)
         fail("register map covers " + std::to_string(regMap.numClusters()) +
              " clusters but the machine has " + std::to_string(numClusters));
+    // Each slave that forwards an operand holds an entry of its master
+    // cluster's operand transfer buffer until the master issues. An
+    // instruction has one slave on two clusters; on three or more, two
+    // slaves can forward into one master, and a smaller buffer could
+    // never serve it.
+    const unsigned otbNeed = std::min(numClusters - 1, 2u);
+    if (operandBufferEntries < otbNeed)
+        fail("operandBufferEntries must be >= " + std::to_string(otbNeed) +
+             " on a " + std::to_string(numClusters) +
+             "-cluster machine, where one instruction can hold that many "
+             "entries of one cluster's operand transfer buffer (got " +
+             std::to_string(operandBufferEntries) + ")");
 
     validateCache("icache", memory.icache);
     validateCache("dcache", memory.dcache);

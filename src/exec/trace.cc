@@ -1,5 +1,6 @@
 #include "exec/trace.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "exec/dyninst_io.hh"
@@ -83,23 +84,18 @@ TraceSource::loadState(ckpt::Reader &)
 ProgramTrace::ProgramTrace(prog::MachProgram prog, std::uint64_t seed,
                            std::uint64_t max_insts)
     : prog_(std::move(prog)), seed_(seed), walker_(prog_, seed),
+      streamStates_(prog_.streams.size(), "address stream"),
       maxInsts_(max_insts)
 {
 }
 
-Addr
-ProgramTrace::addrFor(const prog::MachEntry &entry)
+prog::AddrStreamState &
+ProgramTrace::streamState(std::uint64_t id)
 {
-    const prog::AddrStreamId id = entry.stream;
-    MCA_ASSERT(id != prog::kNoAddrStream, "memory op without stream");
-    auto it = streamStates_.find(id);
-    if (it == streamStates_.end()) {
-        Rng rng(hashSeed(seed_, 0x5eed5, id));
-        it = streamStates_
-                 .emplace(id, prog::AddrStreamState(prog_.streams[id], rng))
-                 .first;
-    }
-    return it->second.nextAddr();
+    return streamStates_.touch(id, [&] {
+        return prog::AddrStreamState(prog_.streams[id],
+                                     Rng(hashSeed(seed_, 0x5eed5, id)));
+    });
 }
 
 bool
@@ -118,12 +114,39 @@ ProgramTrace::next(DynInst &out)
     out.seq = seq_++;
     out.pc = site.pc;
     out.mi = entry.mi;
-    out.effAddr = isa::isMemOp(entry.mi.op) ? addrFor(entry) : 0;
+    out.effAddr =
+        isa::isMemOp(entry.mi.op) ? streamState(entry.stream).nextAddr() : 0;
     out.taken = site.taken;
     out.nextPc = site.nextPc;
     out.isSpill = entry.isSpill;
     out.remapIndex = DynInst::kNoRemap;
     return true;
+}
+
+std::uint64_t
+ProgramTrace::nextRun(BlockRun &run, std::uint64_t limit)
+{
+    if (seq_ >= maxInsts_)
+        return 0;
+    WalkSite site;
+    const std::uint64_t k =
+        walker_.stepBlock(site, std::min(limit, maxInsts_ - seq_));
+    if (k == 0)
+        return 0;
+
+    const prog::MachEntry *entries =
+        &prog_.functions[site.fn].blocks[site.blk].instrs[site.idx];
+    run.entries = entries;
+    run.count = k;
+    run.pc = site.pc;
+    run.taken = site.taken;
+    run.nextPc = site.nextPc;
+    run.mem.clear();
+    for (std::uint32_t i = 0; i < k; ++i)
+        if (isa::isMemOp(entries[i].mi.op))
+            run.mem.push_back({i, streamState(entries[i].stream).nextAddr()});
+    seq_ += k;
+    return k;
 }
 
 std::uint64_t
@@ -143,13 +166,14 @@ ProgramTrace::saveState(ckpt::Writer &w) const
     w.u64(seq_);
     walker_.saveState(w);
     w.u64(streamStates_.size());
-    for (const auto &[id, st] : streamStates_) {
+    streamStates_.forEach([&w](std::uint32_t id,
+                               const prog::AddrStreamState &st) {
         w.u32(id);
         for (std::uint64_t word : st.rng().rawState())
             w.u64(word);
         w.u64(st.offset());
         w.u64(st.last());
-    }
+    });
 }
 
 void
@@ -170,6 +194,7 @@ ProgramTrace::loadState(ckpt::Reader &r)
     walker_.loadState(r);
     streamStates_.clear();
     const std::uint64_t nstreams = r.u64();
+    prog::AddrStreamId prev = 0;
     for (std::uint64_t i = 0; i < nstreams; ++i) {
         const prog::AddrStreamId id = r.u32();
         std::array<std::uint64_t, 4> raw;
@@ -177,13 +202,10 @@ ProgramTrace::loadState(ckpt::Reader &r)
             word = r.u64();
         const std::uint64_t offset = r.u64();
         const Addr last = r.u64();
-        checkRestored(id < prog_.streams.size() &&
-                          (i == 0 || id > streamStates_.rbegin()->first),
+        checkRestored(id < prog_.streams.size() && (i == 0 || id > prev),
                       "stream id out of range or not ascending");
-        prog::AddrStreamState st(prog_.streams[id],
-                                 Rng(hashSeed(seed_, 0x5eed5, id)));
-        st.restoreDynamicState(raw, offset, last);
-        streamStates_.emplace(id, st);
+        prev = id;
+        streamState(id).restoreDynamicState(raw, offset, last);
     }
 }
 

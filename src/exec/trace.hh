@@ -7,7 +7,6 @@
 #ifndef MCA_EXEC_TRACE_HH
 #define MCA_EXEC_TRACE_HH
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -53,11 +52,38 @@ class TraceSource : public ckpt::Checkpointable
 };
 
 /**
+ * Consecutive instructions of one basic block, as ProgramTrace::nextRun
+ * passes them: entries[0, count) at PCs pc, pc + 4, ... The run ends at
+ * the block's terminator or at a limit inside the block.
+ */
+struct BlockRun
+{
+    /** One memory op of the run and its effective address. */
+    struct Access
+    {
+        /** Index into entries. */
+        std::uint32_t offset = 0;
+        Addr addr = 0;
+    };
+
+    const prog::MachEntry *entries = nullptr;
+    std::uint64_t count = 0;
+    Addr pc = 0;
+    /** How the last entry left, as WalkSite::taken and ::nextPc. */
+    bool taken = false;
+    Addr nextPc = 0;
+    /** Every memory op of the run, in instruction order. */
+    std::vector<Access> mem;
+};
+
+/**
  * Trace source that interprets a compiled program.
  *
  * Wraps a CfgWalker over the machine program and attaches effective
  * addresses drawn from the program's address streams. Bounded by
  * max_insts to keep simulations finite even for non-terminating CFGs.
+ * Besides next(), it passes the same instructions a block run at a time
+ * (nextRun) for consumers that need no DynInst per instruction.
  */
 class ProgramTrace : public TraceSource
 {
@@ -72,20 +98,32 @@ class ProgramTrace : public TraceSource
     using TraceSource::next;
     bool next(DynInst &out) override;
 
-    /** Serialize walker cursors, stream states, and the sequence
-     *  counter; (program, seed) identity is validated on load. */
+    /**
+     * Pass the rest of the current basic block, at most `limit`
+     * instructions and never beyond max_insts, and describe them in
+     * `run` (its `mem` buffer is reused). Returns run.count: 0 at end of
+     * trace or when `limit` is 0, and `run` is untouched then. The walk,
+     * the address draws and the sequence counter advance exactly as
+     * that many next() calls would advance them.
+     */
+    std::uint64_t nextRun(BlockRun &run, std::uint64_t limit);
+
+    /** Serialize walker cursors, stream states (in ascending id order),
+     *  and the sequence counter; (program, seed) identity is validated
+     *  on load. */
     void saveState(ckpt::Writer &w) const override;
     void loadState(ckpt::Reader &r) override;
 
   private:
-    Addr addrFor(const prog::MachEntry &entry);
+    /** The state of address stream `id`, made on its first address. */
+    prog::AddrStreamState &streamState(std::uint64_t id);
     /** Hash of the program's static content (cached on first use). */
     std::uint64_t fingerprint() const;
 
     prog::MachProgram prog_;
     std::uint64_t seed_;
     CfgWalker<prog::MachProgram> walker_;
-    std::map<prog::AddrStreamId, prog::AddrStreamState> streamStates_;
+    SlotTable<prog::AddrStreamState> streamStates_;
     std::uint64_t maxInsts_;
     InstSeq seq_ = 0;
     /** Filled by the first save or load; not safe to race on. */

@@ -17,6 +17,7 @@
 #ifndef MCA_EXEC_WALKER_HH
 #define MCA_EXEC_WALKER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -79,6 +80,81 @@ checkRestored(bool ok, const char *what)
         throw std::runtime_error(std::string("checkpoint: restored ") + what);
 }
 
+/**
+ * The lazily created states of one of a program's model tables (its
+ * address streams or its branch models), indexed by model id: one
+ * 32-bit slot per id of the table, and the states in the order they
+ * were first touched.
+ */
+template <typename State>
+class SlotTable
+{
+  public:
+    /** A table for ids below `ids`; `what` names a model in errors. */
+    SlotTable(std::size_t ids, const char *what)
+        : slots_(ids, kNoSlot), what_(what)
+    {
+    }
+
+    /**
+     * The state of model `id`, made by `make()` on its first touch. A
+     * compiled program is outside input to the walk, so an id beyond
+     * the table throws std::runtime_error naming it.
+     */
+    template <typename Make>
+    State &
+    touch(std::uint64_t id, Make &&make)
+    {
+        if (id < slots_.size() && slots_[id] != kNoSlot) [[likely]]
+            return states_[slots_[id]];
+        return add(id, make);
+    }
+
+    /** Count of states made so far. */
+    std::size_t size() const { return states_.size(); }
+
+    /** Call f(id, state) for every state, in ascending id order. */
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        for (std::size_t id = 0; id < slots_.size(); ++id)
+            if (slots_[id] != kNoSlot)
+                f(static_cast<std::uint32_t>(id), states_[slots_[id]]);
+    }
+
+    /** Drop every state (a restore refills the table by touch()). */
+    void
+    clear()
+    {
+        std::fill(slots_.begin(), slots_.end(), kNoSlot);
+        states_.clear();
+    }
+
+  private:
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    /** touch() of an id with no state: check the id, make its state.
+     *  Kept apart so the lookup inlines. */
+    template <typename Make>
+    State &
+    add(std::uint64_t id, Make &make)
+    {
+        if (id >= slots_.size())
+            throw std::runtime_error(std::string("trace: ") + what_ + " " +
+                                     std::to_string(id) +
+                                     " out of range (the program has " +
+                                     std::to_string(slots_.size()) + ")");
+        slots_[id] = static_cast<std::uint32_t>(states_.size());
+        states_.push_back(make());
+        return states_.back();
+    }
+
+    std::vector<std::uint32_t> slots_;
+    std::vector<State> states_;
+    const char *what_;
+};
+
 /** One step of a CFG walk. */
 struct WalkSite
 {
@@ -97,7 +173,8 @@ class CfgWalker
 {
   public:
     CfgWalker(const ProgT &prog, std::uint64_t seed)
-        : prog_(&prog), seed_(seed)
+        : prog_(&prog), seed_(seed),
+          branchStates_(prog.branchModels.size(), "branch model")
     {
         MCA_ASSERT(!prog.functions.empty(), "walking empty program");
     }
@@ -150,8 +227,9 @@ class CfgWalker
     /**
      * Serialize the walk state. The program is static content the
      * restoring walker already holds; only cursors, the call stack, and
-     * the dynamic halves of the lazily created model states are saved
-     * (model descriptions are rebuilt from the program by id).
+     * the dynamic halves of the lazily created model states are saved,
+     * in ascending id order (model descriptions are rebuilt from the
+     * program by id).
      */
     void
     saveState(ckpt::Writer &w) const
@@ -166,13 +244,14 @@ class CfgWalker
             w.u32(f.contBlock);
         }
         w.u64(branchStates_.size());
-        for (const auto &[id, st] : branchStates_) {
+        branchStates_.forEach([&w](std::uint32_t id,
+                                   const prog::BranchModelState &st) {
             w.u32(id);
             for (std::uint64_t word : st.rng().rawState())
                 w.u64(word);
             w.u64(st.remainingTrips());
             w.u64(st.patternPos());
-        }
+        });
         w.u64(jumpRngs_.size());
         for (const auto &[site, rng] : jumpRngs_) {
             w.u64(site);
@@ -208,6 +287,7 @@ class CfgWalker
         }
         branchStates_.clear();
         const std::uint64_t nbranch = r.u64();
+        prog::BranchModelId prev = 0;
         for (std::uint64_t i = 0; i < nbranch; ++i) {
             const prog::BranchModelId id = r.u32();
             std::array<std::uint64_t, 4> raw;
@@ -216,17 +296,15 @@ class CfgWalker
             const std::uint64_t remaining = r.u64();
             const std::uint64_t pattern_pos = r.u64();
             checkRestored(id < prog_->branchModels.size() &&
-                              (i == 0 || id > branchStates_.rbegin()->first),
+                              (i == 0 || id > prev),
                           "branch model id out of range or not ascending");
-            const prog::BranchModel &model = prog_->branchModels[id];
+            prev = id;
             checkRestored(pattern_pos == 0 ||
-                              pattern_pos < model.pattern.size(),
+                              pattern_pos <
+                                  prog_->branchModels[id].pattern.size(),
                           "branch pattern position out of range");
-            prog::BranchModelState st(model,
-                                      Rng(hashSeed(seed_, 0xb7a9c4, id)));
-            st.restoreDynamicState(raw, remaining,
-                                   static_cast<std::size_t>(pattern_pos));
-            branchStates_.emplace(id, std::move(st));
+            branchState(id).restoreDynamicState(
+                raw, remaining, static_cast<std::size_t>(pattern_pos));
         }
         jumpRngs_.clear();
         const std::uint64_t njump = r.u64();
@@ -367,17 +445,17 @@ class CfgWalker
     bool
     branchOutcome(const InstrT &in)
     {
-        const prog::BranchModelId id = instrBranchModel(in);
-        MCA_ASSERT(id != prog::kNoBranchModel, "branch without model");
-        auto it = branchStates_.find(id);
-        if (it == branchStates_.end()) {
-            Rng rng(hashSeed(seed_, 0xb7a9c4, id));
-            it = branchStates_
-                     .emplace(id, prog::BranchModelState(
-                                      prog_->branchModels[id], rng))
-                     .first;
-        }
-        return it->second.nextOutcome();
+        return branchState(instrBranchModel(in)).nextOutcome();
+    }
+
+    /** The state of branch model `id`, made on its first outcome. */
+    prog::BranchModelState &
+    branchState(std::uint64_t id)
+    {
+        return branchStates_.touch(id, [&] {
+            return prog::BranchModelState(
+                prog_->branchModels[id], Rng(hashSeed(seed_, 0xb7a9c4, id)));
+        });
     }
 
     template <typename BlockT>
@@ -414,7 +492,7 @@ class CfgWalker
     std::uint32_t idx_ = 0;
     bool ended_ = false;
     std::vector<Frame> callStack_;
-    std::map<prog::BranchModelId, prog::BranchModelState> branchStates_;
+    SlotTable<prog::BranchModelState> branchStates_;
     std::map<std::uint64_t, Rng> jumpRngs_;
 };
 

@@ -8,7 +8,14 @@
  * memory operation, and the branch predictor is trained on every
  * conditional branch outcome. Architectural state needs no separate
  * handling: in this trace-driven model it lives entirely in the trace
- * cursor, which the warmer advances as a side effect of next().
+ * cursor, which the warmer advances as a side effect of reading it.
+ *
+ * The trace is read a basic block at a time (ProgramTrace::nextRun):
+ * the I-cache is touched where the run crosses into a new fetch block,
+ * each memory op's D-cache access is issued at that op's cycle, and the
+ * predictor is trained at a conditional terminator, so no instruction
+ * builds a DynInst. The accesses, their order and their cycles are the
+ * ones an instruction-at-a-time walk would issue.
  *
  * Timestamps are synthetic (one cycle per instruction). That skews
  * absolute cache-access times but preserves recency ORDER, which is
@@ -22,6 +29,7 @@
 
 #include <cstdint>
 
+#include "exec/trace.hh"
 #include "support/types.hh"
 
 namespace mca::core
@@ -35,7 +43,11 @@ namespace mca::sample
 class FunctionalWarmer
 {
   public:
-    /** Warm the caches/predictor owned by `proc` (not owned). */
+    /**
+     * Warm the caches/predictor owned by `proc` (not owned). Throws
+     * std::invalid_argument unless the processor's trace is an
+     * exec::ProgramTrace, the only source warming reads.
+     */
     explicit FunctionalWarmer(core::Processor &proc);
 
     /**
@@ -52,11 +64,15 @@ class FunctionalWarmer
 
   private:
     core::Processor &proc_;
-    unsigned icacheBlockBytes_;
+    exec::ProgramTrace &trace_;
+    /** log2 of the I-cache block size (a power of two). */
+    unsigned fetchShift_;
     Addr lastFetchBlock_;
     Cycle now_ = 0;
     std::uint64_t consumed_ = 0;
     bool ended_ = false;
+    /** Reused for every run, so its address buffer keeps its capacity. */
+    exec::BlockRun run_;
 };
 
 } // namespace mca::sample

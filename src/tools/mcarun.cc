@@ -284,6 +284,7 @@ main(int argc, char **argv)
                          r.spec.benchmark, "/", r.spec.machine, "/",
                          r.spec.scheduler, " ",
                          runner::jobStatusName(r.status), ": ", r.error);
-    runner::emitSummary(std::cerr, summary);
+    if (!opt.quiet)
+        runner::emitSummary(std::cerr, summary);
     return 0;
 }

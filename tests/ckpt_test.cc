@@ -26,6 +26,7 @@
 #include "core/processor.hh"
 #include "exec/dyninst_io.hh"
 #include "exec/trace.hh"
+#include "prog/builder.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -398,6 +399,111 @@ handWrittenTraceState(const prog::MachProgram &binary, std::uint32_t fn,
         w.u64(0); // last address
     }
     return w.take();
+}
+
+/**
+ * Three blocks that load from streams 2, 1, 0 and branch on models 2,
+ * 1, 0, in that order, so the walk first touches each table in
+ * descending id order. No branch is taken: each block falls through to
+ * the next, and the last to a returning tail.
+ */
+prog::MachProgram
+descendingTouchBinary()
+{
+    prog::Builder b("descending");
+    const auto fn = b.function("main");
+    std::vector<prog::AddrStreamId> streams;
+    std::vector<prog::BranchModelId> models;
+    std::vector<prog::BlockId> blocks;
+    for (int i = 0; i < 3; ++i) {
+        streams.push_back(b.stream(
+            prog::AddrStream::strided(0x8000 + 0x1000 * i, 8, 512)));
+        models.push_back(b.branch(prog::BranchModel::never()));
+        blocks.push_back(b.block(fn, 1));
+    }
+    const auto tail = b.block(fn, 1, "tail");
+    const auto exit = b.block(fn, 1, "exit");
+    b.setInsertPoint(fn, blocks[0]);
+    const auto base = b.emitConst(isa::RegClass::Int, 0x8000, "base");
+    for (int i = 0; i < 3; ++i) {
+        b.setInsertPoint(fn, blocks[i]);
+        const auto x = b.emitLoad(isa::Op::Ldl, streams[2 - i], base, "x");
+        const auto c = b.emitRRI(isa::Op::CmpLt, x, 100, "c");
+        b.emitBranch(isa::Op::Bne, c, models[2 - i]);
+        b.edge(fn, blocks[i], i < 2 ? blocks[i + 1] : tail);
+        b.edge(fn, blocks[i], exit);
+    }
+    b.setInsertPoint(fn, tail);
+    b.emitRet();
+    b.setInsertPoint(fn, exit);
+    b.emitRet();
+    return compiler::compile(b.build(), compiler::CompileOptions{}).binary;
+}
+
+/** The branch-model ids and the stream ids a TRAC payload lists. */
+std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>
+listedModelIds(const std::string &state)
+{
+    ckpt::Reader r(state);
+    for (int i = 0; i < 4; ++i)
+        r.u64(); // seed, bound, fingerprint, sequence counter
+    r.u32();     // walker cursor
+    r.u32();
+    r.u32();
+    r.b();
+    for (std::uint64_t frames = r.u64(); frames > 0; --frames) {
+        r.u32();
+        r.u32();
+    }
+    std::vector<std::uint32_t> branchIds, streamIds;
+    for (std::uint64_t n = r.u64(); n > 0; --n) {
+        branchIds.push_back(r.u32());
+        for (int word = 0; word < 4 + 2; ++word)
+            r.u64(); // rng, remaining trips, pattern position
+    }
+    for (std::uint64_t n = r.u64(); n > 0; --n)
+        for (int word = 0; word < 1 + 4; ++word)
+            r.u64(); // jump site and its rng
+    for (std::uint64_t n = r.u64(); n > 0; --n) {
+        streamIds.push_back(r.u32());
+        for (int word = 0; word < 4 + 2; ++word)
+            r.u64(); // rng, stride offset, last address
+    }
+    EXPECT_TRUE(r.atEnd());
+    return {branchIds, streamIds};
+}
+
+TEST(Ckpt, TraceStateListsModelsInAscendingIdOrder)
+{
+    const prog::MachProgram bin = descendingTouchBinary();
+    ASSERT_EQ(bin.streams.size(), 3u);
+    ASSERT_EQ(bin.branchModels.size(), 3u);
+    using Ids = std::vector<std::uint32_t>;
+    std::vector<Ids> branchLists, streamLists;
+    exec::ProgramTrace trace(bin, kTraceSeed, kMaxInsts);
+    exec::DynInst di;
+    while (trace.next(di)) {
+        ckpt::Writer w;
+        trace.saveState(w);
+        const std::string state = w.take();
+        const auto [branchIds, streamIds] = listedModelIds(state);
+        if (branchLists.empty() || branchLists.back() != branchIds)
+            branchLists.push_back(branchIds);
+        if (streamLists.empty() || streamLists.back() != streamIds)
+            streamLists.push_back(streamIds);
+
+        // The state restores, and re-saves byte for byte.
+        exec::ProgramTrace restored(bin, kTraceSeed, kMaxInsts);
+        ckpt::Reader r(state);
+        restored.loadState(r);
+        ckpt::Writer again;
+        restored.saveState(again);
+        EXPECT_TRUE(again.data() == state) << "after seq " << di.seq;
+    }
+    // Each id joins the list where it sorts, not where it was touched.
+    const std::vector<Ids> growth = {{}, {2}, {1, 2}, {0, 1, 2}};
+    EXPECT_EQ(branchLists, growth);
+    EXPECT_EQ(streamLists, growth);
 }
 
 TEST(Ckpt, OutOfRangeTraceStateIsRejected)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/io.hh"
 #include "compiler/pipeline.hh"
 #include "exec/trace.hh"
 #include "exec/walker.hh"
@@ -545,6 +546,168 @@ TEST(ProgramTrace, FillsEveryFieldOfAReusedRecord)
     EXPECT_GT(spills, 0u);
     EXPECT_GT(branches, 0u);
     EXPECT_GT(after_load, 0u);
+}
+
+/** The saved state of `trace`. */
+std::string
+traceBytes(const exec::ProgramTrace &trace)
+{
+    ckpt::Writer w;
+    trace.saveState(w);
+    return w.take();
+}
+
+/**
+ * Drain `by_runs` a block run at a time with limits cycling through
+ * `limits`, rebuild every instruction's record from the runs, and
+ * require each to equal what `by_insts` (the same trace) passes
+ * through next(); the two saved states must agree after every run.
+ */
+void
+expectRunsMatchNext(exec::ProgramTrace &by_runs, exec::ProgramTrace &by_insts,
+                    const std::vector<std::uint64_t> &limits)
+{
+    exec::BlockRun run;
+    InstSeq seq = 0;
+    for (std::size_t r = 0;; ++r) {
+        const std::uint64_t limit = limits[r % limits.size()];
+        const std::uint64_t k = by_runs.nextRun(run, limit);
+        if (k == 0)
+            break;
+        ASSERT_EQ(k, run.count);
+        ASSERT_LE(k, limit);
+        std::size_t m = 0;
+        for (std::uint32_t i = 0; i < k; ++i) {
+            const prog::MachEntry &entry = run.entries[i];
+            const bool last = i + 1 == k;
+            exec::DynInst got;
+            got.seq = seq++;
+            got.pc = run.pc + 4 * i;
+            got.mi = entry.mi;
+            if (m < run.mem.size() && run.mem[m].offset == i)
+                got.effAddr = run.mem[m++].addr;
+            got.taken = last && run.taken;
+            got.nextPc = last ? run.nextPc : got.pc + 4;
+            got.isSpill = entry.isSpill;
+            const auto want = by_insts.next();
+            ASSERT_TRUE(want.has_value()) << "seq " << got.seq;
+            test::expectSameRecord(got, *want);
+        }
+        EXPECT_EQ(m, run.mem.size());
+        ASSERT_EQ(traceBytes(by_runs), traceBytes(by_insts))
+            << "after run " << r;
+    }
+    EXPECT_FALSE(by_insts.next().has_value());
+}
+
+TEST(ProgramTrace, BlockRunsPassWhatNextPasses)
+{
+    for (const auto &bench : workloads::allBenchmarks()) {
+        const auto out =
+            compiler::compile(bench.make({0.05}), compiler::CompileOptions{});
+        // To the program's end and to a cap, one block at a time and
+        // with limits that stop inside blocks.
+        for (const std::uint64_t cap :
+             {~std::uint64_t{0}, std::uint64_t{5001}}) {
+            for (const std::vector<std::uint64_t> &limits :
+                 {std::vector<std::uint64_t>{~std::uint64_t{0}},
+                  std::vector<std::uint64_t>{1},
+                  std::vector<std::uint64_t>{3, 1, 7, 2, 1000}}) {
+                SCOPED_TRACE(bench.name + " cap " + std::to_string(cap) +
+                             " limits from " + std::to_string(limits[0]));
+                exec::ProgramTrace byRuns(out.binary, 5, cap);
+                exec::ProgramTrace byInsts(out.binary, 5, cap);
+                expectRunsMatchNext(byRuns, byInsts, limits);
+            }
+        }
+    }
+}
+
+TEST(ProgramTrace, BlockRunLimitZeroPassesNothing)
+{
+    const auto out =
+        compiler::compile(loopProgram(3), compiler::CompileOptions{});
+    exec::ProgramTrace trace(out.binary, 5);
+    const std::string before = traceBytes(trace);
+    exec::BlockRun run;
+    EXPECT_EQ(trace.nextRun(run, 0), 0u);
+    EXPECT_EQ(run.entries, nullptr);
+    EXPECT_EQ(traceBytes(trace), before);
+}
+
+/** Entry, a loop body that loads, and an exit. */
+prog::MachProgram
+loadLoopBinary()
+{
+    prog::Builder b("loadloop");
+    const auto fn = b.function("main");
+    const auto b0 = b.block(fn, 1, "entry");
+    const auto b1 = b.block(fn, 4, "body");
+    const auto b2 = b.block(fn, 1, "exit");
+    const auto arr = b.stream(prog::AddrStream::strided(0x8000, 8, 512));
+    b.setInsertPoint(fn, b0);
+    const auto base = b.emitConst(RegClass::Int, 0x8000, "base");
+    b.edge(fn, b0, b1);
+    b.setInsertPoint(fn, b1);
+    const auto x = b.emitLoad(Op::Ldl, arr, base, "x");
+    const auto c = b.emitRRI(Op::CmpLt, x, 100, "c");
+    b.emitBranch(Op::Bne, c, b.branch(prog::BranchModel::loop(4)));
+    b.edge(fn, b1, b2);
+    b.edge(fn, b1, b1);
+    b.setInsertPoint(fn, b2);
+    b.emitRet();
+    return compiler::compile(b.build(), compiler::CompileOptions{}).binary;
+}
+
+/** What draining `binary` throws (by next() or by block runs), or "". */
+std::string
+drainError(const prog::MachProgram &binary, bool by_runs)
+{
+    exec::ProgramTrace trace(binary, 5, 10000);
+    try {
+        exec::DynInst di;
+        exec::BlockRun run;
+        while (by_runs ? trace.nextRun(run, ~std::uint64_t{0}) != 0
+                       : trace.next(di)) {
+        }
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ProgramTrace, ModelIdBeyondItsTableFailsByName)
+{
+    const prog::MachProgram good = loadLoopBinary();
+    ASSERT_EQ(good.streams.size(), 1u);
+    ASSERT_EQ(good.branchModels.size(), 1u);
+    EXPECT_EQ(drainError(good, false), "");
+    EXPECT_EQ(drainError(good, true), "");
+
+    // Point the load at stream 1 and, in another copy, the branch at
+    // model 1: one past the end of each one-entry table.
+    prog::MachProgram badStream = good, badModel = good;
+    bool load = false, branch = false;
+    for (auto &blk : badStream.functions[0].blocks)
+        for (auto &e : blk.instrs)
+            if (isa::isMemOp(e.mi.op)) {
+                e.stream = 1;
+                load = true;
+            }
+    for (auto &blk : badModel.functions[0].blocks)
+        for (auto &e : blk.instrs)
+            if (isa::isCondBranch(e.mi.op)) {
+                e.branchModel = 1;
+                branch = true;
+            }
+    ASSERT_TRUE(load && branch);
+    for (const bool byRuns : {false, true}) {
+        EXPECT_EQ(drainError(badStream, byRuns),
+                  "trace: address stream 1 out of range (the program has "
+                  "1)");
+        EXPECT_EQ(drainError(badModel, byRuns),
+                  "trace: branch model 1 out of range (the program has 1)");
+    }
 }
 
 // --- VectorTrace ---------------------------------------------------------

@@ -193,4 +193,28 @@ TEST(Flags, CheckPointNamesTheInfeasiblePoint)
     EXPECT_EQ(runner::checkPoint(runner::JobSpec{}).numClusters, 2u);
 }
 
+TEST(Flags, CheckPointRejectsAnOperandBufferTooSmallForTheMachine)
+{
+    runner::JobSpec spec;
+    spec.machine = "quad8";
+    spec.otbEntries = 1;
+    try {
+        runner::checkPoint(spec);
+        FAIL() << "a one-entry OTB passed on quad8";
+    } catch (const runner::UsageError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "compress/quad8/local: ProcessorConfig::validate: "
+                      "operandBufferEntries must be >= 2"),
+                  std::string::npos)
+            << e.what();
+    }
+    // The livelock probe's point and dual8's one-entry buffer stay
+    // valid.
+    spec.otbEntries = 2;
+    EXPECT_EQ(runner::checkPoint(spec).operandBufferEntries, 2u);
+    spec.machine = "dual8";
+    spec.otbEntries = 1;
+    EXPECT_EQ(runner::checkPoint(spec).operandBufferEntries, 1u);
+}
+
 } // namespace

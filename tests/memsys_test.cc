@@ -267,6 +267,39 @@ TEST(ConfigValidate, ValidationErrorsNameTheParameter)
     }
 }
 
+TEST(ConfigValidate, OperandBufferHoldsWhatOneInstructionCanNeed)
+{
+    // dual8: one slave per instruction, so one entry serves it.
+    auto cfg = core::ProcessorConfig::dualCluster8();
+    cfg.operandBufferEntries = 1;
+    EXPECT_NO_THROW(cfg.validate());
+    cfg.operandBufferEntries = 0;
+    EXPECT_THROW(cfg.validate(), std::runtime_error);
+    // Three or more clusters: two slaves can forward into one master.
+    for (const unsigned n : {4u, 8u}) {
+        cfg = core::ProcessorConfig::multiCluster8(n);
+        cfg.operandBufferEntries = 2;
+        EXPECT_NO_THROW(cfg.validate());
+        cfg.operandBufferEntries = 1;
+        try {
+            cfg.validate();
+            FAIL() << "a one-entry OTB passed on " << n << " clusters";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "ProcessorConfig::validate: operandBufferEntries "
+                      "must be >= 2 on a " +
+                          std::to_string(n) +
+                          "-cluster machine, where one instruction can "
+                          "hold that many entries of one cluster's "
+                          "operand transfer buffer (got 1)");
+        }
+    }
+    // One cluster forwards nothing.
+    cfg = core::ProcessorConfig::singleCluster8();
+    cfg.operandBufferEntries = 0;
+    EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(ConfigValidate, MultiCluster8RejectsNonDivisor)
 {
     EXPECT_THROW(core::ProcessorConfig::multiCluster8(0),

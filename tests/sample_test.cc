@@ -8,7 +8,10 @@
  *  - a sampled run is deterministic, and parallel measurement
  *    (jobs > 1) is bit-identical to serial (jobs = 1);
  *  - every measured interval's cycle stack conserves retire slots;
- *  - periodic mode starts intervals exactly where asked.
+ *  - periodic mode starts intervals exactly where asked;
+ *  - functional warming a basic block at a time leaves the machine
+ *    byte-identical to warming an instruction at a time, and it reads
+ *    only program traces.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +19,17 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "bpred/predictors.hh"
+#include "ckpt/snapshot.hh"
 #include "compiler/pipeline.hh"
 #include "core/processor.hh"
 #include "exec/trace.hh"
+#include "isa/opcodes.hh"
+#include "mem/cache.hh"
+#include "mem/memory.hh"
+#include "runner/jobspec.hh"
 #include "sample/driver.hh"
+#include "sample/functional.hh"
 #include "sample/spec.hh"
 #include "workloads/workloads.hh"
 
@@ -246,6 +256,195 @@ TEST(SampledRun, SingleClusterAlsoSamples)
     ASSERT_FALSE(rep.intervals.empty());
     const double relErr = std::fabs(rep.cpiMean - fullCpi) / fullCpi;
     EXPECT_LT(relErr, 0.10);
+}
+
+// --- functional warming ---------------------------------------------
+
+/**
+ * Reference: the instruction-at-a-time warm loop that FunctionalWarmer
+ * replaced. Every instruction comes through TraceSource::next; it
+ * touches the I-cache when its fetch block differs from the last one
+ * touched, the D-cache if it is a memory op, and trains the predictor
+ * if it is a conditional branch, each at its own synthetic cycle.
+ */
+class InstructionWarmer
+{
+  public:
+    explicit InstructionWarmer(core::Processor &proc)
+        : proc_(proc),
+          blockBytes_(proc.memorySystem().icache().params().blockBytes)
+    {
+    }
+
+    std::uint64_t
+    advance(std::uint64_t n)
+    {
+        mem::Cache &icache = proc_.memorySystem().icache();
+        mem::Cache &dcache = proc_.memorySystem().dcache();
+        bpred::Predictor &pred = proc_.predictor();
+        exec::DynInst di;
+        std::uint64_t done = 0;
+        while (done < n) {
+            if (!proc_.trace().next(di)) {
+                ended_ = true;
+                break;
+            }
+            ++now_;
+            const Addr block = di.pc / blockBytes_;
+            if (block != lastFetchBlock_) {
+                icache.accessFast(di.pc, /*is_write=*/false, now_);
+                lastFetchBlock_ = block;
+            }
+            if (isa::isMemOp(di.mi.op))
+                dcache.accessFast(di.effAddr, isa::isStore(di.mi.op), now_);
+            if (isa::isCondBranch(di.mi.op))
+                pred.update(di.pc, di.taken);
+            if (isa::isCtrlFlow(di.mi.op) && di.taken)
+                lastFetchBlock_ = ~Addr{0};
+            ++consumed_;
+            ++done;
+        }
+        return done;
+    }
+
+    std::uint64_t consumed() const { return consumed_; }
+    bool ended() const { return ended_; }
+
+  private:
+    core::Processor &proc_;
+    unsigned blockBytes_;
+    Addr lastFetchBlock_ = ~Addr{0};
+    Cycle now_ = 0;
+    std::uint64_t consumed_ = 0;
+    bool ended_ = false;
+};
+
+/** The payload the sampled driver would snapshot from `proc` now. */
+std::string
+warmPayload(core::Processor &proc)
+{
+    proc.memorySystem().settle();
+    ckpt::SnapshotBuilder b(proc.configHash());
+    proc.saveState(b);
+    return b.finish().payload;
+}
+
+/**
+ * Warm one machine with each warmer over a trace of `binary` capped at
+ * `max_insts`, stopping at each of `cuts` (ascending positions; one
+ * past the trace's end asks for more than is left), and require equal
+ * results, counts, end flags and snapshot payloads at every stop.
+ */
+void
+expectSameWarming(const prog::MachProgram &binary,
+                  const core::ProcessorConfig &cfg, std::uint64_t max_insts,
+                  const std::vector<std::uint64_t> &cuts,
+                  const std::string &where)
+{
+    StatGroup refStats("mca"), blockStats("mca");
+    exec::ProgramTrace refTrace(binary, kTraceSeed, max_insts);
+    exec::ProgramTrace blockTrace(binary, kTraceSeed, max_insts);
+    core::Processor refProc(cfg, refTrace, refStats);
+    core::Processor blockProc(cfg, blockTrace, blockStats);
+    InstructionWarmer ref(refProc);
+    sample::FunctionalWarmer block(blockProc);
+    for (const std::uint64_t cut : cuts) {
+        SCOPED_TRACE(where + " cut " + std::to_string(cut));
+        const std::uint64_t n = cut - ref.consumed();
+        EXPECT_EQ(block.advance(n), ref.advance(n));
+        EXPECT_EQ(block.consumed(), ref.consumed());
+        EXPECT_EQ(block.ended(), ref.ended());
+        EXPECT_TRUE(warmPayload(blockProc) == warmPayload(refProc));
+    }
+}
+
+TEST(FunctionalWarming, BlockWarmingMatchesInstructionWarming)
+{
+    workloads::WorkloadParams wp;
+    wp.scale = 0.2;
+    for (const char *name :
+         {"compress", "doduc", "gcc1", "ora", "su2cor", "tomcatv"}) {
+        const prog::Program program =
+            workloads::benchmarkByName(name).make(wp);
+        for (const char *machine : {"dual8", "quad8"}) {
+            runner::JobSpec spec;
+            spec.machine = machine;
+            core::ProcessorConfig cfg = runner::machineConfigFor(spec);
+            compiler::CompileOptions copt =
+                compiler::compileOptionsFor("local", cfg.numClusters);
+            copt.profileSeed = kTraceSeed;
+            const auto out = compiler::compile(program, copt);
+
+            // Where each block run of the whole program ends, and the
+            // program's length.
+            std::vector<std::uint64_t> runEnds;
+            std::vector<std::uint64_t> runLengths;
+            {
+                exec::ProgramTrace walk(out.binary, kTraceSeed);
+                exec::BlockRun run;
+                std::uint64_t n = 0;
+                while (const std::uint64_t k =
+                           walk.nextRun(run, ~std::uint64_t{0})) {
+                    n += k;
+                    runEnds.push_back(n);
+                    runLengths.push_back(k);
+                }
+            }
+            ASSERT_GT(runEnds.size(), 4u) << name;
+            const std::uint64_t length = runEnds.back();
+            // The first block end from position `from` on that a block
+            // of at least two instructions follows.
+            const auto blockEndBefore2 = [&](std::uint64_t from) {
+                for (std::size_t j = 0; j + 1 < runEnds.size(); ++j)
+                    if (runEnds[j] >= from && runLengths[j + 1] >= 2)
+                        return runEnds[j];
+                ADD_FAILURE() << name << ": no block of 2+ instructions";
+                return runEnds[0];
+            };
+            const std::uint64_t mid = blockEndBefore2(length / 3) + 1;
+            const std::uint64_t end = blockEndBefore2(2 * length / 3);
+            ASSERT_LT(mid, end);
+            const std::uint64_t cap = blockEndBefore2(length / 2) + 1;
+
+            for (const unsigned l2Kb : {0u, 256u}) {
+                spec.l2Kb = l2Kb;
+                cfg = runner::machineConfigFor(spec);
+                cfg.regMap = out.hardwareMap(cfg.numClusters);
+                const std::string where = std::string(name) + "/" +
+                                          machine + "/l2=" +
+                                          std::to_string(l2Kb);
+                // Uncapped: small steps, a cut inside a block, one at a
+                // block end, one just before and one exactly at the
+                // program's end, then past it.
+                expectSameWarming(out.binary, cfg, ~std::uint64_t{0},
+                                  {1, 3, 10, mid, end, length - 1, length,
+                                   length + 1000},
+                                  where);
+                // A max_insts cap inside a block: reached exactly, then
+                // asked past, and crossed in a single advance.
+                expectSameWarming(out.binary, cfg, cap,
+                                  {cap - 1, cap, cap + 100}, where + "/cap");
+                expectSameWarming(out.binary, cfg, cap, {cap + 100},
+                                  where + "/cap in one step");
+            }
+        }
+    }
+}
+
+TEST(FunctionalWarming, RejectsATraceThatIsNotAProgram)
+{
+    std::vector<exec::DynInst> insts(4);
+    exec::VectorTrace trace(exec::VectorTrace::normalize(insts));
+    StatGroup sg("mca");
+    core::Processor proc(core::ProcessorConfig::singleCluster8(), trace, sg);
+    try {
+        sample::FunctionalWarmer warmer(proc);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(),
+                     "FunctionalWarmer: warming reads a program trace, and "
+                     "this processor's trace is another source");
+    }
 }
 
 } // namespace
