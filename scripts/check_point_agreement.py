@@ -29,6 +29,10 @@ POINTS = [
     ("trace seed 7", {"trace-seed": "7"}, []),
     ("gshare, unroll 2, threshold 8", {"threshold": "8"},
      ["--predictor", "gshare", "--unroll", "2"]),
+    ("machine overrides", {},
+     ["--dq", "32", "--otb", "2", "--rtb", "4", "--mshr", "4",
+      "--icache-kb", "16", "--dcache-kb", "32", "--queue-mode", "rs",
+      "--spec-history", "--reserve-oldest"]),
 ]
 
 # mcarun JSON-lines field -> mcasim stats-registry name.

@@ -68,6 +68,16 @@ done
 probe mcasim --threshold --threshold -1
 probe mcasim --random-seed --random-seed abc
 probe mcarun --thresholds --thresholds x
+# An unknown study lists the studies; a flag a study does not read is
+# refused, not ignored.
+probe mcarun --study --study nosuch
+grep -q "(valid: table2|threshold|buffers|" "$TMP/usage.txt" || {
+    echo "ci.sh: 'mcarun --study nosuch' must list the studies, got:"
+    cat "$TMP/usage.txt"
+    exit 1
+}
+probe mcarun --machines --study buffers --machines quad8
+probe mcarun --trace-seeds --study table2 --trace-seeds 1,2
 
 # Observability smoke: cycle stacks conserve and the Perfetto trace is
 # loadable (scripts/check_trace.py validates both).
@@ -108,6 +118,8 @@ done
 # three or more clusters) is a usage error found before any compile.
 probe mcasim compress/quad8/local --clusters 4 --otb 1
 probe mcasim tomcatv/octa8/local --benchmark tomcatv --machine octa8 --otb 1
+probe mcarun tomcatv/quad8/local --benchmarks tomcatv --machines quad8 \
+    --otb 1 --no-cache
 
 # Replay-livelock probe: with two OTB entries per cluster on the
 # 4-cluster machine, replays never let the oldest instruction retire.
@@ -141,13 +153,19 @@ fi
 # Compile-cache invariant: the Table-2 campaign compiles each distinct
 # (workload, compile-config) pair exactly once — 12 compiles for 18
 # jobs, 6 shared. The summary line is on stderr (not under --quiet).
-SUMMARY="$("$BUILD/src/tools/mcarun" --table2 --scale 0.05 \
+SUMMARY="$("$BUILD/src/tools/mcarun" --study table2 --scale 0.05 \
     --max-insts 20000 --jobs 4 --no-cache 2>&1 >/dev/null)"
 echo "$SUMMARY" | grep -q "compiles: 12 (6 shared)" || {
     echo "ci.sh: compile-cache expected 'compiles: 12 (6 shared)', got:"
     echo "$SUMMARY"
     exit 1
 }
+
+# Study digests: every named study (Table 2, the ablations and the
+# extensions that `mcarun --study` runs) at --scale 0.05 --max-insts
+# 20000 must print the table whose SHA-256 scripts/study_digests.json
+# pins, as bench/e2e's digests.json pins its workloads.
+python3 scripts/check_studies.py "$BUILD/src/tools/mcarun"
 
 # N-cluster partitioning smokes: the --clusters machine selection with
 # every partitioner at 4 clusters (verified IR), the Figure-6

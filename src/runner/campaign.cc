@@ -32,6 +32,26 @@ expandGrid(const CampaignGrid &grid)
     requireAxis(!grid.memLats.empty(), "memLats");
     requireAxis(!grid.samplePeriods.empty(), "samplePeriods");
 
+    // The values every job shares, set once.
+    JobSpec shared;
+    shared.sampleDetail = grid.sampleDetail;
+    shared.sampleWarmup = grid.sampleWarmup;
+    shared.fillPorts = grid.fillPorts;
+    shared.scale = grid.scale;
+    shared.unroll = grid.unroll;
+    shared.predictor = grid.predictor;
+    shared.maxInsts = grid.maxInsts;
+    shared.maxCycles = grid.maxCycles;
+    shared.icacheKb = grid.icacheKb;
+    shared.dcacheKb = grid.dcacheKb;
+    shared.dqEntries = grid.dqEntries;
+    shared.otbEntries = grid.otbEntries;
+    shared.rtbEntries = grid.rtbEntries;
+    shared.mshrEntries = grid.mshrEntries;
+    shared.queueMode = grid.queueMode;
+    shared.specHistory = grid.specHistory;
+    shared.reserveOldest = grid.reserveOldest;
+
     std::vector<JobSpec> specs;
     specs.reserve(grid.benchmarks.size() * grid.machines.size() *
                   grid.schedulers.size() * grid.thresholds.size() *
@@ -47,7 +67,7 @@ expandGrid(const CampaignGrid &grid)
                 for (unsigned l2lat : grid.l2Lats)
                   for (unsigned memlat : grid.memLats)
                     for (std::uint64_t period : grid.samplePeriods) {
-                      JobSpec spec;
+                      JobSpec spec = shared;
                       spec.benchmark = benchmark;
                       spec.machine = machine;
                       spec.scheduler = scheduler;
@@ -57,14 +77,6 @@ expandGrid(const CampaignGrid &grid)
                       spec.l2Lat = l2lat;
                       spec.memLat = memlat;
                       spec.samplePeriod = period;
-                      spec.sampleDetail = grid.sampleDetail;
-                      spec.sampleWarmup = grid.sampleWarmup;
-                      spec.fillPorts = grid.fillPorts;
-                      spec.scale = grid.scale;
-                      spec.unroll = grid.unroll;
-                      spec.predictor = grid.predictor;
-                      spec.maxInsts = grid.maxInsts;
-                      spec.maxCycles = grid.maxCycles;
                       spec.profileSeed = seed;
                       specs.push_back(std::move(spec));
                     }

@@ -62,6 +62,17 @@ struct CampaignGrid
     std::string predictor;
     /** Fill ports per memory level; 0 = unlimited (paper mode). */
     unsigned fillPorts = 0;
+    // Machine overrides (JobSpec's); 0, empty or false keeps the
+    // machine's own value.
+    unsigned icacheKb = 0;
+    unsigned dcacheKb = 0;
+    unsigned dqEntries = 0;
+    unsigned otbEntries = 0;
+    unsigned rtbEntries = 0;
+    unsigned mshrEntries = 0;
+    std::string queueMode;
+    bool specHistory = false;
+    bool reserveOldest = false;
     /** Per-interval sizes for the samplePeriods axis. */
     std::uint64_t sampleDetail = 10'000;
     std::uint64_t sampleWarmup = 2'000;

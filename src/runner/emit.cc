@@ -27,18 +27,6 @@ csvEscape(const std::string &s)
     return out;
 }
 
-/** The columns both formats share, in order: `hash`, the spec's and
- *  the result's field lists, `from_cache`. */
-template <class F>
-void
-forEachColumn(const JobResult &r, F &&f)
-{
-    f("hash", r.spec.contentHash());
-    forEachField(r.spec, f);
-    forEachField(r, f);
-    f("from_cache", r.fromCache);
-}
-
 } // namespace
 
 void

@@ -26,6 +26,19 @@
 namespace mca::runner
 {
 
+/** `f(name, value)` for each record column, in order: `hash`, the
+ *  spec's and the result's field lists, `from_cache`. JSONL and CSV
+ *  carry these columns, and study tables pick theirs from them. */
+template <class F>
+void
+forEachColumn(const JobResult &r, F &&f)
+{
+    f("hash", r.spec.contentHash());
+    forEachField(r.spec, f);
+    forEachField(r, f);
+    f("from_cache", r.fromCache);
+}
+
 /** Write one result as a single-line JSON object (no trailing newline). */
 void emitJsonLine(std::ostream &os, const JobResult &result);
 

@@ -210,6 +210,34 @@ pointRows(JobSpec *spec, CampaignGrid *grid)
          inRange(1u), &JobSpec::memLat, &CampaignGrid::memLats);
     axis("--fill-ports", "", "N", "fills/cycle per level (0 = unlimited) [0]",
          inRange(0u), &JobSpec::fillPorts, &CampaignGrid::fillPorts);
+    axis("--icache-kb", "", "N", "L1 instruction-cache KB [64]",
+         cacheKb(&JobSpec::icacheKb, 1), &JobSpec::icacheKb,
+         &CampaignGrid::icacheKb);
+    axis("--dcache-kb", "", "N", "L1 data-cache KB [64]",
+         cacheKb(&JobSpec::dcacheKb, 1), &JobSpec::dcacheKb,
+         &CampaignGrid::dcacheKb);
+
+    rows.push_back({"", "", "machine overrides [machine's]", {}});
+    axis("--dq", "", "N", "dispatch-queue entries per cluster",
+         inRange(1u, kMaxEntries), &JobSpec::dqEntries,
+         &CampaignGrid::dqEntries);
+    axis("--otb", "", "N", "operand transfer-buffer entries per cluster",
+         inRange(1u, kMaxEntries), &JobSpec::otbEntries,
+         &CampaignGrid::otbEntries);
+    axis("--rtb", "", "N", "result transfer-buffer entries per cluster",
+         inRange(1u, kMaxEntries), &JobSpec::rtbEntries,
+         &CampaignGrid::rtbEntries);
+    axis("--mshr", "", "N", "data-cache MSHR entries (0 = inverted)",
+         inRange(0u, kMaxEntries), &JobSpec::mshrEntries,
+         &CampaignGrid::mshrEntries);
+    axis("--queue-mode", "", "KIND", "window|rs: free at retire|issue",
+         oneOf(validQueueModes(), "queue mode"), &JobSpec::queueMode,
+         &CampaignGrid::queueMode);
+    rows.push_back({"--spec-history", "", "speculative branch history",
+                    set(spec ? spec->specHistory : grid->specHistory)});
+    rows.push_back({"--reserve-oldest", "", "keep a buffer entry for the "
+                    "oldest",
+                    set(spec ? spec->reserveOldest : grid->reserveOldest)});
     if (grid) {
         rows.push_back({"", "", "sampling (docs/sampling.md)", {}});
         list("--sample-periods", "interval periods; 0 = full run [0]",
@@ -220,27 +248,7 @@ pointRows(JobSpec *spec, CampaignGrid *grid)
             inRange<std::uint64_t>(0), &CampaignGrid::sampleWarmup);
         one(grid, "--max-cycles", "N", "cycle budget, then timeout [100000000]",
             inRange<Cycle>(1), &CampaignGrid::maxCycles);
-        return rows;
     }
-    one(spec, "--icache-kb", "N", "L1 instruction-cache KB [64]",
-        cacheKb(&JobSpec::icacheKb, 1), &JobSpec::icacheKb);
-    one(spec, "--dcache-kb", "N", "L1 data-cache KB [64]",
-        cacheKb(&JobSpec::dcacheKb, 1), &JobSpec::dcacheKb);
-    rows.push_back({"", "", "machine overrides [machine's]", {}});
-    one(spec, "--dq", "N", "dispatch-queue entries per cluster",
-        inRange(1u, kMaxEntries), &JobSpec::dqEntries);
-    one(spec, "--otb", "N", "operand transfer-buffer entries per cluster",
-        inRange(1u, kMaxEntries), &JobSpec::otbEntries);
-    one(spec, "--rtb", "N", "result transfer-buffer entries per cluster",
-        inRange(1u, kMaxEntries), &JobSpec::rtbEntries);
-    one(spec, "--mshr", "N", "data-cache MSHR entries (0 = inverted)",
-        inRange(0u, kMaxEntries), &JobSpec::mshrEntries);
-    one(spec, "--queue-mode", "KIND", "window|rs: free at retire|issue",
-        oneOf(validQueueModes(), "queue mode"), &JobSpec::queueMode);
-    rows.push_back({"--spec-history", "", "speculative branch history",
-                    set(spec->specHistory)});
-    rows.push_back({"--reserve-oldest", "", "keep a buffer entry for the "
-                    "oldest", set(spec->reserveOldest)});
     return rows;
 }
 

@@ -59,11 +59,13 @@ number(T &out, T min = 0, T max = std::numeric_limits<T>::max())
     };
 }
 
-/** The point parameters bound to one JobSpec, with mcasim's machine
- *  overrides and `--clusters N` (the 8-way machine with N clusters). */
+/** The point parameters bound to one JobSpec, with `--clusters N` (the
+ *  8-way machine with N clusters). */
 FlagTable pointFlags(JobSpec &spec);
 
-/** The point parameters bound to a grid, with its sampling axis. */
+/** The point parameters bound to a grid, with its sampling axis: an
+ *  axis takes a list, and every other parameter is one value all jobs
+ *  share. */
 FlagTable gridFlags(CampaignGrid &grid);
 
 /** Run each argument's row, in order. Throws UsageError. */

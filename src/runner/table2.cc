@@ -1,6 +1,8 @@
 #include "runner/table2.hh"
 
+#include "obs/cycle_stack.hh"
 #include "support/panic.hh"
+#include "support/table.hh"
 #include "workloads/workloads.hh"
 
 namespace mca::runner
@@ -31,6 +33,53 @@ toRunStats(const JobResult &result)
     stats.cycleStack.slots = result.stackSlots;
     stats.cycleStack.cycles = result.cycles;
     return stats;
+}
+
+/**
+ * Where did the dual-cluster machine lose its cycles? For each
+ * benchmark, the per-cause cycle-stack delta between the dual-none run
+ * and the single-cluster baseline: positive = cycles the dual machine
+ * spends on that cause beyond the single machine. The cause columns sum
+ * to the total cycle delta (conservation), so the table decomposes
+ * Table 2's slowdown into the paper's §2.1 mechanisms.
+ */
+void
+printTable2Attribution(std::ostream &os,
+                       const std::vector<harness::Table2Row> &rows)
+{
+    bool have = false;
+    for (const auto &row : rows)
+        have |= row.single.cycleStack.slots > 0 &&
+                row.dualNone.cycleStack.slots > 0;
+    if (!have)
+        return; // stacks absent (e.g. stale cache entries)
+
+    os << "\nSlowdown attribution (dual/none minus single), "
+          "cycles by cause:\n";
+    TextTable table;
+    std::vector<std::string> header = {"benchmark", "dCycles"};
+    for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
+        header.push_back(
+            obs::stallCauseName(static_cast<obs::StallCause>(i)));
+    table.header(header);
+    for (const auto &row : rows) {
+        if (row.single.cycleStack.slots == 0 ||
+            row.dualNone.cycleStack.slots == 0)
+            continue;
+        std::vector<std::string> cells = {
+            row.benchmark,
+            std::to_string(static_cast<long long>(
+                row.dualNone.cycles - row.single.cycles))};
+        for (std::size_t i = 0; i < obs::kNumStallCauses; ++i) {
+            const auto cause = static_cast<obs::StallCause>(i);
+            const double delta =
+                row.dualNone.cycleStack.cyclesOf(cause) -
+                row.single.cycleStack.cyclesOf(cause);
+            cells.push_back(TextTable::num(delta, 0));
+        }
+        table.row(cells);
+    }
+    table.print(os);
 }
 
 } // namespace
@@ -91,19 +140,20 @@ assembleTable2Rows(const std::vector<JobResult> &jobs)
         row.spillLoadsLocal = dualLocal.spillLoads;
         row.spillStoresLocal = dualLocal.spillStores;
         row.otherClusterSpills = dualLocal.otherClusterSpills;
-
-        auto pct = [&](const harness::RunStats &dual) {
-            if (row.single.cycles == 0)
-                return 0.0;
-            return 100.0 -
-                   100.0 * (static_cast<double>(dual.cycles) /
-                            static_cast<double>(row.single.cycles));
-        };
-        row.pctNone = pct(row.dualNone);
-        row.pctLocal = pct(row.dualLocal);
+        row.pctNone = speedupPct(single.cycles, dualNone.cycles);
+        row.pctLocal = speedupPct(single.cycles, dualLocal.cycles);
         rows.push_back(std::move(row));
     }
     return rows;
+}
+
+double
+speedupPct(Cycle single, Cycle dual)
+{
+    if (single == 0)
+        return 0.0;
+    return 100.0 - 100.0 * (static_cast<double>(dual) /
+                            static_cast<double>(single));
 }
 
 Table2CampaignResult
@@ -115,6 +165,37 @@ runTable2Campaign(const harness::ExperimentOptions &options,
     out.jobs = runCampaign(jobs, campaign, &out.summary);
     out.rows = assembleTable2Rows(out.jobs);
     return out;
+}
+
+void
+printTable2(std::ostream &os, const std::vector<JobResult> &jobs)
+{
+    const auto rows = assembleTable2Rows(jobs);
+    os << "Table 2: dual-cluster speedup ratios\n"
+       << "  100 - 100*(cycles_dual / cycles_single); "
+       << "positive = speedup\n\n";
+    TextTable table;
+    table.header({"benchmark", "none (paper)", "none (ours)",
+                  "local (paper)", "local (ours)", "single cycles",
+                  "dual-none cycles", "dual-local cycles", "replays(l)"});
+    const auto &paper = harness::paperTable2();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto &row = rows[i];
+        const bool havePaper = i < paper.size();
+        table.row({row.benchmark,
+                   havePaper ? TextTable::signedPercent(paper[i].pctNone)
+                             : "-",
+                   TextTable::signedPercent(row.pctNone),
+                   havePaper ? TextTable::signedPercent(paper[i].pctLocal)
+                             : "-",
+                   TextTable::signedPercent(row.pctLocal),
+                   std::to_string(row.single.cycles),
+                   std::to_string(row.dualNone.cycles),
+                   std::to_string(row.dualLocal.cycles),
+                   std::to_string(row.dualLocal.replays)});
+    }
+    table.print(os);
+    printTable2Attribution(os, rows);
 }
 
 } // namespace mca::runner

@@ -15,6 +15,7 @@
 #ifndef MCA_RUNNER_TABLE2_HH
 #define MCA_RUNNER_TABLE2_HH
 
+#include <ostream>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -42,6 +43,20 @@ runTable2Campaign(const harness::ExperimentOptions &options,
 /** Rebuild rows from an already-run table2Jobs() result list. */
 std::vector<harness::Table2Row>
 assembleTable2Rows(const std::vector<JobResult> &jobs);
+
+/**
+ * Table 2's percentage, 100 - 100 * (dual / single) cycles: positive
+ * is a speedup of `dual` over the single-cluster run, and 0 when
+ * `single` is 0. Study tables print it as `speedup_pct`.
+ */
+double speedupPct(Cycle single, Cycle dual);
+
+/**
+ * Print a table2Jobs() result list as Table 2 beside the paper's
+ * percentages, then each benchmark's slowdown attribution (dual/none
+ * minus single, cycles by stall cause).
+ */
+void printTable2(std::ostream &os, const std::vector<JobResult> &jobs);
 
 } // namespace mca::runner
 

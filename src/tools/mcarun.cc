@@ -7,6 +7,10 @@
  * jobs, shards them across worker threads, serves repeated points from
  * an on-disk result cache, and emits JSON-lines and/or CSV results.
  *
+ * `--study NAME` runs a named study (runner/study.hh) in place of the
+ * grid: Table 2 or one of the ablations and extensions, at the grid's
+ * --scale, --max-insts and trace seed.
+ *
  * Results are bit-identical at any --jobs width: each job owns all of
  * its state and results are emitted in grid order, never completion
  * order. Failed or timed-out jobs are recorded in the output (status
@@ -15,7 +19,7 @@
  *
  *   mcarun --benchmarks all --machines single8,dual8 \
  *          --schedulers native,local --jobs 8 --out results.jsonl
- *   mcarun --table2 --scale 1.0 --jobs $(nproc) --csv table2.csv
+ *   mcarun --study table2 --scale 1.0 --jobs $(nproc) --csv table2.csv
  *   mcarun --benchmarks compress --thresholds 1,2,4,8,16,32 --csv -
  */
 
@@ -28,25 +32,33 @@
 #include <thread>
 #include <vector>
 
-#include "obs/cycle_stack.hh"
 #include "runner/campaign.hh"
 #include "runner/emit.hh"
 #include "runner/flags.hh"
-#include "runner/table2.hh"
+#include "runner/study.hh"
 #include "runner/telemetry.hh"
 #include "support/log.hh"
 #include "support/panic.hh"
-#include "support/table.hh"
 
 namespace
 {
 
 using namespace mca;
 
+/** The record columns a grid's table prints. */
+const std::vector<std::string> kGridColumns = {
+    "benchmark", "machine", "scheduler", "threshold", "trace_seed", "status",
+    "cycles",    "retired", "ipc",       "replays",   "from_cache"};
+
+/** The grid flags a study reads; it takes one trace seed. */
+const std::vector<std::string> kStudyFlags = {"--scale", "--max-insts",
+                                              "--trace-seeds"};
+
 struct Options
 {
     runner::CampaignGrid grid;
-    bool table2 = false;
+    /** --study: the named study run in place of the grid. */
+    const runner::Study *study = nullptr;
     unsigned jobs = 1;
     std::string cacheDir = ".mcarun-cache";
     bool noCache = false;
@@ -56,6 +68,20 @@ struct Options
     bool quiet = false;
     bool noTable = false;
 };
+
+/** The campaign's jobs: the study's, built from the grid's scale,
+ *  length and trace seed, or else the grid's. */
+std::vector<runner::JobSpec>
+jobsOf(const Options &opt)
+{
+    if (!opt.study)
+        return runner::expandGrid(opt.grid);
+    runner::JobSpec base;
+    base.scale = opt.grid.scale;
+    base.maxInsts = opt.grid.maxInsts;
+    base.traceSeed = base.profileSeed = opt.grid.traceSeeds.front();
+    return opt.study->jobs(base);
+}
 
 /** Parse the command line; a mistake exits with status 2. */
 Options
@@ -69,10 +95,22 @@ parse(int argc, char **argv)
                                : static_cast<unsigned>(
                                      parseUnsigned(v, 1, 4096));
     };
+    // Note each grid flag given, so a study can refuse the ones it does
+    // not read instead of ignoring them.
     FlagTable table = gridFlags(opt.grid);
+    std::vector<std::string> given;
+    for (Flag &row : table)
+        if (!row.name.empty())
+            row.action = [&given, name = row.name,
+                          action = row.action](const std::string &v) {
+                given.push_back(name);
+                action(v);
+            };
     table.insert(table.end(), {
         {"", "", "campaign", {}},
-        {"--table2", "", "run and print Table 2", set(opt.table2)},
+        {"--study", "NAME",
+         joinChoices(studyNames()) + ": run a study, not the grid",
+         [&](const std::string &v) { opt.study = &studyNamed(v); }},
         {"--jobs", "N|auto", "worker threads, 1..4096 or all [1]", jobs},
         {"-j", "N|auto", "same as --jobs", jobs},
         {"--cache", "DIR", "result cache [.mcarun-cache]", store(opt.cacheDir)},
@@ -82,13 +120,23 @@ parse(int argc, char **argv)
         {"--telemetry", "FILE", "JSONL progress", store(opt.telemetryOut)},
         {"--no-table", "", "no human-readable table", set(opt.noTable)},
     });
-    // Every point passes the runner's own validator before any compile.
+    const auto check = [&] {
+        if (opt.study) {
+            for (const auto &flag : given)
+                if (std::find(kStudyFlags.begin(), kStudyFlags.end(),
+                              flag) == kStudyFlags.end())
+                    throw UsageError(flag, "--study " + opt.study->name +
+                                               " does not read it");
+            if (opt.grid.traceSeeds.size() != 1)
+                throw UsageError("--trace-seeds", "a study takes one seed");
+        }
+        // Every point passes the runner's own validator before any
+        // compile.
+        for (const auto &spec : jobsOf(opt))
+            checkPoint(spec);
+    };
     parseCommandLine("mcarun — parallel experiment-campaign driver",
-                     std::move(table), opt.quiet, argc, argv, [&] {
-                         if (!opt.table2)
-                             for (const auto &spec : expandGrid(opt.grid))
-                                 checkPoint(spec);
-                     });
+                     std::move(table), opt.quiet, argc, argv, check);
     return opt;
 }
 
@@ -111,99 +159,6 @@ writeResults(const std::string &path,
     if (!out)
         MCA_FATAL("cannot open '", path, "' for writing");
     emit(out);
-}
-
-void
-printGridTable(const std::vector<runner::JobResult> &results)
-{
-    TextTable table;
-    table.header({"benchmark", "machine", "scheduler", "thr", "seed",
-                  "status", "cycles", "retired", "ipc", "replays",
-                  "cache"});
-    for (const auto &r : results)
-        table.row({r.spec.benchmark, r.spec.machine, r.spec.scheduler,
-                   std::to_string(r.spec.threshold),
-                   std::to_string(r.spec.traceSeed),
-                   runner::jobStatusName(r.status),
-                   std::to_string(r.cycles), std::to_string(r.retired),
-                   TextTable::num(r.ipc), std::to_string(r.replays),
-                   r.fromCache ? "hit" : "miss"});
-    table.print(std::cout);
-}
-
-void
-printTable2(const std::vector<harness::Table2Row> &rows)
-{
-    std::cout << "Table 2: dual-cluster speedup ratios\n"
-              << "  100 - 100*(cycles_dual / cycles_single); "
-              << "positive = speedup\n\n";
-    TextTable table;
-    table.header({"benchmark", "none (paper)", "none (ours)",
-                  "local (paper)", "local (ours)", "single cycles",
-                  "dual-none cycles", "dual-local cycles", "replays(l)"});
-    const auto &paper = harness::paperTable2();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto &row = rows[i];
-        const bool havePaper = i < paper.size();
-        table.row({row.benchmark,
-                   havePaper ? TextTable::signedPercent(paper[i].pctNone)
-                             : "-",
-                   TextTable::signedPercent(row.pctNone),
-                   havePaper ? TextTable::signedPercent(paper[i].pctLocal)
-                             : "-",
-                   TextTable::signedPercent(row.pctLocal),
-                   std::to_string(row.single.cycles),
-                   std::to_string(row.dualNone.cycles),
-                   std::to_string(row.dualLocal.cycles),
-                   std::to_string(row.dualLocal.replays)});
-    }
-    table.print(std::cout);
-}
-
-/**
- * Where did the dual-cluster machine lose its cycles? For each
- * benchmark, the per-cause cycle-stack delta between the dual-none run
- * and the single-cluster baseline: positive = cycles the dual machine
- * spends on that cause beyond the single machine. The cause columns sum
- * to the total cycle delta (conservation), so the table decomposes
- * Table 2's slowdown into the paper's §2.1 mechanisms.
- */
-void
-printTable2Attribution(const std::vector<harness::Table2Row> &rows)
-{
-    bool have = false;
-    for (const auto &row : rows)
-        have |= row.single.cycleStack.slots > 0 &&
-                row.dualNone.cycleStack.slots > 0;
-    if (!have)
-        return; // stacks absent (e.g. stale cache entries)
-
-    std::cout << "\nSlowdown attribution (dual/none minus single), "
-                 "cycles by cause:\n";
-    TextTable table;
-    std::vector<std::string> header = {"benchmark", "dCycles"};
-    for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
-        header.push_back(
-            obs::stallCauseName(static_cast<obs::StallCause>(i)));
-    table.header(header);
-    for (const auto &row : rows) {
-        if (row.single.cycleStack.slots == 0 ||
-            row.dualNone.cycleStack.slots == 0)
-            continue;
-        std::vector<std::string> cells = {
-            row.benchmark,
-            std::to_string(static_cast<long long>(
-                row.dualNone.cycles - row.single.cycles))};
-        for (std::size_t i = 0; i < obs::kNumStallCauses; ++i) {
-            const auto cause = static_cast<obs::StallCause>(i);
-            const double delta =
-                row.dualNone.cycleStack.cyclesOf(cause) -
-                row.single.cycleStack.cyclesOf(cause);
-            cells.push_back(TextTable::num(delta, 0));
-        }
-        table.row(cells);
-    }
-    table.print(std::cout);
 }
 
 } // namespace
@@ -239,27 +194,10 @@ main(int argc, char **argv)
     }
 
     runner::CampaignSummary summary;
-    std::vector<runner::JobResult> results;
-    std::vector<harness::Table2Row> table2Rows;
-
-    if (opt.table2) {
-        harness::ExperimentOptions exp;
-        exp.workload.scale = opt.grid.scale;
-        exp.maxInsts = opt.grid.maxInsts;
-        if (!opt.grid.thresholds.empty())
-            exp.imbalanceThreshold = opt.grid.thresholds.front();
-        if (!opt.grid.traceSeeds.empty())
-            exp.traceSeed = opt.grid.traceSeeds.front();
-        auto result = runner::runTable2Campaign(exp, campaign);
-        results = std::move(result.jobs);
-        table2Rows = std::move(result.rows);
-        summary = result.summary;
-    } else {
-        const auto specs = runner::expandGrid(opt.grid);
-        if (telemetry)
-            telemetry->start(specs.size(), opt.jobs);
-        results = runner::runCampaign(specs, campaign, &summary);
-    }
+    const auto specs = jobsOf(opt);
+    if (telemetry)
+        telemetry->start(specs.size(), opt.jobs);
+    const auto results = runner::runCampaign(specs, campaign, &summary);
     progress.finish();
     if (telemetry)
         telemetry->finish(summary);
@@ -269,14 +207,10 @@ main(int argc, char **argv)
     if (!opt.csvOut.empty())
         writeResults(opt.csvOut, results, /*csv=*/true);
 
-    if (!opt.noTable) {
-        if (opt.table2) {
-            printTable2(table2Rows);
-            printTable2Attribution(table2Rows);
-        } else {
-            printGridTable(results);
-        }
-    }
+    if (!opt.noTable && opt.study)
+        opt.study->print(std::cout, results);
+    else if (!opt.noTable)
+        runner::printColumns(std::cout, kGridColumns, results);
 
     for (const auto &r : results)
         if (r.status != runner::JobStatus::Ok)

@@ -131,9 +131,14 @@ TEST(Flags, ClustersIsShorthandForTheMachineWithThatManyClusters)
 
 TEST(Flags, McasimAndMcarunSpellingsNameTheSamePoint)
 {
-    const Args shared = {"--scale",     "0.3",  "--unroll",   "2",
-                         "--predictor", "gshare", "--max-insts", "1234",
-                         "--fill-ports", "1"};
+    const Args shared = {"--scale",      "0.3",    "--unroll",    "2",
+                         "--predictor",  "gshare", "--max-insts", "1234",
+                         "--fill-ports", "1",
+                         // The machine overrides.
+                         "--icache-kb", "32", "--dcache-kb", "16",
+                         "--dq", "48", "--otb", "4", "--rtb", "6",
+                         "--mshr", "8", "--queue-mode", "rs",
+                         "--spec-history", "--reserve-oldest"};
     // mcasim spells an axis in the singular; mcarun's grid axis is the
     // same flag as a list (the memory axes keep their name).
     const std::vector<std::pair<std::string, std::string>> axes = {
@@ -160,6 +165,26 @@ TEST(Flags, McasimAndMcarunSpellingsNameTheSamePoint)
     EXPECT_NE(spec.canonicalKey(), runner::JobSpec{}.canonicalKey());
     // The trace seed seeds the profiling run too, as in every grid.
     EXPECT_EQ(spec.profileSeed, 7u);
+    EXPECT_EQ(spec.otbEntries, 4u);
+    EXPECT_TRUE(spec.reserveOldest);
+}
+
+TEST(Flags, GridMachineOverrideFailsAtTheNamedPoint)
+{
+    runner::CampaignGrid grid;
+    runner::parseFlags(runner::gridFlags(grid),
+                       {"--benchmarks", "tomcatv", "--machines", "quad8",
+                        "--otb", "1"});
+    const auto specs = runner::expandGrid(grid);
+    ASSERT_EQ(specs.size(), 1u);
+    try {
+        runner::checkPoint(specs.front());
+        FAIL() << "a one-entry OTB passed on quad8";
+    } catch (const runner::UsageError &e) {
+        EXPECT_EQ(std::string(e.what()).rfind("tomcatv/quad8/local: ", 0),
+                  0u)
+            << e.what();
+    }
 }
 
 TEST(Flags, GridAxesTakeListsAllAndAppendedPartitioners)

@@ -2,7 +2,7 @@
  * @file
  * Tests for the campaign runner (src/runner): grid expansion, spec-hash
  * stability, cache hit/miss behaviour, determinism across worker
- * widths, and timeout/failure capture.
+ * widths, timeout/failure capture, and the named studies.
  */
 
 #include <algorithm>
@@ -18,12 +18,17 @@
 #include <gtest/gtest.h>
 
 #include "compiler/pipeline.hh"
+#include "core/processor.hh"
+#include "exec/trace.hh"
 #include "obs/json.hh"
 #include "runner/campaign.hh"
 #include "runner/artifact_store.hh"
 #include "runner/emit.hh"
+#include "runner/flags.hh"
+#include "runner/study.hh"
 #include "runner/table2.hh"
 #include "runner/thread_pool.hh"
+#include "support/table.hh"
 #include "table2_reference.hh"
 #include "workloads/workloads.hh"
 
@@ -846,6 +851,210 @@ TEST(Campaign, CompileCacheSharesCompilesAcrossTheGrid)
         EXPECT_EQ(plain[i].spillStores, cached[i].spillStores) << i;
         EXPECT_DOUBLE_EQ(plain[i].ipc, cached[i].ipc) << i;
     }
+}
+
+/** The body cells of a printed TextTable, one vector per row. */
+std::vector<std::vector<std::string>>
+tableRows(const std::string &text)
+{
+    std::vector<std::vector<std::string>> rows;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("| ", 0) != 0)
+            continue;
+        std::vector<std::string> cells;
+        std::istringstream cellsIn(line.substr(1));
+        for (std::string cell; std::getline(cellsIn, cell, '|');) {
+            cell.erase(0, cell.find_first_not_of(' '));
+            cell.erase(cell.find_last_not_of(' ') + 1);
+            cells.push_back(cell);
+        }
+        rows.push_back(std::move(cells));
+    }
+    if (!rows.empty())
+        rows.erase(rows.begin()); // the header
+    return rows;
+}
+
+TEST(Study, RegistryNamesPointsAndColumnsAreValid)
+{
+    std::set<std::string> columns;
+    runner::forEachColumn(JobResult{}, [&](std::string_view name,
+                                           const auto &) {
+        columns.emplace(name);
+    });
+    std::set<std::string> names;
+    for (const runner::Study &study : runner::studies()) {
+        SCOPED_TRACE(study.name);
+        EXPECT_TRUE(names.insert(study.name).second) << "duplicate name";
+        EXPECT_EQ(&runner::studyNamed(study.name), &study);
+        EXPECT_FALSE(study.title.empty());
+        EXPECT_TRUE(study.print);
+        // Table 2 has a printer of its own; every other study names its
+        // columns.
+        EXPECT_EQ(study.columns.empty(), study.name == "table2");
+        for (const auto &column : study.columns)
+            EXPECT_TRUE(columns.count(column)) << column;
+
+        JobSpec base = tinySpec();
+        base.traceSeed = base.profileSeed = 7;
+        const auto specs = study.jobs(base);
+        ASSERT_FALSE(specs.empty());
+        std::set<std::string> keys;
+        for (const JobSpec &spec : specs) {
+            EXPECT_NO_THROW(runner::checkPoint(spec)) << spec.canonicalKey();
+            EXPECT_TRUE(keys.insert(spec.canonicalKey()).second)
+                << "duplicate point " << spec.canonicalKey();
+            // Every study runs at the base's scale, length and seeds.
+            EXPECT_EQ(spec.scale, base.scale);
+            EXPECT_EQ(spec.maxInsts, base.maxInsts);
+            EXPECT_EQ(spec.traceSeed, 7u);
+            EXPECT_EQ(spec.profileSeed, 7u);
+        }
+    }
+    EXPECT_EQ(runner::studies().front().name, "table2");
+    EXPECT_THROW(runner::studyNamed("nosuch"), std::runtime_error);
+}
+
+/**
+ * One point per machine override a study sweeps, run through runJob and
+ * through a Processor configured, built and stepped by hand from the
+ * same compile: each override must reach the simulation the same way
+ * both ways, and must change it.
+ */
+TEST(Study, OverridePointsMatchAHandBuiltProcessor)
+{
+    using Config = core::ProcessorConfig;
+    struct Point
+    {
+        const char *what;
+        JobSpec spec;
+        compiler::SchedulerKind scheduler;
+        unsigned clusters;
+        Config config;
+    };
+    const auto spec = [](const char *benchmark, const char *machine,
+                         const char *scheduler) {
+        JobSpec s = tinySpec();
+        s.benchmark = benchmark;
+        s.machine = machine;
+        s.scheduler = scheduler;
+        return s;
+    };
+    std::vector<Point> points;
+    {
+        Point p{"dq", spec("compress", "single8", "native"),
+                compiler::SchedulerKind::Native, 1, Config::singleCluster8()};
+        p.spec.dqEntries = p.config.dispatchQueueEntries = 32;
+        points.push_back(p);
+    }
+    {
+        Point p{"otb/rtb", spec("tomcatv", "dual8", "native"),
+                compiler::SchedulerKind::Native, 1, Config::dualCluster8()};
+        p.spec.otbEntries = p.config.operandBufferEntries = 1;
+        p.spec.rtbEntries = p.config.resultBufferEntries = 1;
+        points.push_back(p);
+    }
+    {
+        Point p{"mshr", spec("su2cor", "single8", "native"),
+                compiler::SchedulerKind::Native, 1, Config::singleCluster8()};
+        p.spec.mshrEntries = p.config.memory.dcache.mshrEntries = 2;
+        points.push_back(p);
+    }
+    {
+        Point p{"predictor", spec("gcc1", "single8", "native"),
+                compiler::SchedulerKind::Native, 1, Config::singleCluster8()};
+        p.spec.predictor = "gshare";
+        p.config.predictor = Config::PredictorKind::Gshare;
+        p.spec.specHistory = p.config.speculativeHistory = true;
+        points.push_back(p);
+    }
+    {
+        Point p{"unroll", spec("tomcatv", "dual8", "local"),
+                compiler::SchedulerKind::Local, 2, Config::dualCluster8()};
+        p.spec.unroll = 2;
+        points.push_back(p);
+    }
+
+    for (const Point &p : points) {
+        SCOPED_TRACE(p.what);
+        const JobResult job = runner::runJob(p.spec);
+        ASSERT_EQ(job.status, JobStatus::Ok) << job.error;
+        // The override changes the simulation.
+        EXPECT_NE(job.cycles, runner::runJob(spec(p.spec.benchmark.c_str(),
+                                                  p.spec.machine.c_str(),
+                                                  p.spec.scheduler.c_str()))
+                                  .cycles);
+
+        workloads::WorkloadParams wp;
+        wp.scale = p.spec.scale;
+        compiler::CompileOptions copt;
+        copt.scheduler = p.scheduler;
+        copt.numClusters = p.clusters;
+        copt.unrollFactor = p.spec.unroll;
+        copt.profileSeed = p.spec.traceSeed;
+        const auto out = compiler::compile(
+            workloads::benchmarkByName(p.spec.benchmark).make(wp), copt);
+        Config cfg = p.config;
+        cfg.regMap = out.hardwareMap(cfg.numClusters);
+        StatGroup stats(p.spec.benchmark);
+        exec::ProgramTrace trace(out.binary, p.spec.traceSeed,
+                                 p.spec.maxInsts);
+        core::Processor cpu(cfg, trace, stats);
+        const auto result = cpu.run(50'000'000);
+        ASSERT_TRUE(result.completed);
+
+        EXPECT_EQ(job.cycles, result.cycles);
+        EXPECT_EQ(job.retired, result.instructions);
+        EXPECT_EQ(job.replays, stats.counterAt("replay.exceptions").value());
+        EXPECT_EQ(job.issueDisorder,
+                  stats.counterAt("issue.disorder").value());
+        EXPECT_EQ(job.distDual, stats.counterAt("dist.dual").value());
+        EXPECT_EQ(job.bpredAccuracy, stats.formulaAt("bpred.accuracy"));
+        const auto dacc = stats.counterAt("dcache.accesses").value();
+        EXPECT_EQ(job.dcacheMissRate,
+                  static_cast<double>(stats.counterAt("dcache.misses")
+                                          .value()) /
+                      static_cast<double>(dacc));
+    }
+}
+
+TEST(Study, SpeedupColumnIsTable2Percentage)
+{
+    JobSpec base = tinySpec();
+    base.maxInsts = 20'000;
+    runner::CampaignOptions campaign;
+    campaign.jobs = 3;
+    const auto jobs = runner::runCampaign(
+        runner::studyNamed("table2").jobs(base), campaign);
+    const auto rows = runner::assembleTable2Rows(jobs);
+
+    // Printed with speedup_pct, each dual job reads its Table-2
+    // percentage; each single-cluster baseline reads +0.0.
+    std::ostringstream text;
+    runner::printColumns(text, {"benchmark", "machine", "scheduler"}, jobs,
+                         /*speedup=*/true);
+    const auto cells = tableRows(text.str());
+    ASSERT_EQ(cells.size(), jobs.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        SCOPED_TRACE(rows[i].benchmark);
+        const auto &single = cells[3 * i];
+        const auto &none = cells[3 * i + 1];
+        const auto &local = cells[3 * i + 2];
+        ASSERT_EQ(local[0], rows[i].benchmark);
+        ASSERT_EQ(local[2], "local");
+        EXPECT_EQ(single[3], "+0.0");
+        EXPECT_EQ(none[3], TextTable::signedPercent(rows[i].pctNone, 1));
+        EXPECT_EQ(local[3], TextTable::signedPercent(rows[i].pctLocal, 1));
+        EXPECT_EQ(runner::speedupPct(jobs[3 * i].cycles,
+                                     jobs[3 * i + 2].cycles),
+                  rows[i].pctLocal);
+    }
+
+    // Without its baseline a job has no percentage.
+    std::ostringstream alone;
+    runner::printColumns(alone, {"benchmark"}, {jobs[2]}, true);
+    EXPECT_EQ(tableRows(alone.str()).at(0).at(1), "-");
 }
 
 TEST(ThreadPoolTest, RunsEverythingAndWaits)
