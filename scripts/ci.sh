@@ -161,10 +161,11 @@ echo "$SUMMARY" | grep -q "compiles: 12 (6 shared)" || {
     exit 1
 }
 
-# Study digests: every named study (Table 2, the ablations and the
-# extensions that `mcarun --study` runs) at --scale 0.05 --max-insts
+# Study digests: every named study (Table 2, the ablations, extensions
+# and sweeps that `mcarun --study` runs) at --scale 0.05 --max-insts
 # 20000 must print the table whose SHA-256 scripts/study_digests.json
-# pins, as bench/e2e's digests.json pins its workloads.
+# pins, as bench/e2e's digests.json pins its workloads (also the
+# StudyDigests ctest).
 python3 scripts/check_studies.py "$BUILD/src/tools/mcarun"
 
 # N-cluster partitioning smokes: the --clusters machine selection with
@@ -182,18 +183,20 @@ done
     --scale 0.05 --max-insts 20000 --jobs 4 --no-cache --no-table \
     --quiet >/dev/null
 
-# Partition-quality benchmark: the cluster-count x partitioner sweep;
-# fails unless the multilevel partitioner cuts no more affinity weight
-# than round-robin on every workload and matches or beats the local
-# scheduler's geomean IPC at 4 and 8 clusters (see EXPERIMENTS.md).
-"$BUILD/bench/ablation_clusters" --jobs 4 \
-    --json-out "$ROOT/BENCH_partition.json"
+# Partition-quality benchmark: the cluster-count x partitioner study;
+# mcarun exits 1 unless every job is ok, the multilevel partitioner
+# cuts no more affinity weight than round-robin on every benchmark and
+# machine, and it matches or beats the local scheduler's geomean IPC at
+# 4 and 8 clusters (see EXPERIMENTS.md).
+"$BUILD/src/tools/mcarun" --study clusters --max-insts 100000 --jobs 4 \
+    --no-cache --out "$ROOT/BENCH_partition.jsonl"
 
-# Memory-hierarchy sensitivity smoke: the L2 x memory-latency grid over
-# compress + su2cor; fails on a cycle-stack conservation violation, a
-# dcache_l2 attribution without an L2, or a non-deterministic
-# paper-mode corner (see docs/memory.md and EXPERIMENTS.md).
-"$BUILD/bench/sensitivity_memory" --json-out "$ROOT/BENCH_mem.json"
+# Memory-hierarchy sensitivity: the L2 x memory-latency study over
+# compress + su2cor; mcarun exits 1 unless every job is ok and no job
+# without an L2 attributes a stall to one (see docs/memory.md and
+# EXPERIMENTS.md).
+"$BUILD/src/tools/mcarun" --study memory --scale 0.1 --max-insts 60000 \
+    --no-cache --out "$ROOT/BENCH_mem.jsonl"
 
 # Hierarchy-flag smoke: an L2-equipped machine with finite fill ports
 # runs end to end with conserved cycle stacks.

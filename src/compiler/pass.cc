@@ -165,7 +165,6 @@ class PartitionPass : public Pass
             ctx.out.partitionStats = scorePartition(
                 graph, ctx.out.partition, ctx.options.numClusters);
         }
-        exportPartitionStats(ctx.out.partitionStats, ctx.stats);
         ctx.verify.clusterOf = &ctx.out.partition.cluster;
         ctx.verify.numClusters = ctx.options.numClusters;
     }
@@ -333,7 +332,6 @@ PassManager::run(PassContext &ctx) const
         }
     }
 
-    unsigned index = 0;
     for (const auto &pass : passes_) {
         PassStat stat;
         stat.pass = std::string(pass->name());
@@ -365,9 +363,7 @@ PassManager::run(PassContext &ctx) const
                                        pass->dump(ctx));
         if (verifyIr_)
             verifyOrThrow(ctx, "after pass '" + stat.pass + "'");
-        ++index;
     }
-    exportPassStats(ctx.out.passStats, ctx.stats);
 }
 
 void

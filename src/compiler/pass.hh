@@ -7,11 +7,11 @@
  * CompileOutput being assembled, and the growing prog::VerifyOptions
  * the partition/regalloc passes extend with their results. The
  * PassManager owns the sequence: it times every pass, records IR-delta
- * counters (blocks, instructions, live ranges, spill ops) into both
- * CompileOutput::passStats and the context's StatGroup, captures
- * `--dump-after` snapshots, and — under CompileOptions::verifyIr —
- * runs prog::verifyIR() on the input and after every pass, throwing
- * std::runtime_error naming the offending pass on the first violation.
+ * counters (blocks, instructions, live ranges, spill ops) into
+ * CompileOutput::passStats, captures `--dump-after` snapshots, and —
+ * under CompileOptions::verifyIr — runs prog::verifyIR() on the input
+ * and after every pass, throwing std::runtime_error naming the
+ * offending pass on the first violation.
  *
  * buildPipeline() translates CompileOptions into the exact pass
  * sequence the old hardcoded pipeline ran, so compile() output is
@@ -49,9 +49,6 @@ struct PassContext
     prog::Program program;
     const CompileOptions &options;
     CompileOutput &out;
-
-    /** Pass-timing / IR-delta counters (mirrors out.passStats). */
-    StatGroup stats{"compile"};
 
     /**
      * What verifyIR() should check from here on; the partition and
@@ -104,9 +101,9 @@ std::vector<std::unique_ptr<Pass>> buildPipeline(
 /**
  * Register `<prefix>.<NN>_<pass>.{wall_us,blocks,insts,values,
  * spill_ops}` counters for every executed pass — how per-pass records
- * reach a stats registry (and its src/obs JSON dump). The PassManager
- * calls this on its own context group; mcasim --pass-stats re-exports
- * into the simulation registry.
+ * reach a stats registry (and its src/obs JSON dump): mcasim
+ * --pass-stats exports CompileOutput::passStats into the simulation
+ * registry.
  */
 void exportPassStats(const std::vector<PassStat> &passes,
                      StatGroup &group,
@@ -115,8 +112,9 @@ void exportPassStats(const std::vector<PassStat> &passes,
 /**
  * Register `<prefix>.{cut_weight,total_weight,balance_x1000,fm_gain,
  * fm_passes,coarsen_levels,nodes,clusters}` counters for one
- * partitioning run — the partition pass's quality record, exported
- * next to the per-pass counters for any clustered scheduler.
+ * partitioning run — CompileOutput::partitionStats, which mcasim
+ * --pass-stats exports next to the per-pass counters for any clustered
+ * scheduler.
  */
 void exportPartitionStats(const PartitionStats &stats, StatGroup &group,
                           const std::string &prefix = "partition");

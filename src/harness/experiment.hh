@@ -73,12 +73,9 @@ struct ExperimentOptions
     workloads::WorkloadParams workload;
     std::uint64_t traceSeed = 42;
     std::uint64_t maxInsts = 400'000;
-    unsigned imbalanceThreshold = 4;
-    /** true: 8-way machines (the paper's reported data); false: 4-way. */
-    bool eightWay = true;
 };
 
-/** One row of the reproduced Table 2 (plus diagnostics). */
+/** One row of the reproduced Table 2. */
 struct Table2Row
 {
     std::string benchmark;
@@ -87,9 +84,6 @@ struct Table2Row
     RunStats dualLocal;   ///< rescheduled binary, dual-cluster machine
     double pctNone = 0.0; ///< 100 - 100*(dualNone/single)
     double pctLocal = 0.0;
-    std::uint64_t spillLoadsLocal = 0;
-    std::uint64_t spillStoresLocal = 0;
-    std::uint64_t otherClusterSpills = 0;
 };
 
 /** The paper's published Table 2, for side-by-side printing. */

@@ -1,15 +1,18 @@
 #include "runner/study.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
 
+#include "obs/cycle_stack.hh"
 #include "runner/emit.hh"
 #include "runner/flags.hh"
 #include "runner/table2.hh"
 #include "support/table.hh"
+#include "timing/delay_model.hh"
 
 namespace mca::runner
 {
@@ -55,6 +58,201 @@ singleClusterRun(const JobResult &r, const std::vector<JobResult> &results)
     return nullptr;
 }
 
+/** The Ok job at `r`'s point under `scheduler`, or null if `results`
+ *  has none. */
+const JobResult *
+atScheduler(const JobResult &r, const std::vector<JobResult> &results,
+            const std::string &scheduler)
+{
+    JobSpec spec = r.spec;
+    spec.scheduler = scheduler;
+    const std::string key = spec.canonicalKey();
+    for (const JobResult &b : results)
+        if (b.status == JobStatus::Ok && b.spec.canonicalKey() == key)
+            return &b;
+    return nullptr;
+}
+
+/** The Ok multilevel jobs without an L2: the partitioner sweep the
+ *  `clusters` gates read. */
+std::vector<const JobResult *>
+multilevelSweep(const std::vector<JobResult> &results)
+{
+    std::vector<const JobResult *> jobs;
+    for (const JobResult &r : results)
+        if (r.status == JobStatus::Ok && r.spec.scheduler == "multilevel" &&
+            r.spec.l2Kb == 0)
+            jobs.push_back(&r);
+    return jobs;
+}
+
+/**
+ * The geometric mean over benchmarks of multilevel IPC / local IPC on
+ * `machine` without an L2, or 0 if no benchmark has both runs.
+ */
+double
+mlLocalIpcGeomean(const std::vector<JobResult> &results,
+                  const std::string &machine)
+{
+    double logSum = 0.0;
+    std::size_t n = 0;
+    for (const JobResult *ml : multilevelSweep(results)) {
+        if (ml->spec.machine != machine)
+            continue;
+        const JobResult *local = atScheduler(*ml, results, "local");
+        if (!local || local->ipc <= 0.0 || ml->ipc <= 0.0)
+            continue;
+        logSum += std::log(ml->ipc / local->ipc);
+        ++n;
+    }
+    return n == 0 ? 0.0 : std::exp(logSum / static_cast<double>(n));
+}
+
+/** `benchmark/machine/scheduler, l2_kb N, mem_lat N`: a point of the
+ *  gated studies, which vary the memory hierarchy. */
+std::string
+pointName(const JobSpec &spec)
+{
+    return spec.benchmark + "/" + spec.machine + "/" + spec.scheduler +
+           ", l2_kb " + std::to_string(spec.l2Kb) + ", mem_lat " +
+           std::to_string(spec.memLat);
+}
+
+/** Gate: every job is ok. */
+std::vector<std::string>
+everyJobOk(const std::vector<JobResult> &results)
+{
+    std::vector<std::string> failures;
+    for (const JobResult &r : results)
+        if (r.status != JobStatus::Ok)
+            failures.push_back("every job is ok: " + pointName(r.spec) +
+                               " " + jobStatusName(r.status) + ": " +
+                               r.error);
+    return failures;
+}
+
+/**
+ * The `clusters` gates, over the partitioner sweep without an L2: every
+ * job is ok; the multilevel partitioner cuts no more affinity weight
+ * than round-robin on each benchmark and machine (both score the same
+ * affinity graph); its geomean IPC over local's is at least 1 at 4 and
+ * at 8 clusters.
+ */
+std::vector<std::string>
+checkClusters(const std::vector<JobResult> &results)
+{
+    std::vector<std::string> failures = everyJobOk(results);
+    for (const JobResult *ml : multilevelSweep(results)) {
+        const JobResult *rr = atScheduler(*ml, results, "roundrobin");
+        if (rr && ml->partitionCut > rr->partitionCut)
+            failures.push_back(
+                "multilevel cut <= round-robin: " + ml->spec.benchmark +
+                "/" + ml->spec.machine + " cuts " +
+                std::to_string(ml->partitionCut) + " > " +
+                std::to_string(rr->partitionCut));
+    }
+    for (const std::string machine : {"quad8", "octa8"}) {
+        const double geomean = mlLocalIpcGeomean(results, machine);
+        // The margin absorbs the last bits of the log sum.
+        if (geomean < 1.0 - 1e-9)
+            failures.push_back("multilevel/local IPC geomean >= 1: " +
+                               machine + " reads " +
+                               TextTable::num(geomean, 4));
+    }
+    return failures;
+}
+
+/** The `memory` gates: every job is ok, and a job without an L2
+ *  attributes no stall to one. */
+std::vector<std::string>
+checkMemory(const std::vector<JobResult> &results)
+{
+    std::vector<std::string> failures = everyJobOk(results);
+    const auto l2 = static_cast<std::size_t>(obs::StallCause::DcacheL2);
+    for (const JobResult &r : results)
+        if (r.spec.l2Kb == 0 && r.stackSlotCycles[l2] != 0)
+            failures.push_back("no dcache_l2 stall without an L2: " +
+                               pointName(r.spec) + " reads " +
+                               stackFieldName(l2) + " " +
+                               std::to_string(r.stackSlotCycles[l2]));
+    return failures;
+}
+
+/**
+ * The paper's §4.2 cycle-time analysis: the critical-path delay model
+ * at five feature sizes, the break-even clock-reduction rule (a 25%
+ * slowdown needs a 20% smaller period), and each benchmark's net
+ * run-time speedup of its dual-cluster run over its single-cluster one
+ * at three feature sizes, the argument that the multicluster
+ * architecture wins below 0.35 um.
+ */
+void
+printCycleTime(std::ostream &os, const std::vector<JobResult> &results)
+{
+    timing::DelayModel model;
+
+    os << "Critical-path delay model (calibrated to Palacharla et al.)\n\n";
+    TextTable delays;
+    delays.header({"feature size", "4-way delay (ps)", "8-way delay (ps)",
+                   "8/4 growth", "wire share (4-way)"});
+    for (double f : {0.8, 0.35, 0.25, 0.18, 0.13}) {
+        delays.row({TextTable::num(f, 2) + " um",
+                    TextTable::num(model.criticalPathPs(4, f), 0),
+                    TextTable::num(model.criticalPathPs(8, f), 0),
+                    TextTable::num(model.widthGrowthRatio(4, 8, f), 2),
+                    TextTable::num(model.wireShare(f), 3)});
+    }
+    delays.print(os);
+    os << "\nPaper anchors: 1248 ps -> 1484 ps (+18%) at 0.35 um; "
+          "+82% at 0.18 um.\n";
+
+    os << "\nBreak-even clock reduction (1 - 1/(1 + slowdown)):\n";
+    TextTable brk;
+    brk.header({"cycle slowdown", "required period reduction"});
+    for (double s : {5.0, 10.0, 15.0, 20.0, 25.0, 30.0}) {
+        brk.row({TextTable::num(s, 0) + "%",
+                 TextTable::num(
+                     100.0 * timing::DelayModel::requiredClockReduction(s),
+                     1) +
+                     "%"});
+    }
+    brk.print(os);
+
+    os << "\nNet run-time speedup of the dual-cluster machine (local "
+          "scheduler),\ncombining the measured cycle ratio with the clock "
+          "advantage of 4-way\nclusters over an 8-way single cluster:\n";
+    TextTable net;
+    net.header({"benchmark", "cycle ratio", "net @ 0.35um", "net @ 0.25um",
+                "net @ 0.18um"});
+    double worstRatio = 1.0;
+    for (const JobResult &dual : results) {
+        const JobResult *single = singleClusterRun(dual, results);
+        if (!single || single == &dual || dual.status != JobStatus::Ok)
+            continue;
+        const double ratio = static_cast<double>(dual.cycles) /
+                             static_cast<double>(single->cycles);
+        worstRatio = std::max(worstRatio, ratio);
+        net.row({dual.spec.benchmark, TextTable::num(ratio, 3),
+                 TextTable::signedPercent(
+                     model.netSpeedupPercent(ratio, 8, 4, 0.35), 1),
+                 TextTable::signedPercent(
+                     model.netSpeedupPercent(ratio, 8, 4, 0.25), 1),
+                 TextTable::signedPercent(
+                     model.netSpeedupPercent(ratio, 8, 4, 0.18), 1)});
+    }
+    net.print(os);
+
+    os << "\nWorst-case cycle ratio " << TextTable::num(worstRatio, 2)
+       << ": net effect "
+       << TextTable::signedPercent(
+              model.netSpeedupPercent(worstRatio, 8, 4, 0.35), 1)
+       << "% at 0.35 um vs "
+       << TextTable::signedPercent(
+              model.netSpeedupPercent(worstRatio, 8, 4, 0.18), 1)
+       << "% at 0.18 um — partitioning pays off as features "
+          "shrink\n(the paper's conclusion).\n";
+}
+
 std::vector<Study>
 makeStudies()
 {
@@ -66,14 +264,14 @@ makeStudies()
     // A study printed by the column printer.
     const auto add = [&studies](const char *name, const char *title,
                                 auto jobs, std::vector<std::string> columns,
-                                bool speedup = false) {
+                                bool speedup = false) -> Study & {
         const auto print = [=](std::ostream &os,
                                const std::vector<JobResult> &results) {
             os << title << "\n\n";
             printColumns(os, columns, results, speedup);
         };
-        studies.push_back({name, title, std::move(jobs), columns, speedup,
-                           print});
+        return studies.emplace_back(Study{name, title, std::move(jobs),
+                                          columns, speedup, print, {}});
     };
     studies.push_back({"table2", "Table 2: dual-cluster speedup ratios",
                        [](const JobSpec &base) {
@@ -83,7 +281,7 @@ makeStudies()
                            options.traceSeed = base.traceSeed;
                            return table2Jobs(options);
                        },
-                       {}, false, printTable2});
+                       {}, false, printTable2, {}});
     add("threshold",
         "Ablation: the local scheduler's imbalance threshold (paper §3.5) "
         "on dual8, against single8",
@@ -144,6 +342,66 @@ makeStudies()
                 dualLocal + " --spec-history"}),
         {"benchmark", "machine", "scheduler", "dq_entries", "spec_history",
          "cycles", "bpred_accuracy", "dcache_miss_rate", "issue_disorder"});
+    add("table2_4way",
+        "Table 2 on 4-way machines: single4 against dual4, two 2-way "
+        "clusters (the paper ran them but reported only the 8-way data)",
+        points(all, "",
+               {"--machine single4 --scheduler native",
+                "--machine dual4 --scheduler native",
+                "--machine dual4 --scheduler local"}),
+        {"benchmark", "machine", "scheduler", "cycles"}, /*speedup=*/true);
+    studies.push_back({"cycletime",
+                       "Cycle-time analysis (paper §4.2): the delay model "
+                       "and the net run-time speedup of dual8/local over "
+                       "single8",
+                       points(all, "", {single, dualLocal}), {}, false,
+                       printCycleTime, {}});
+
+    // The 8-way resource pool split 1, 2, 4 and 8 ways under each
+    // partitioner, then quad8 again with a shared L2.
+    std::vector<std::string> partitioned = {single};
+    for (const std::string machine :
+         {"--machine dual8", "--machine quad8", "--machine octa8",
+          "--machine quad8 --l2-kb 256"})
+        for (const char *partitioner : {"local", "roundrobin", "multilevel"})
+            partitioned.push_back(machine + " --scheduler " + partitioner);
+    Study &clusters = add(
+        "clusters",
+        "Cluster count x partitioner (paper §6): the 8-way machine split "
+        "1, 2, 4 and 8 ways, and quad8 with a 256 KB L2; cut = affinity "
+        "weight split across clusters, balance = heaviest/ideal",
+        points(all, "", partitioned),
+        {"benchmark", "machine", "scheduler", "l2_kb", "cycles", "ipc",
+         "l2_miss_rate", "partition_cut", "partition_balance"});
+    clusters.print = [table = clusters.print](
+                         std::ostream &os,
+                         const std::vector<JobResult> &results) {
+        table(os, results);
+        const char *separator = "\nmultilevel/local IPC geomean: ";
+        for (const char *machine : {"dual8", "quad8", "octa8"}) {
+            os << separator << machine << " "
+               << mlLocalIpcGeomean(results, machine);
+            separator = ", ";
+        }
+        os << "\n";
+    };
+    clusters.check = checkClusters;
+
+    // compress is branchy and memory-light, su2cor the vector code whose
+    // misses in flight the paper's inverted MSHR exists for; l2_kb 0,
+    // mem_lat 16 is paper mode.
+    std::vector<std::string> hierarchies;
+    for (const std::string l2 : {"0", "256"})
+        for (const std::string lat : {"8", "16", "32"})
+            hierarchies.push_back("--l2-kb " + l2 + " --mem-lat " + lat);
+    add("memory",
+        "Memory hierarchy: dual8/local with no L2 or a 256 KB L2 and 8-, "
+        "16- or 32-cycle memory (paper mode: l2_kb 0, mem_lat 16)",
+        points({"compress", "su2cor"}, dualLocal, hierarchies),
+        {"benchmark", "l2_kb", "mem_lat", "cycles", "ipc",
+         "dcache_miss_rate", "l2_miss_rate", "stack_dcache_l2",
+         "stack_dcache_mem"})
+        .check = checkMemory;
     return studies;
 }
 

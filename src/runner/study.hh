@@ -1,12 +1,14 @@
 /**
  * @file
- * Named studies: Table 2 and the ablations and extensions that measure
- * the paper's design choices, each a fixed job list that `mcarun
- * --study NAME` runs through runCampaign. A study's jobs are built
- * from one base point carrying mcarun's --scale, --max-insts and trace
- * seed (also the profiling run's, as in every grid). One column
- * printer prints every study's table, and a plain grid's, from record
- * columns named as in the CSV header. See docs/campaigns.md, "Studies".
+ * Named studies: Table 2, its 4-way companion and §4.2 cycle-time
+ * analysis, and the ablations, extensions and sweeps that measure the
+ * paper's design choices, each a fixed job list that `mcarun --study
+ * NAME` runs through runCampaign. A study's jobs are built from one
+ * base point carrying mcarun's --scale, --max-insts and trace seed
+ * (also the profiling run's, as in every grid). One column printer
+ * prints most studies' tables, and a plain grid's, from record columns
+ * named as in the CSV header; a study may add gates that mcarun turns
+ * into its exit status. See docs/campaigns.md, "Studies".
  */
 
 #ifndef MCA_RUNNER_STUDY_HH
@@ -35,10 +37,14 @@ struct Study
     std::vector<std::string> columns;
     /** Print a `speedup_pct` column after `columns` (printColumns). */
     bool speedup = false;
-    /** Print the study's results: Table 2's printer, or the title line
-     *  and printColumns() over `columns`. */
+    /** Print the study's results: a printer of its own, or the title
+     *  line and printColumns() over `columns`. */
     std::function<void(std::ostream &, const std::vector<JobResult> &)>
         print;
+    /** The study's gates, if it has any: one message naming the gate
+     *  and the failing point per failure, none when every gate holds. */
+    std::function<std::vector<std::string>(const std::vector<JobResult> &)>
+        check;
 };
 
 /** Every registered study, `table2` first. */

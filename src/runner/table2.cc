@@ -87,33 +87,29 @@ printTable2Attribution(std::ostream &os,
 std::vector<JobSpec>
 table2Jobs(const harness::ExperimentOptions &options)
 {
-    const std::string single = options.eightWay ? "single8" : "single4";
-    const std::string dual = options.eightWay ? "dual8" : "dual4";
-
     std::vector<JobSpec> jobs;
     jobs.reserve(3 * workloads::allBenchmarks().size());
     for (const auto &bench : workloads::allBenchmarks()) {
         JobSpec base;
         base.benchmark = bench.name;
         base.scale = options.workload.scale;
-        base.threshold = options.imbalanceThreshold;
         base.traceSeed = options.traceSeed;
         // The profiling run uses the trace seed, as in every campaign.
         base.profileSeed = options.traceSeed;
         base.maxInsts = options.maxInsts;
 
         JobSpec singleNative = base;
-        singleNative.machine = single;
+        singleNative.machine = "single8";
         singleNative.scheduler = "native";
         jobs.push_back(singleNative);
 
         JobSpec dualNative = base;
-        dualNative.machine = dual;
+        dualNative.machine = "dual8";
         dualNative.scheduler = "native";
         jobs.push_back(dualNative);
 
         JobSpec dualLocal = base;
-        dualLocal.machine = dual;
+        dualLocal.machine = "dual8";
         dualLocal.scheduler = "local";
         jobs.push_back(dualLocal);
     }
@@ -137,9 +133,6 @@ assembleTable2Rows(const std::vector<JobResult> &jobs)
         row.single = toRunStats(single);
         row.dualNone = toRunStats(dualNone);
         row.dualLocal = toRunStats(dualLocal);
-        row.spillLoadsLocal = dualLocal.spillLoads;
-        row.spillStoresLocal = dualLocal.spillStores;
-        row.otherClusterSpills = dualLocal.otherClusterSpills;
         row.pctNone = speedupPct(single.cycles, dualNone.cycles);
         row.pctLocal = speedupPct(single.cycles, dualLocal.cycles);
         rows.push_back(std::move(row));

@@ -24,7 +24,8 @@
 namespace mca::runner
 {
 
-/** The Table-2 job list: three jobs per benchmark, Table-2 order. */
+/** The Table-2 job list: single8/native, dual8/native and dual8/local
+ *  for each benchmark, in Table-2 order. */
 std::vector<JobSpec> table2Jobs(const harness::ExperimentOptions &options);
 
 struct Table2CampaignResult

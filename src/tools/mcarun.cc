@@ -8,14 +8,15 @@
  * an on-disk result cache, and emits JSON-lines and/or CSV results.
  *
  * `--study NAME` runs a named study (runner/study.hh) in place of the
- * grid: Table 2 or one of the ablations and extensions, at the grid's
- * --scale, --max-insts and trace seed.
+ * grid: Table 2, the cycle-time analysis, or an ablation, extension or
+ * sweep, at the grid's --scale, --max-insts and trace seed.
  *
  * Results are bit-identical at any --jobs width: each job owns all of
  * its state and results are emitted in grid order, never completion
  * order. Failed or timed-out jobs are recorded in the output (status
  * column) and never abort the campaign; the exit code is 0 as long as
- * the campaign itself ran.
+ * the campaign itself ran, unless a study's gate fails: then each
+ * failure is printed on stderr and the exit code is 1.
  *
  *   mcarun --benchmarks all --machines single8,dual8 \
  *          --schedulers native,local --jobs 8 --out results.jsonl
@@ -220,5 +221,12 @@ main(int argc, char **argv)
                          runner::jobStatusName(r.status), ": ", r.error);
     if (!opt.quiet)
         runner::emitSummary(std::cerr, summary);
-    return 0;
+
+    if (!opt.study || !opt.study->check)
+        return 0;
+    const auto failures = opt.study->check(results);
+    for (const auto &failure : failures)
+        std::cerr << "mcarun: study " << opt.study->name
+                  << ": FAIL: " << failure << "\n";
+    return failures.empty() ? 0 : 1;
 }

@@ -20,6 +20,7 @@
 #include "compiler/pipeline.hh"
 #include "core/processor.hh"
 #include "exec/trace.hh"
+#include "obs/cycle_stack.hh"
 #include "obs/json.hh"
 #include "runner/campaign.hh"
 #include "runner/artifact_store.hh"
@@ -813,24 +814,28 @@ TEST(ArtifactStoreTest, OlderFormatOrMalformedEntryIsAMiss)
 
 TEST(Campaign, CompileCacheSharesCompilesAcrossTheGrid)
 {
-    // 2 benchmarks x {single8, dual8} x {native, local} = 8 jobs but
-    // only 4 distinct compiles: native is cluster-blind, and `local`
-    // on a single-cluster machine degrades to the native compile.
+    // 2 benchmarks x {single8, dual8} x {native, local} x the `memory`
+    // study's {no L2, 256 KB L2} x {8, 16, 32}-cycle memory = 48 jobs
+    // but only 4 distinct compiles: native is cluster-blind, `local` on
+    // a single-cluster machine degrades to the native compile, and the
+    // memory hierarchy is not part of the compile key.
     runner::CampaignGrid grid;
     grid.benchmarks = {"compress", "ora"};
     grid.machines = {"single8", "dual8"};
     grid.schedulers = {"native", "local"};
+    grid.l2Kbs = {0, 256};
+    grid.memLats = {8, 16, 32};
     grid.scale = 0.05;
     grid.maxInsts = 10'000;
     const auto specs = runner::expandGrid(grid);
-    ASSERT_EQ(specs.size(), 8u);
+    ASSERT_EQ(specs.size(), 48u);
 
     runner::CampaignOptions options;
     options.jobs = 4;
     runner::CampaignSummary summary;
     const auto cached = runner::runCampaign(specs, options, &summary);
     EXPECT_EQ(summary.compiles, 4u);
-    EXPECT_EQ(summary.compileHits, 4u);
+    EXPECT_EQ(summary.compileHits, 44u);
     EXPECT_EQ(summary.compiles + summary.compileHits, specs.size());
 
     // Shared compiles change nothing observable: results match an
@@ -850,6 +855,7 @@ TEST(Campaign, CompileCacheSharesCompilesAcrossTheGrid)
         EXPECT_EQ(plain[i].spillLoads, cached[i].spillLoads) << i;
         EXPECT_EQ(plain[i].spillStores, cached[i].spillStores) << i;
         EXPECT_DOUBLE_EQ(plain[i].ipc, cached[i].ipc) << i;
+        EXPECT_EQ(plain[i].stackSlotCycles, cached[i].stackSlotCycles) << i;
     }
 }
 
@@ -890,9 +896,10 @@ TEST(Study, RegistryNamesPointsAndColumnsAreValid)
         EXPECT_EQ(&runner::studyNamed(study.name), &study);
         EXPECT_FALSE(study.title.empty());
         EXPECT_TRUE(study.print);
-        // Table 2 has a printer of its own; every other study names its
-        // columns.
-        EXPECT_EQ(study.columns.empty(), study.name == "table2");
+        // Table 2 and the cycle-time analysis have printers of their
+        // own; every other study names its columns.
+        EXPECT_EQ(study.columns.empty(),
+                  study.name == "table2" || study.name == "cycletime");
         for (const auto &column : study.columns)
             EXPECT_TRUE(columns.count(column)) << column;
 
@@ -1055,6 +1062,113 @@ TEST(Study, SpeedupColumnIsTable2Percentage)
     std::ostringstream alone;
     runner::printColumns(alone, {"benchmark"}, {jobs[2]}, true);
     EXPECT_EQ(tableRows(alone.str()).at(0).at(1), "-");
+}
+
+/** A finished job at one point of a gated study. */
+JobResult
+gateJob(const char *benchmark, const char *machine, const char *scheduler,
+        double ipc = 1.0, std::uint64_t cut = 0)
+{
+    JobResult r;
+    r.spec = tinySpec();
+    r.spec.benchmark = benchmark;
+    r.spec.machine = machine;
+    r.spec.scheduler = scheduler;
+    r.status = JobStatus::Ok;
+    r.ipc = ipc;
+    r.partitionCut = cut;
+    return r;
+}
+
+/** The one failure in `failures`, which must name the gate and the
+ *  point. */
+void
+expectOneFailure(const std::vector<std::string> &failures,
+                 const std::string &gate, const std::string &point)
+{
+    ASSERT_EQ(failures.size(), 1u) << ::testing::PrintToString(failures);
+    EXPECT_EQ(failures[0].rfind(gate + ": ", 0), 0u) << failures[0];
+    EXPECT_NE(failures[0].find(point), std::string::npos) << failures[0];
+}
+
+TEST(Study, GatesNameTheFailingPoint)
+{
+    const auto &clusters = runner::studyNamed("clusters").check;
+    const auto &memory = runner::studyNamed("memory").check;
+    ASSERT_TRUE(clusters);
+    ASSERT_TRUE(memory);
+    for (const runner::Study &study : runner::studies())
+        EXPECT_EQ(static_cast<bool>(study.check),
+                  study.name == "clusters" || study.name == "memory")
+            << study.name;
+
+    // A partitioner sweep whose gates hold: multilevel cuts less than
+    // round-robin and runs faster than local at both widths. Its quad8
+    // rows with an L2 are no part of the gates.
+    std::vector<JobResult> sweep;
+    for (const char *benchmark : {"compress", "ora"})
+        for (const char *machine : {"quad8", "octa8"}) {
+            sweep.push_back(gateJob(benchmark, machine, "local", 1.0, 50));
+            sweep.push_back(
+                gateJob(benchmark, machine, "roundrobin", 0.8, 100));
+            sweep.push_back(
+                gateJob(benchmark, machine, "multilevel", 1.1, 40));
+        }
+    JobResult withL2 = gateJob("compress", "quad8", "multilevel", 0.5, 40);
+    withL2.spec.l2Kb = 256;
+    sweep.push_back(withL2);
+    EXPECT_TRUE(clusters(sweep).empty())
+        << ::testing::PrintToString(clusters(sweep));
+
+    {
+        auto cut = sweep;
+        cut[5].partitionCut = 101; // compress/octa8/multilevel
+        expectOneFailure(clusters(cut), "multilevel cut <= round-robin",
+                         "compress/octa8 cuts 101 > 100");
+    }
+    {
+        auto slow = sweep;
+        slow[2].ipc = 0.5; // compress/quad8/multilevel
+        expectOneFailure(clusters(slow),
+                         "multilevel/local IPC geomean >= 1",
+                         "quad8 reads 0.7416");
+    }
+    {
+        auto failed = sweep;
+        failed[6].status = JobStatus::Failed; // ora/quad8/local
+        failed[6].error = "boom";
+        expectOneFailure(clusters(failed), "every job is ok",
+                         "ora/quad8/local, l2_kb 0, mem_lat 16 failed: "
+                         "boom");
+    }
+
+    // The memory grid's gates hold while only the run with an L2
+    // stalls on it.
+    const auto l2 = static_cast<std::size_t>(obs::StallCause::DcacheL2);
+    std::vector<JobResult> grid;
+    for (const unsigned l2Kb : {0u, 256u}) {
+        JobResult r = gateJob("su2cor", "dual8", "local");
+        r.spec.l2Kb = l2Kb;
+        r.spec.memLat = 8;
+        r.stackSlotCycles[l2] = l2Kb == 0 ? 0 : 640;
+        grid.push_back(r);
+    }
+    EXPECT_TRUE(memory(grid).empty())
+        << ::testing::PrintToString(memory(grid));
+    {
+        auto stalled = grid;
+        stalled[0].stackSlotCycles[l2] = 8;
+        expectOneFailure(memory(stalled), "no dcache_l2 stall without an L2",
+                         "su2cor/dual8/local, l2_kb 0, mem_lat 8 reads "
+                         "stack_dcache_l2 8");
+    }
+    {
+        auto timedOut = grid;
+        timedOut[1].status = JobStatus::TimedOut;
+        expectOneFailure(memory(timedOut), "every job is ok",
+                         "su2cor/dual8/local, l2_kb 256, mem_lat 8 "
+                         "timeout");
+    }
 }
 
 TEST(ThreadPoolTest, RunsEverythingAndWaits)
