@@ -78,6 +78,38 @@ grep -q "(valid: table2|threshold|buffers|" "$TMP/usage.txt" || {
 }
 probe mcarun --machines --study buffers --machines quad8
 probe mcarun --trace-seeds --study table2 --trace-seeds 1,2
+# A flag the chosen run would not read is refused by name: a sampled
+# run keeps no cycle stack, a trace save simulates (and profiles)
+# nothing, and --stats-out only redirects --interval-stats rows.
+probe mcasim --cycle-stacks --benchmark gcc1 \
+    --sample "systematic:period=20000,detail=4000,warmup=1000" --cycle-stacks
+probe mcasim --prof-out --save-trace "$TMP/refused.mct" \
+    --prof-out "$TMP/refused.json"
+probe mcasim --stats-out --stats-out "$TMP/refused.csv"
+# Only one results sink can be stdout.
+probe mcarun --csv --study table2 --out - --csv -
+
+# Results on stdout parse: a sink of '-' implies --no-table, so the
+# Table-2 study's records arrive as 18 CSV rows of 65 columns, or as
+# 18 JSON lines, with no table text after them.
+table2_stdout() {
+    "$BUILD/src/tools/mcarun" --study table2 --scale 0.05 \
+        --max-insts 20000 --no-cache --quiet "$@"
+}
+table2_stdout --csv - >"$TMP/table2.csv"
+table2_stdout --out - >"$TMP/table2.jsonl"
+python3 - "$TMP/table2.csv" "$TMP/table2.jsonl" <<'PY'
+import csv, json, sys
+with open(sys.argv[1], newline="") as f:
+    rows = list(csv.DictReader(f))
+if len(rows) != 18 or any(len(r) != 65 or None in r.values() for r in rows):
+    sys.exit("ci.sh: mcarun --csv - must give 18 rows of 65 columns, got "
+             "%d rows" % len(rows))
+lines = [json.loads(line) for line in open(sys.argv[2])]
+if len(lines) != 18:
+    sys.exit("ci.sh: mcarun --out - must give 18 JSON lines, got %d"
+             % len(lines))
+PY
 
 # Observability smoke: cycle stacks conserve and the Perfetto trace is
 # loadable (scripts/check_trace.py validates both).
@@ -253,6 +285,8 @@ corrupt_trace_probe() {
 corrupt_trace_probe opcode-250 100 40 '\372'
 corrupt_trace_probe dest-index-200 0 42 '\310\000'
 corrupt_trace_probe dest-class-7 0 42 '\003\007'
+# A replay compiles nothing, so a compile flag is refused, not ignored.
+probe mcasim --scheduler --load-trace "$TMP/small.mct" --scheduler native
 
 # Sampled-simulation smoke: the mcasim --sample path and the mcarun
 # samplePeriods axis both run end to end. The campaign's JSONL and CSV

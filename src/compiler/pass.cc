@@ -94,9 +94,7 @@ class SchedulePass : public Pass
     void
     run(PassContext &ctx) override
     {
-        ScheduleOptions sopt;
-        sopt.width = ctx.options.listScheduleWidth;
-        ctx.out.scheduleStats = listSchedule(ctx.program, sopt);
+        ctx.out.scheduleStats = listSchedule(ctx.program);
     }
 };
 
@@ -295,11 +293,10 @@ buildPipeline(const CompileOptions &options)
         passes.push_back(std::make_unique<SuperblockPass>());
     if (options.listSchedule)
         passes.push_back(std::make_unique<SchedulePass>());
-    if (options.profileFirst &&
-        options.scheduler != SchedulerKind::Native)
+    if (options.scheduler != SchedulerKind::Native) {
         passes.push_back(std::make_unique<ProfilePass>());
-    if (options.scheduler != SchedulerKind::Native)
         passes.push_back(std::make_unique<PartitionPass>());
+    }
     passes.push_back(std::make_unique<RegallocPass>());
     passes.push_back(std::make_unique<EmitPass>());
     return passes;

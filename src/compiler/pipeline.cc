@@ -37,8 +37,6 @@ CompileOptions::canonicalKey() const
         << ";unroll=" << unrollFactor
         << ";superblocks=" << superblocks
         << ";list=" << listSchedule
-        << ";width=" << listScheduleWidth
-        << ";profile=" << profileFirst
         << ";profileSeed=" << profileSeed
         << ";profileMaxInsts=" << profileMaxInsts;
     return oss.str();

@@ -68,9 +68,8 @@ struct CompileOptions
     /** Form superblocks (tail duplication + straightening, §6). */
     bool superblocks = false;
     bool listSchedule = true;
-    unsigned listScheduleWidth = 8;
-    /** Derive block weights from a profiling run before partitioning. */
-    bool profileFirst = true;
+    /** The profiling run that weighs blocks before a clustered
+     *  scheduler partitions them. */
     std::uint64_t profileSeed = 1;
     std::uint64_t profileMaxInsts = 200'000;
 

@@ -235,14 +235,12 @@ allocateRegisters(const prog::Program &prog, const AllocOptions &options)
     precolorGlobals(st, result);
 
     // Force-spill call-crossing live ranges (caller-saved convention).
-    if (options.spillCallCrossing) {
-        const auto live = computeLiveness(st.prog);
-        BitSet crossing = callCrossingValues(st.prog, live);
-        // Temps never cross calls; globals excluded by callCrossingValues.
-        if (crossing.count() > 0) {
-            result.callCrossingSpills = crossing.count();
-            rewriteSpills(st, crossing, result);
-        }
+    // Temps never cross calls; globals excluded by callCrossingValues.
+    const BitSet crossing =
+        callCrossingValues(st.prog, computeLiveness(st.prog));
+    if (crossing.count() > 0) {
+        result.callCrossingSpills = crossing.count();
+        rewriteSpills(st, crossing, result);
     }
 
     const std::size_t kClasses = 2;

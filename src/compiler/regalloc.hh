@@ -40,8 +40,6 @@ struct AllocOptions
     ClusterAssignment assignment;
     /** Safety bound on color/spill rounds. */
     unsigned maxRounds = 32;
-    /** Force-spill live ranges that are live across calls. */
-    bool spillCallCrossing = true;
 };
 
 /** Allocation outcome. */

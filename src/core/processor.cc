@@ -1071,7 +1071,6 @@ Processor::configHash() const
         w.u32(cp->assoc);
         w.u32(cp->blockBytes);
         w.u32(cp->missLatency);
-        w.b(cp->writeAllocate);
         w.u32(cp->mshrEntries);
         w.u32(cp->hitLatency);
         w.u32(cp->fillPorts);

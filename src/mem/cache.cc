@@ -72,27 +72,11 @@ Cache::wouldRejectSlow(Addr addr, Cycle now)
     if (outstanding_.size() < params_.mshrEntries)
         return false;
     // A hit or a merge with an in-flight fill needs no new entry.
-    const std::uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        const Line &line = lines_[set * params_.assoc + w];
-        if (line.valid && line.tag == tag)
-            return false;
-    }
+    std::size_t victim;
+    if (findWay(setIndex(addr), tagOf(addr), victim) != kNoWay)
+        return false;
     ++*rejections_;
     return true;
-}
-
-std::uint64_t
-Cache::setIndex(Addr addr) const
-{
-    return (addr >> blockShift_) & setMask_;
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return (addr >> blockShift_) >> setShift_;
 }
 
 Addr
@@ -104,51 +88,14 @@ Cache::lineAddr(std::uint64_t set, Addr tag) const
 bool
 Cache::probe(Addr addr) const
 {
-    const std::uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        const Line &line = lines_[set * params_.assoc + w];
-        if (line.valid && line.tag == tag)
-            return true;
-    }
-    return false;
+    std::size_t victim;
+    return findWay(setIndex(addr), tagOf(addr), victim) != kNoWay;
 }
 
 AccessResult
-Cache::access(Addr addr, bool is_write, Cycle now)
+Cache::miss(Addr addr, bool is_write, Cycle now, std::uint64_t set,
+            Addr tag, Line &victim)
 {
-    prof::ScopeTimer prof_scope(profRegion_);
-    ++*accesses_;
-    const std::uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *victim = nullptr;
-
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[set * params_.assoc + w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = ++useClock_;
-            if (is_write)
-                line.dirty = true;
-            if (line.fillReadyAt > now) {
-                // Block still in flight: merge with the outstanding fill
-                // (the inverted MSHR tracks any number of these).
-                ++*misses_;
-                ++*merged_;
-                return AccessResult{false, true, false, line.fillReadyAt,
-                                    line.fillFrom};
-            }
-            ++*hits_;
-            return AccessResult{true, false, false,
-                                now + params_.hitLatency, level_};
-        }
-        if (!victim || !line.valid ||
-            (victim->valid && line.lastUse < victim->lastUse)) {
-            if (!victim || victim->valid)
-                victim = &line;
-        }
-    }
-
-    // Miss: allocate (loads always; stores per write-allocate policy).
     MCA_ASSERT(params_.mshrEntries == 0 ||
                    outstandingFills(now) < params_.mshrEntries,
                "access during MSHR-full; callers must poll wouldReject");
@@ -157,29 +104,13 @@ Cache::access(Addr addr, bool is_write, Cycle now)
     // (inverted MSHR with observability off).
     if (outstanding_.size() >= 64)
         pruneOutstanding(now);
-    const bool allocating = !is_write || params_.writeAllocate;
 
-    if (!allocating) {
-        // Write-around: the store itself flows to the next level.
-        Cycle ready = now + params_.missLatency;
-        ServiceLevel from = ServiceLevel::Memory;
-        if (next_) {
-            const AccessResult down = next_->access(addr, true, now);
-            ready = down.readyAt + params_.hitLatency;
-            from = down.servedBy;
-        }
-        if (params_.mshrEntries != 0)
-            outstanding_.push_back(ready);
-        return AccessResult{false, false, false, ready, from};
-    }
-
-    MCA_ASSERT(victim != nullptr, "no victim line found");
-    if (victim->valid && victim->dirty) {
+    if (victim.valid && victim.dirty) {
         ++*writebacks_;
         // Write-back traffic: the dirty victim is sent down the chain
         // before the demand fetch (deterministic request order).
         if (next_)
-            next_->access(lineAddr(set, victim->tag), true, now);
+            next_->access(lineAddr(set, victim.tag), true, now);
     }
 
     Cycle fillWants = now + params_.missLatency;
@@ -194,12 +125,12 @@ Cache::access(Addr addr, bool is_write, Cycle now)
     const Cycle ready = fillPorts_.schedule(fillWants);
     outstanding_.push_back(ready);
 
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->tag = tag;
-    victim->lastUse = ++useClock_;
-    victim->fillReadyAt = ready;
-    victim->fillFrom = from;
+    victim.valid = true;
+    victim.dirty = is_write;
+    victim.tag = tag;
+    victim.lastUse = ++useClock_;
+    victim.fillReadyAt = ready;
+    victim.fillFrom = from;
     return AccessResult{false, false, false, ready, from};
 }
 

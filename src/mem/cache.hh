@@ -26,6 +26,7 @@
 #define MCA_MEM_CACHE_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -70,8 +71,6 @@ struct CacheParams
      * level below supplies the fill timing instead.
      */
     unsigned missLatency = 16;
-    /** True for write-allocate write-back data caches. */
-    bool writeAllocate = true;
     /**
      * Miss-handling organization. 0 models the paper's inverted MSHR
      * (no restriction on in-flight misses); a nonzero value models an
@@ -213,51 +212,51 @@ class Cache : public MemoryLevel
           MemoryLevel *next = nullptr,
           ServiceLevel level = ServiceLevel::L1);
 
-    AccessResult access(Addr addr, bool is_write, Cycle now) override;
-
     /**
-     * Devirtualized L1-hit fast path for the cycle kernel's dominant
-     * case: a resident line whose fill has landed. Semantically
-     * identical to access() — the hit replicates the exact hit-path
-     * mutations inline (access/hit counters, LRU touch via one
-     * useClock_ bump, the dirty bit) and returns the same AccessResult
-     * (servedBy = this level). Anything else — a miss, a merge with an
-     * in-flight fill, the fast path disabled, or the host profiler
-     * active (so per-region attribution stays exact) — falls through
-     * to the virtual chain, which re-probes from scratch; the fall
-     * through performs no state change, so exactly one probe mutates.
+     * Perform one access: the one body that decides hit, in-flight
+     * merge and miss. The core's fetch and issue stages and the
+     * functional warmer call it directly, so the common case (a
+     * resident line whose fill has landed) is decided inline with no
+     * virtual dispatch; access() runs the same body for a level above.
+     * A hit or merge scans the set once; a miss takes the victim that
+     * scan chose and continues out of line. Every access is timed as
+     * the host-profiler region "mem.<name>". Always inlined: the
+     * timer's cold calls would otherwise put the body over the
+     * inliner's limits in the issue loop, and a hit would pay a call.
      */
-    AccessResult
+    [[gnu::always_inline]] AccessResult
     accessFast(Addr addr, bool is_write, Cycle now)
     {
-        if (!fastPath_ || prof::enabled())
-            return access(addr, is_write, now);
-        const std::uint64_t set = (addr >> blockShift_) & setMask_;
-        const Addr tag = (addr >> blockShift_) >> setShift_;
-        Line *ln = &lines_[set * params_.assoc];
-        for (unsigned w = 0; w < params_.assoc; ++w, ++ln) {
-            if (ln->valid && ln->tag == tag) {
-                if (ln->fillReadyAt > now)
-                    break; // in-flight merge: take the slow path
-                ++*accesses_;
-                ln->lastUse = ++useClock_;
-                if (is_write)
-                    ln->dirty = true;
-                ++*hits_;
-                return AccessResult{true, false, false,
-                                    now + params_.hitLatency, level_};
-            }
+        prof::ScopeTimer prof_scope(profRegion_);
+        ++*accesses_;
+        const std::uint64_t set = setIndex(addr);
+        const Addr tag = tagOf(addr);
+        std::size_t victim;
+        const std::size_t way = findWay(set, tag, victim);
+        if (way == kNoWay)
+            return miss(addr, is_write, now, set, tag, lines_[victim]);
+        Line &line = lines_[way];
+        line.lastUse = ++useClock_;
+        if (is_write)
+            line.dirty = true;
+        if (line.fillReadyAt > now) {
+            // Block still in flight: merge with the outstanding fill
+            // (the inverted MSHR tracks any number of these).
+            ++*misses_;
+            ++*merged_;
+            return AccessResult{false, true, false, line.fillReadyAt,
+                                line.fillFrom};
         }
-        return access(addr, is_write, now);
+        ++*hits_;
+        return AccessResult{true, false, false, now + params_.hitLatency,
+                            level_};
     }
 
-    /**
-     * Disable (or re-enable) the inlined hit fast path, forcing every
-     * access through the virtual chain; the differential tests compare
-     * both configurations for bit-identity.
-     */
-    void setFastPath(bool on) { fastPath_ = on; }
-    bool fastPathEnabled() const { return fastPath_; }
+    AccessResult
+    access(Addr addr, bool is_write, Cycle now) final
+    {
+        return accessFast(addr, is_write, now);
+    }
 
     bool probe(Addr addr) const override;
 
@@ -324,8 +323,41 @@ class Cache : public MemoryLevel
         ServiceLevel fillFrom = ServiceLevel::Memory;
     };
 
-    std::uint64_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    std::uint64_t setIndex(Addr addr) const
+    {
+        return (addr >> blockShift_) & setMask_;
+    }
+    Addr tagOf(Addr addr) const { return (addr >> blockShift_) >> setShift_; }
+
+    /** findWay's answer when the set does not hold the tag. */
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+
+    /**
+     * Scan `set` once for `tag`: the index in lines_ of the way holding
+     * it, or kNoWay. Then `victim` is the way a fill replaces: the
+     * first invalid way, else the least recently used (the lowest way
+     * on ties).
+     */
+    std::size_t
+    findWay(std::uint64_t set, Addr tag, std::size_t &victim) const
+    {
+        const std::size_t first = set * params_.assoc;
+        victim = first;
+        for (std::size_t i = first; i < first + params_.assoc; ++i) {
+            const Line &line = lines_[i];
+            if (line.valid && line.tag == tag)
+                return i;
+            const Line &old = lines_[victim];
+            if (old.valid && (!line.valid || line.lastUse < old.lastUse))
+                victim = i;
+        }
+        return kNoWay;
+    }
+
+    /** The miss path of accessFast: allocate `victim` (write-allocate,
+     *  so stores fill too), writing it back first if dirty. */
+    AccessResult miss(Addr addr, bool is_write, Cycle now,
+                      std::uint64_t set, Addr tag, Line &victim);
     /** Reconstruct the base address of a resident line (write-backs). */
     Addr lineAddr(std::uint64_t set, Addr tag) const;
 
@@ -348,7 +380,6 @@ class Cache : public MemoryLevel
     unsigned blockShift_ = 0;
     unsigned setShift_ = 0;
     std::uint64_t setMask_ = 0;
-    bool fastPath_ = true;
     std::vector<Line> lines_;   // numSets_ * assoc, row-major by set
     std::uint64_t useClock_ = 0;
     /** Fill-completion times of in-flight misses (mutable: pruning is

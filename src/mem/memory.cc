@@ -54,7 +54,6 @@ l2CacheParams(const MemoryParams &p)
     cp.assoc = p.l2Assoc;
     cp.blockBytes = p.l2BlockBytes;
     cp.missLatency = p.memLatency; // unused once chained; kept coherent
-    cp.writeAllocate = true;
     cp.mshrEntries = 0; // the shared level keeps the inverted MSHR
     cp.hitLatency = p.l2HitLatency;
     cp.fillPorts = p.l2FillPorts;

@@ -28,8 +28,8 @@ namespace mca::mem
 /** Configuration of the full memory hierarchy. */
 struct MemoryParams
 {
-    CacheParams icache{64 * 1024, 2, 32, 16, true};
-    CacheParams dcache{64 * 1024, 2, 32, 16, true};
+    CacheParams icache{64 * 1024, 2, 32, 16};
+    CacheParams dcache{64 * 1024, 2, 32, 16};
 
     /** Shared second-level cache size in bytes; 0 disables the L2
      *  entirely (paper mode). */
@@ -52,9 +52,10 @@ struct MemoryParams
 
 /**
  * The fixed-latency backside: every read is serviced in `latency`
- * cycles, subject to finite read-completion ports; writes (stores
- * that miss write-around caches, write-backs) are absorbed by an
- * infinite write buffer and only counted.
+ * cycles, subject to finite read-completion ports; writes (the
+ * write-backs of dirty victims: every cache level is write-allocate,
+ * so a store never passes through) are absorbed by an infinite write
+ * buffer and only counted.
  */
 class FixedLatencyMemory : public MemoryLevel
 {

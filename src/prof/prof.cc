@@ -62,6 +62,11 @@ struct ThreadData {
         std::uint64_t calls = 0;
         std::uint64_t hw[4] = {0, 0, 0, 0};
         bool hwValid = false;
+        /** While the region is open: its entry time and, when
+         *  hwOpen, the counters read at entry. */
+        std::uint64_t t0 = 0;
+        std::uint64_t hw0[4] = {0, 0, 0, 0};
+        bool hwOpen = false;
         /** Small linear child map: (region, node index). */
         std::vector<std::pair<RegionId, std::uint32_t>> children;
     };
@@ -189,47 +194,47 @@ hwAvailable()
     return g_hwAvailable.load(std::memory_order_relaxed);
 }
 
-void
+detail::ThreadData *
 ScopeTimer::begin(RegionId region)
 {
     const std::uint64_t t0 = nowNs(); // first: our overhead lands in us
     auto &td = detail::threadData();
-    td_ = &td;
-    node_ = td.enter(region);
-    t0_ = t0;
+    auto &node = td.nodes[td.enter(region)];
+    node.t0 = t0;
+    node.hwOpen = false;
 
     if (g_hwRequested.load(std::memory_order_relaxed) &&
-        td.nodes[node_].depth <= kHwMaxDepth) {
+        node.depth <= kHwMaxDepth) {
         if (!td.hwTried) {
             td.hwTried = true;
             if (td.hwGroup.open())
                 g_hwAvailable.store(true, std::memory_order_relaxed);
         }
         if (td.hwGroup.usable())
-            hwLive_ = td.hwGroup.read(hw0_);
+            node.hwOpen = td.hwGroup.read(node.hw0);
     }
+    return &td;
 }
 
 void
-ScopeTimer::end()
+ScopeTimer::end(detail::ThreadData &td)
 {
-    auto &node = td_->nodes[node_];
+    auto &node = td.nodes[td.current];
 
-    if (hwLive_) {
+    if (node.hwOpen) {
         std::uint64_t hw1[4];
-        if (td_->hwGroup.read(hw1)) {
+        if (td.hwGroup.read(hw1)) {
             for (int i = 0; i < 4; ++i)
-                node.hw[i] += hw1[i] - hw0_[i];
+                node.hw[i] += hw1[i] - node.hw0[i];
             node.hwValid = true;
         }
-        hwLive_ = false;
+        node.hwOpen = false;
     }
 
     const std::uint64_t t1 = nowNs(); // last: our overhead lands in us
-    node.ns += t1 - t0_;
+    node.ns += t1 - node.t0;
     node.calls += 1;
-    td_->current = node.parent;
-    td_ = nullptr;
+    td.current = node.parent;
 }
 
 namespace

@@ -27,7 +27,7 @@
  *  - **Deterministic merge.** snapshot() folds every thread's tree into
  *    one profile keyed by region-name path with children sorted by
  *    name, so the merged structure and call counts are identical at any
- *    ThreadPool width (only the nanosecond values vary run to run).
+ *    worker width (only the nanosecond values vary run to run).
  *
  * Accounting: a region's `total_ns` includes its children; `self_ns`
  * is total minus children. The scope timer reads the clock first thing
@@ -44,7 +44,7 @@
  *
  * Thread-safety: scopes are thread-local and free-running; snapshot()
  * and reset() must be called while instrumented worker threads are
- * quiescent (after ThreadPool::wait or join).
+ * quiescent (after the workers are joined, as Executor::run returns).
  */
 
 #ifndef MCA_PROF_PROF_HH
@@ -164,29 +164,32 @@ class ScopeTimer
 {
   public:
     explicit ScopeTimer(RegionId region)
+        : td_(enabled() ? begin(region) : nullptr)
     {
-        if (enabled())
-            begin(region);
     }
 
     ~ScopeTimer()
     {
         if (td_)
-            end();
+            end(*td_);
     }
 
     ScopeTimer(const ScopeTimer &) = delete;
     ScopeTimer &operator=(const ScopeTimer &) = delete;
 
   private:
-    void begin(RegionId region);
-    void end();
+    /** Open `region` on this thread; returns the thread's data. */
+    static detail::ThreadData *begin(RegionId region);
+    /** Close the innermost region open on `td`'s thread. */
+    static void end(detail::ThreadData &td);
 
-    detail::ThreadData *td_ = nullptr;
-    std::uint32_t node_ = 0;
-    std::uint64_t t0_ = 0;
-    std::uint64_t hw0_[4];
-    bool hwLive_ = false;
+    /**
+     * Null when the scope opened with recording off. An open region
+     * keeps its entry time in its tree node (scopes nest, so each open
+     * one has its own node), so a disabled scope costs the flag test
+     * and this one pointer.
+     */
+    detail::ThreadData *td_;
 };
 
 } // namespace mca::prof

@@ -277,6 +277,20 @@ gridFlags(CampaignGrid &grid)
 }
 
 void
+recordGiven(FlagTable &table, std::vector<std::string> &given)
+{
+    for (Flag &row : table) {
+        if (row.name.empty())
+            continue;
+        row.action = [&given, name = row.name, action = std::move(row.action)](
+                         const std::string &value) {
+            given.push_back(name);
+            action(value);
+        };
+    }
+}
+
+void
 parseFlags(const FlagTable &table, const std::vector<std::string> &args)
 {
     for (std::size_t i = 0; i < args.size(); ++i) {

@@ -68,6 +68,13 @@ FlagTable pointFlags(JobSpec &spec);
  *  share. */
 FlagTable gridFlags(CampaignGrid &grid);
 
+/**
+ * Make every row now in `table` also append its name to `given` each
+ * time it runs, so a tool can refuse a flag its run would not read
+ * instead of ignoring it.
+ */
+void recordGiven(FlagTable &table, std::vector<std::string> &given);
+
 /** Run each argument's row, in order. Throws UsageError. */
 void parseFlags(const FlagTable &table,
                 const std::vector<std::string> &args);

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
-
-#include "runner/thread_pool.hh"
+#include <thread>
 
 namespace mca::taskgraph
 {
@@ -101,25 +101,32 @@ Executor::run(TaskGraph &graph) const
     // between a node's completion and each dependent's start is what
     // turns every edge into a happens-before for the bodies.
     std::mutex m;
-    std::size_t readyDepth = 0; // submitted but not yet started
+    // Signalled when a node becomes ready, and when the last one settles.
+    std::condition_variable wake;
+    // Ready nodes not yet started, oldest first: nodes start in the
+    // order they became ready.
+    std::deque<NodeId> ready;
+    // Nodes not yet Done, Failed or Cancelled; the workers exit at 0.
+    std::size_t unsettled = stats.total;
     std::vector<char> laneBusy;
-    runner::ThreadPool pool(jobs_);
 
-    // Forward declaration dance: runNode submits dependents via
-    // settle, which submits via submitNode, which builds runNode
-    // closures. Tie the knot with std::function.
-    std::function<void(NodeId)> submitNode;
+    const auto makeReady = [&](NodeId id) {
+        ready.push_back(id);
+        stats.maxQueueDepth = std::max(stats.maxQueueDepth, ready.size());
+        wake.notify_one();
+    };
 
     // Called with `m` held each time a node reaches a terminal state.
     // Decrements dependents' counters; a dependent whose deps are all
-    // settled either starts (all Done) or cancels with the root cause
-    // of its lowest-numbered non-Done dependency. Iterative so long
-    // cancellation chains cannot overflow the stack.
+    // settled either becomes ready (all Done) or cancels with the root
+    // cause of its lowest-numbered non-Done dependency. Iterative so
+    // long cancellation chains cannot overflow the stack.
     const auto settle = [&](NodeId first) {
         std::deque<NodeId> work{first};
         while (!work.empty()) {
             const NodeId id = work.front();
             work.pop_front();
+            --unsettled;
             for (NodeId d : graph.nodes_[id].dependents) {
                 TaskGraph::Node &dn = graph.nodes_[d];
                 if (--dn.remaining != 0)
@@ -130,7 +137,7 @@ Executor::run(TaskGraph &graph) const
                         dep < bad)
                         bad = dep;
                 if (bad == kNone) {
-                    submitNode(d);
+                    makeReady(d);
                 } else {
                     dn.status = NodeStatus::Cancelled;
                     dn.error = graph.nodes_[bad].error;
@@ -138,13 +145,21 @@ Executor::run(TaskGraph &graph) const
                 }
             }
         }
+        if (unsettled == 0)
+            wake.notify_all();
     };
 
-    const auto runNode = [&](NodeId id) {
-        TaskGraph::Node &n = graph.nodes_[id];
-        {
-            std::lock_guard<std::mutex> lock(m);
-            --readyDepth;
+    // One worker: start the oldest ready node, run its body unlocked,
+    // settle it, repeat until every node has settled.
+    const auto worker = [&] {
+        std::unique_lock<std::mutex> lock(m);
+        for (;;) {
+            wake.wait(lock, [&] { return !ready.empty() || unsettled == 0; });
+            if (ready.empty())
+                return;
+            const NodeId id = ready.front();
+            ready.pop_front();
+            TaskGraph::Node &n = graph.nodes_[id];
             n.startNs = nowNs();
             unsigned lane = 0;
             while (lane < laneBusy.size() && laneBusy[lane])
@@ -153,53 +168,56 @@ Executor::run(TaskGraph &graph) const
                 laneBusy.push_back(0);
             laneBusy[lane] = 1;
             n.lane = lane;
-        }
-        bool ok = true;
-        std::string err;
-        {
-            prof::ScopeTimer timer(n.region);
-            try {
-                n.body();
-            } catch (const std::exception &e) {
-                ok = false;
-                err = e.what();
-            } catch (...) {
-                ok = false;
-                err = "unknown error";
+            lock.unlock();
+
+            bool ok = true;
+            std::string err;
+            {
+                prof::ScopeTimer timer(n.region);
+                try {
+                    n.body();
+                } catch (const std::exception &e) {
+                    ok = false;
+                    err = e.what();
+                } catch (...) {
+                    ok = false;
+                    err = "unknown error";
+                }
             }
+
+            lock.lock();
+            n.endNs = nowNs();
+            laneBusy[n.lane] = 0;
+            n.ran = true;
+            n.status = ok ? NodeStatus::Done : NodeStatus::Failed;
+            n.error = std::move(err);
+            settle(id);
         }
-        std::lock_guard<std::mutex> lock(m);
-        n.endNs = nowNs();
-        laneBusy[n.lane] = 0;
-        n.ran = true;
-        n.status = ok ? NodeStatus::Done : NodeStatus::Failed;
-        n.error = std::move(err);
-        settle(id);
     };
 
-    submitNode = [&](NodeId id) {
-        // `m` is held by the caller. Submitting before the current
-        // pool task returns keeps ThreadPool::wait a correct barrier:
-        // the queue cannot drain while dependents remain unsubmitted.
-        ++readyDepth;
-        stats.maxQueueDepth = std::max(stats.maxQueueDepth, readyDepth);
-        pool.submit([&runNode, id] { runNode(id); });
-    };
-
-    {
-        std::lock_guard<std::mutex> lock(m);
-        for (std::size_t i = 0; i < graph.nodes_.size(); ++i) {
-            TaskGraph::Node &n = graph.nodes_[i];
-            n.status = NodeStatus::Pending;
-            n.error.clear();
-            n.ran = false;
-            n.remaining = n.deps.size();
-        }
-        for (std::size_t i = 0; i < graph.nodes_.size(); ++i)
-            if (graph.nodes_[i].remaining == 0)
-                submitNode(static_cast<NodeId>(i));
+    for (std::size_t i = 0; i < graph.nodes_.size(); ++i) {
+        TaskGraph::Node &n = graph.nodes_[i];
+        n.status = NodeStatus::Pending;
+        n.error.clear();
+        n.ran = false;
+        n.remaining = n.deps.size();
     }
-    pool.wait();
+    for (std::size_t i = 0; i < graph.nodes_.size(); ++i)
+        if (graph.nodes_[i].remaining == 0)
+            makeReady(static_cast<NodeId>(i));
+    // Bodies run only on these workers, never on the calling thread,
+    // so a profile's tree has the same shape at every width.
+    std::vector<std::thread> workers;
+    try {
+        for (unsigned i = 0; i < jobs_; ++i)
+            workers.emplace_back(worker);
+    } catch (...) {
+        // The workers that did start still run the whole graph.
+        if (workers.empty())
+            throw;
+    }
+    for (std::thread &t : workers)
+        t.join();
 
     stats.wallMs = static_cast<double>(nowNs()) / 1e6;
 

@@ -2,16 +2,15 @@
  * @file
  * Deterministic dependency-aware task-graph executor.
  *
- * The campaign runner and the sampled driver both shard work across a
- * runner::ThreadPool, but until this layer existed each had to encode
- * its stage ordering by hand: the runner blocked whole workers on a
- * shared compile future, and the sampled driver ran its warming pass
- * strictly before any measurement. A TaskGraph makes the ordering
- * explicit — nodes are plain std::function<void()> bodies, edges say
- * "this must finish before that starts" — and the Executor schedules
- * the DAG onto the pool with a topological ready queue, so independent
- * stages overlap automatically (compile while simulating, warm window
- * i+1 while measuring window i).
+ * The campaign runner and the sampled driver both shard work across
+ * worker threads, and each has stages that must run in order: a job's
+ * compile before its simulation, a window's warming before its
+ * measurement. A TaskGraph makes the ordering explicit — nodes are
+ * plain std::function<void()> bodies, edges say "this must finish
+ * before that starts" — and the Executor runs the DAG on its own
+ * workers from one FIFO ready queue, so independent stages overlap
+ * automatically (compile while simulating, warm window i+1 while
+ * measuring window i).
  *
  * Determinism contract: the executor decides only WHEN a body runs,
  * never what it computes. Bodies write into pre-sized slots owned by
@@ -79,10 +78,10 @@ struct ExecStats
     /**
      * Longest dependency chain weighted by measured node durations, in
      * host ms: the lower bound on wall clock at infinite width. A wall
-     * clock close to this means the graph, not the pool, is the limit.
+     * clock close to this means the graph, not the width, is the limit.
      */
     double criticalPathMs = 0.0;
-    /** Peak count of ready-but-not-started nodes (pool backpressure). */
+    /** Peak count of ready-but-not-started nodes (worker backpressure). */
     std::size_t maxQueueDepth = 0;
     /** Per-node spans of every body that ran, sorted by start time. */
     std::vector<TaskSpan> spans;
@@ -155,10 +154,13 @@ class TaskGraph
 };
 
 /**
- * Runs a TaskGraph on a runner::ThreadPool of the given width. The
- * executor owns all cross-node synchronization: one mutex guards the
- * scheduling state, and every edge implies a happens-before between
- * the two bodies, so bodies themselves stay lock-free.
+ * Runs a TaskGraph on `jobs` worker threads that run() starts and
+ * joins. Ready nodes start in the order they became ready (one FIFO
+ * queue), and bodies run only on the workers, never on the calling
+ * thread. The executor owns all cross-node synchronization: one mutex
+ * guards the scheduling state and the ready queue, and every edge
+ * implies a happens-before between the two bodies, so bodies
+ * themselves stay lock-free.
  */
 class Executor
 {
@@ -169,8 +171,9 @@ class Executor
     /**
      * Execute the graph to completion. Node bodies that throw mark
      * their node Failed and cancel dependents (transitively); run()
-     * itself throws only on a cyclic graph. Statuses/errors are left
-     * on @p graph for the caller to inspect.
+     * itself throws only on a cyclic graph, or when not one worker
+     * thread can start (fewer than `jobs` still run the whole graph).
+     * Statuses/errors are left on @p graph for the caller to inspect.
      */
     ExecStats run(TaskGraph &graph) const;
 

@@ -22,6 +22,9 @@
  *          --schedulers native,local --jobs 8 --out results.jsonl
  *   mcarun --study table2 --scale 1.0 --jobs $(nproc) --csv table2.csv
  *   mcarun --benchmarks compress --thresholds 1,2,4,8,16,32 --csv -
+ *
+ * A results sink of `-` (stdout) implies --no-table, so what stdout
+ * carries parses as JSON lines or CSV; only one sink can be stdout.
  */
 
 #include <algorithm>
@@ -100,13 +103,7 @@ parse(int argc, char **argv)
     // not read instead of ignoring them.
     FlagTable table = gridFlags(opt.grid);
     std::vector<std::string> given;
-    for (Flag &row : table)
-        if (!row.name.empty())
-            row.action = [&given, name = row.name,
-                          action = row.action](const std::string &v) {
-                given.push_back(name);
-                action(v);
-            };
+    recordGiven(table, given);
     table.insert(table.end(), {
         {"", "", "campaign", {}},
         {"--study", "NAME",
@@ -116,8 +113,10 @@ parse(int argc, char **argv)
         {"-j", "N|auto", "same as --jobs", jobs},
         {"--cache", "DIR", "result cache [.mcarun-cache]", store(opt.cacheDir)},
         {"--no-cache", "", "disable the result cache", set(opt.noCache)},
-        {"--out", "FILE", "JSON-lines results (-: stdout)", store(opt.jsonOut)},
-        {"--csv", "FILE", "CSV results (-: stdout)", store(opt.csvOut)},
+        {"--out", "FILE", "JSON-lines results (-: stdout, no table)",
+         store(opt.jsonOut)},
+        {"--csv", "FILE", "CSV results (-: stdout, no table)",
+         store(opt.csvOut)},
         {"--telemetry", "FILE", "JSONL progress", store(opt.telemetryOut)},
         {"--no-table", "", "no human-readable table", set(opt.noTable)},
     });
@@ -131,6 +130,11 @@ parse(int argc, char **argv)
             if (opt.grid.traceSeeds.size() != 1)
                 throw UsageError("--trace-seeds", "a study takes one seed");
         }
+        // Records on stdout stay parseable: one sink there, no table.
+        if (opt.jsonOut == "-" && opt.csvOut == "-")
+            throw UsageError("--csv", "--out - already writes to stdout");
+        if (opt.jsonOut == "-" || opt.csvOut == "-")
+            opt.noTable = true;
         // Every point passes the runner's own validator before any
         // compile.
         for (const auto &spec : jobsOf(opt))

@@ -11,6 +11,10 @@
  *   mcasim --benchmark ora --save-trace ora.mct
  *   mcasim --load-trace ora.mct --machine single8 --dump-stats
  *   mcasim --random-seed 7 --machine dual8 --timeline 40
+ *
+ * A flag the chosen run would not read (say, --cycle-stacks on a
+ * --sample run, or --scheduler on a --load-trace replay) is a usage
+ * error naming it, never silently ignored.
  */
 
 #include <algorithm>
@@ -21,6 +25,8 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ckpt/snapshot.hh"
@@ -86,6 +92,59 @@ struct Options
     bool profHw = false;     // sample perf_event hardware counters
 };
 
+/**
+ * Refuse by name a flag that the run `opt` describes would never read:
+ * a sampled run, a trace save, a trace replay and a random program
+ * each skip some, and four flags only qualify a partner flag.
+ */
+void
+refuseUnread(const Options &opt, const std::vector<std::string> &given)
+{
+    using runner::UsageError;
+    const auto refuse = [&](std::initializer_list<std::string_view> flags,
+                            const std::string &why) {
+        for (const auto &flag : given)
+            if (std::find(flags.begin(), flags.end(), flag) != flags.end())
+                throw UsageError(flag, why);
+    };
+    const auto was = [&](std::string_view flag) {
+        return std::find(given.begin(), given.end(), flag) != given.end();
+    };
+    if (opt.sampling)
+        refuse({"--cycle-stacks", "--interval-stats", "--stats-out",
+                "--trace-insts", "--timeline", "--pass-stats", "--dump-stats",
+                "--ckpt-out", "--ckpt-at", "--ckpt-in", "--ckpt-every",
+                "--ckpt-dir"},
+               "a --sample run does not read it");
+    if (!opt.saveTrace.empty())
+        refuse({"--sample", "--dump-binary", "--dump-stats", "--json",
+                "--timeline", "--pass-stats", "--ckpt-out", "--ckpt-at",
+                "--ckpt-in", "--ckpt-every", "--ckpt-dir", "--cycle-stacks",
+                "--interval-stats", "--stats-out", "--trace-out",
+                "--trace-insts", "--prof", "--prof-out", "--prof-hw",
+                "--paranoid", "--no-idle-skip", "--predictor", "--l2-kb",
+                "--l2-lat", "--mem-lat", "--fill-ports", "--icache-kb",
+                "--dcache-kb", "--dq", "--otb", "--rtb", "--mshr",
+                "--queue-mode", "--spec-history", "--reserve-oldest"},
+               "a --save-trace run writes the trace and simulates nothing");
+    if (!opt.loadTrace.empty())
+        refuse({"--save-trace", "--sample", "--random-seed", "--verify-ir",
+                "--dump-after", "--pass-stats", "--dump-binary", "--benchmark",
+                "--scheduler", "--partitioner", "--threshold", "--scale",
+                "--unroll", "--trace-seed", "--max-insts"},
+               "a --load-trace run replays the file and compiles nothing");
+    if (opt.randomSeed)
+        refuse({"--benchmark", "--scale"},
+               "--random-seed generates the program");
+    for (const auto &[flag, partner] :
+         {std::pair{"--stats-out", "--interval-stats"},
+          {"--trace-insts", "--trace-out"},
+          {"--ckpt-at", "--ckpt-out"},
+          {"--ckpt-dir", "--ckpt-every"}})
+        if (was(flag) && !was(partner))
+            throw UsageError(flag, std::string("needs ") + partner);
+}
+
 /** Parse the command line; a mistake exits with status 2. */
 Options
 parse(int argc, char **argv)
@@ -149,13 +208,14 @@ parse(int argc, char **argv)
         {"--prof-hw", "", "hardware counters (implies --prof)",
          [&](auto &) { opt.profHw = opt.prof = true; }},
     });
+    // Note each flag given, so a run can refuse the ones it would not
+    // read instead of ignoring them.
+    std::vector<std::string> given;
+    recordGiven(table, given);
     parseCommandLine("mcasim — multicluster architecture simulator",
                      std::move(table), opt.quiet, argc, argv, [&] {
                          checkPoint(opt.spec);
-                         if (opt.sampling && !opt.loadTrace.empty())
-                             throw UsageError("--sample",
-                                              "needs a program to compile, "
-                                              "not --load-trace");
+                         refuseUnread(opt, given);
                      });
     return opt;
 }

@@ -1,35 +1,21 @@
 /**
  * @file
- * Properties of the SoA machine-state substrate and the devirtualized
- * memory fast path.
+ * Properties of the SoA machine-state substrate.
  *
- *  - SlabPool generational handles: under arbitrary alloc/free churn,
- *    a handle that outlives its allocation must go stale — it must
- *    never resolve to a *different* live object, even after its slot
- *    is reused many times (the property the core's dispatch-queue and
- *    memory-dependence handles rely on, ISSUE 8).
- *
- *  - Cache::accessFast vs the virtual MemoryLevel chain: running the
- *    six Table-2 workloads and the pointer chase with the L1 fast
- *    path disabled must reproduce the default run bit-identically
- *    (cycles, retired, full timeline, statistics JSON) — the fast
- *    path is an inlined replica of the hit path, never a semantic
- *    fork.
+ * SlabPool generational handles: under arbitrary alloc/free churn, a
+ * handle that outlives its allocation must go stale — it must never
+ * resolve to a *different* live object, even after its slot is reused
+ * many times (the property the core's dispatch-queue and
+ * memory-dependence handles rely on).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "compiler/pipeline.hh"
-#include "core/processor.hh"
-#include "core/timeline.hh"
-#include "exec/trace.hh"
 #include "support/arena.hh"
 #include "support/random.hh"
-#include "workloads/workloads.hh"
 
 namespace
 {
@@ -121,111 +107,6 @@ TEST(SlabPool, ClearRestartsAllGenerations)
         EXPECT_FALSE(pool.isLive(h));
     const auto fresh = pool.alloc();
     EXPECT_TRUE(pool.isLive(fresh));
-}
-
-// --- devirtualized fast path vs the virtual chain ---------------------
-
-struct FastPathObserved
-{
-    Cycle cycles = 0;
-    std::uint64_t retired = 0;
-    std::string statsJson;
-    core::TimelineRecorder timeline;
-};
-
-/**
- * Run one workload on the default dual-cluster machine twice —
- * L1 fast path on (default) and forced through the virtual access
- * chain — stepping both in lockstep, and require identical retire
- * progress per cycle plus identical timelines and statistics.
- */
-void
-expectFastPathExact(const std::string &name,
-                    const prog::Program &program)
-{
-    constexpr std::uint64_t kSeed = 42;
-    constexpr std::uint64_t kMaxInsts = 30'000;
-
-    compiler::CompileOptions copt;
-    copt.scheduler = compiler::SchedulerKind::Local;
-    copt.numClusters = 2;
-    const auto out = compiler::compile(program, copt);
-    auto cfg = core::ProcessorConfig::dualCluster8();
-    cfg.regMap = out.hardwareMap(2);
-
-    struct Leg
-    {
-        Leg(const prog::MachProgram &binary,
-            const core::ProcessorConfig &cfg, bool fast_path)
-            : stats(binary.name), trace(binary, kSeed, kMaxInsts),
-              cpu(cfg, trace, stats)
-        {
-            cpu.attachTimeline(&obs.timeline);
-            cpu.memorySystem().icache().setFastPath(fast_path);
-            cpu.memorySystem().dcache().setFastPath(fast_path);
-        }
-        StatGroup stats;
-        exec::ProgramTrace trace;
-        core::Processor cpu;
-        FastPathObserved obs;
-    };
-
-    Leg fast(out.binary, cfg, true);
-    Leg slow(out.binary, cfg, false);
-    for (Cycle cycle = 0; cycle < 10'000'000; ++cycle) {
-        const bool fast_live = fast.cpu.step();
-        const bool slow_live = slow.cpu.step();
-        ASSERT_EQ(fast_live, slow_live)
-            << name << ": pipeline-empty diverged at cycle " << cycle;
-        ASSERT_EQ(fast.cpu.retiredInstructions(),
-                  slow.cpu.retiredInstructions())
-            << name << ": retired count diverged at cycle " << cycle;
-        if (!fast_live)
-            break;
-    }
-    EXPECT_GT(fast.cpu.retiredInstructions(), 0u);
-    EXPECT_EQ(fast.cpu.now(), slow.cpu.now());
-
-    const auto &fr = fast.obs.timeline.records();
-    const auto &sr = slow.obs.timeline.records();
-    ASSERT_EQ(fr.size(), sr.size()) << name << ": timeline sizes differ";
-    for (std::size_t i = 0; i < fr.size(); ++i)
-        ASSERT_TRUE(fr[i].cycle == sr[i].cycle &&
-                    fr[i].seq == sr[i].seq &&
-                    fr[i].cluster == sr[i].cluster &&
-                    fr[i].event == sr[i].event)
-            << name << ": timeline record " << i << " differs";
-
-    std::ostringstream fj, sj;
-    fast.stats.dumpJson(fj);
-    slow.stats.dumpJson(sj);
-    EXPECT_EQ(fj.str(), sj.str())
-        << name << ": statistics diverge between the devirtualized "
-                   "fast path and the virtual chain";
-}
-
-class FastPathWorkload : public testing::TestWithParam<const char *>
-{
-};
-
-TEST_P(FastPathWorkload, FastPathIsBitIdenticalToVirtualChain)
-{
-    expectFastPathExact(GetParam(),
-                        workloads::benchmarkByName(GetParam()).make(
-                            workloads::WorkloadParams{0.2}));
-}
-
-INSTANTIATE_TEST_SUITE_P(Table2, FastPathWorkload,
-                         testing::Values("compress", "doduc", "gcc1",
-                                         "ora", "su2cor", "tomcatv"));
-
-TEST(FastPath, PointerChaseIsBitIdenticalToVirtualChain)
-{
-    // The chase misses constantly, so nearly every access takes the
-    // miss fall-through from accessFast into the virtual chain while
-    // fills are in flight — the merge/break interleaving case.
-    expectFastPathExact("chase", workloads::makePointerChase(
-                                     workloads::WorkloadParams{0.2}));
 }
 
 } // namespace

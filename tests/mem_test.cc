@@ -21,7 +21,7 @@ mem::CacheParams
 smallCache()
 {
     // 1 KB, 2-way, 32 B blocks -> 16 sets; 16-cycle miss latency.
-    return mem::CacheParams{1024, 2, 32, 16, true};
+    return mem::CacheParams{1024, 2, 32, 16};
 }
 
 struct CacheFixture : ::testing::Test
@@ -136,18 +136,6 @@ TEST(CacheConfig, PaperConfiguration)
     EXPECT_EQ(cache.params().missLatency, 16u);
 }
 
-TEST(CacheConfig, NoWriteAllocateSkipsFill)
-{
-    StatGroup stats("c");
-    auto params = smallCache();
-    params.writeAllocate = false;
-    mem::Cache cache("l1", params, stats);
-    cache.access(0x3000, true, 0);
-    EXPECT_FALSE(cache.probe(0x3000));
-    // A later read still misses.
-    EXPECT_FALSE(cache.access(0x3000, false, 100).hit);
-}
-
 /** Property: per-address-pattern, hits + misses == accesses. */
 class CacheSweep
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
@@ -159,7 +147,7 @@ TEST_P(CacheSweep, CountsAreConsistent)
     const auto [size_kb, assoc] = GetParam();
     StatGroup stats("c");
     mem::Cache cache("l1",
-                     mem::CacheParams{size_kb * 1024, assoc, 32, 16, true},
+                     mem::CacheParams{size_kb * 1024, assoc, 32, 16},
                      stats);
     Cycle now = 0;
     Addr last = 0;

@@ -28,8 +28,8 @@ mem::MemoryParams
 withL2()
 {
     mem::MemoryParams p;
-    p.icache = mem::CacheParams{1024, 2, 32, 16, true};
-    p.dcache = mem::CacheParams{1024, 2, 32, 16, true};
+    p.icache = mem::CacheParams{1024, 2, 32, 16};
+    p.dcache = mem::CacheParams{1024, 2, 32, 16};
     p.l2SizeBytes = 16 * 1024; // 8-way, 32 B -> 64 sets
     p.l2HitLatency = 6;
     p.memLatency = 20;
@@ -136,7 +136,7 @@ TEST(MemorySystem, DirtyL1EvictionWritesIntoL2)
 TEST(MemorySystem, MemoryPortContentionPushesFillsBack)
 {
     mem::MemoryParams p;
-    p.dcache = mem::CacheParams{1024, 2, 32, 16, true};
+    p.dcache = mem::CacheParams{1024, 2, 32, 16};
     p.memPorts = 1;
     StatGroup stats("m");
     mem::MemorySystem sys(p, stats);
@@ -153,7 +153,7 @@ TEST(MemorySystem, UncontendedPortsMatchUnlimited)
     // time identically with and without the limit.
     auto run = [](unsigned ports) {
         mem::MemoryParams p;
-        p.dcache = mem::CacheParams{1024, 2, 32, 16, true};
+        p.dcache = mem::CacheParams{1024, 2, 32, 16};
         p.memPorts = ports;
         StatGroup stats("m");
         mem::MemorySystem sys(p, stats);
@@ -175,7 +175,7 @@ TEST(MemorySystem, PortContentionIsDeterministicAcrossRuns)
 {
     auto run = [] {
         mem::MemoryParams p;
-        p.dcache = mem::CacheParams{1024, 2, 32, 16, true};
+        p.dcache = mem::CacheParams{1024, 2, 32, 16};
         p.dcache.fillPorts = 2;
         p.memLatency = 12;
         p.memPorts = 1;

@@ -8,20 +8,23 @@
  *  - nested scopes account self vs total time correctly: a region's
  *    total includes its children, self = total - children, and every
  *    call is counted;
- *  - the merged snapshot is deterministic across ThreadPool widths:
- *    the same sampled run at jobs=1 and jobs=3 yields trees with
+ *  - the merged snapshot is deterministic across worker widths: the
+ *    same sampled run at jobs=1 and jobs=3 yields trees with
  *    identical structure and call counts (only nanoseconds differ);
  *  - requesting hardware counters never breaks time profiling: when
  *    perf_event_open is unavailable the profile is still complete and
  *    says so in its header;
  *  - the JSON export is well-formed and carries the whole tree;
  *  - profiling enabled vs disabled does not perturb simulated results
- *    (bit-identical cycle and instruction counts).
+ *    (bit-identical cycle and instruction counts and statistics, the
+ *    cache counters included), on a cache-friendly program and on one
+ *    that misses or merges on nearly every access.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <sstream>
 #include <string>
 
 #include "compiler/pipeline.hh"
@@ -224,39 +227,68 @@ TEST_F(ProfTest, JsonExportIsWellFormed)
     EXPECT_NE(json.find("prof_test.json_child"), std::string::npos);
 }
 
+/** Calls recorded for region `name` anywhere below `node`. */
+std::uint64_t
+callsOf(const prof::ProfileNode &node, const std::string &name)
+{
+    std::uint64_t calls = node.name == name ? node.calls : 0;
+    for (const auto &child : node.children)
+        calls += callsOf(child, name);
+    return calls;
+}
+
 TEST_F(ProfTest, ProfilingDoesNotPerturbSimulation)
 {
-    const auto program =
-        workloads::makeCompress(workloads::WorkloadParams{0.1});
-    compiler::CompileOptions copt =
-        compiler::compileOptionsFor("local", 2);
-    const auto out = compiler::compile(program, copt);
+    // compress hits in the L1s on most accesses; the pointer chase
+    // misses or merges with an in-flight fill on nearly every load.
+    const workloads::WorkloadParams wp{0.1};
+    for (const prog::Program &program :
+         {workloads::makeCompress(wp), workloads::makePointerChase(wp)}) {
+        SCOPED_TRACE(program.name);
+        compiler::CompileOptions copt =
+            compiler::compileOptionsFor("local", 2);
+        const auto out = compiler::compile(program, copt);
 
-    auto simulate = [&] {
-        auto cfg = core::ProcessorConfig::dualCluster8();
-        cfg.regMap = out.hardwareMap(2);
-        StatGroup stats("prof_test");
-        exec::ProgramTrace trace(out.binary, 42, 40'000);
-        core::Processor cpu(cfg, trace, stats);
-        return cpu.run();
-    };
+        struct Run
+        {
+            core::SimResult result;
+            std::string statsJson;
+        };
+        auto simulate = [&] {
+            auto cfg = core::ProcessorConfig::dualCluster8();
+            cfg.regMap = out.hardwareMap(2);
+            StatGroup stats("prof_test");
+            exec::ProgramTrace trace(out.binary, 42, 40'000);
+            core::Processor cpu(cfg, trace, stats);
+            Run run{cpu.run(), {}};
+            std::ostringstream json;
+            stats.dumpJson(json);
+            run.statsJson = json.str();
+            return run;
+        };
 
-    const auto plain = simulate();
-    prof::reset();
-    prof::setEnabled(true);
-    const auto profiled = simulate();
-    prof::setEnabled(false);
+        const Run plain = simulate();
+        prof::reset();
+        prof::setEnabled(true);
+        const Run profiled = simulate();
+        prof::setEnabled(false);
 
-    // Bit-identical simulated results: the profiler observes the
-    // simulator, never the other way around.
-    EXPECT_EQ(plain.cycles, profiled.cycles);
-    EXPECT_EQ(plain.instructions, profiled.instructions);
-    EXPECT_EQ(plain.completed, profiled.completed);
+        // Bit-identical simulated results: the profiler observes the
+        // simulator, never the other way around, and a profiled run
+        // runs the same cache code as a plain one.
+        EXPECT_EQ(plain.result.cycles, profiled.result.cycles);
+        EXPECT_EQ(plain.result.instructions, profiled.result.instructions);
+        EXPECT_EQ(plain.result.completed, profiled.result.completed);
+        EXPECT_EQ(plain.statsJson, profiled.statsJson);
 
-    // And the profiled run did record the hot stages.
-    const prof::Profile p = prof::snapshot();
-    EXPECT_NE(p.root.child("core.dispatch"), nullptr);
-    EXPECT_NE(p.root.child("core.retire"), nullptr);
+        // And the profiled run did record the hot stages and every
+        // access to both L1s.
+        const prof::Profile p = prof::snapshot();
+        EXPECT_NE(p.root.child("core.dispatch"), nullptr);
+        EXPECT_NE(p.root.child("core.retire"), nullptr);
+        EXPECT_GT(callsOf(p.root, "mem.icache"), 0u);
+        EXPECT_GT(callsOf(p.root, "mem.dcache"), 0u);
+    }
 }
 
 } // namespace

@@ -6,7 +6,6 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -28,7 +27,6 @@
 #include "runner/flags.hh"
 #include "runner/study.hh"
 #include "runner/table2.hh"
-#include "runner/thread_pool.hh"
 #include "support/table.hh"
 #include "table2_reference.hh"
 #include "workloads/workloads.hh"
@@ -1169,32 +1167,6 @@ TEST(Study, GatesNameTheFailingPoint)
                          "su2cor/dual8/local, l2_kb 256, mem_lat 8 "
                          "timeout");
     }
-}
-
-TEST(ThreadPoolTest, RunsEverythingAndWaits)
-{
-    runner::ThreadPool pool(4);
-    EXPECT_EQ(pool.width(), 4u);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
-
-    // The pool is reusable after a wait().
-    pool.submit([&counter] { counter += 10; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 110);
-}
-
-TEST(ThreadPoolTest, WidthClampedToOne)
-{
-    runner::ThreadPool pool(0);
-    EXPECT_EQ(pool.width(), 1u);
-    std::atomic<bool> ran{false};
-    pool.submit([&ran] { ran = true; });
-    pool.wait();
-    EXPECT_TRUE(ran.load());
 }
 
 } // namespace

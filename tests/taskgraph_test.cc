@@ -140,10 +140,11 @@ TEST(TaskGraphTest, CancellationBlamesLowestNumberedFailedDep)
 TEST(TaskGraphTest, DeterministicSlotsAtAnyWidth)
 {
     // 64 independent nodes write into pre-sized slots; the result
-    // vector must be identical at every worker width.
+    // vector must be identical at every worker width (0 is clamped
+    // to one worker).
     constexpr std::size_t kNodes = 64;
     std::vector<std::vector<int>> runs;
-    for (unsigned width : {1u, 4u, 16u}) {
+    for (unsigned width : {0u, 1u, 4u, 16u}) {
         TaskGraph graph;
         std::vector<int> slots(kNodes, 0);
         for (std::size_t i = 0; i < kNodes; ++i)
@@ -153,8 +154,11 @@ TEST(TaskGraphTest, DeterministicSlotsAtAnyWidth)
         EXPECT_EQ(stats.ran, kNodes);
         runs.push_back(std::move(slots));
     }
+    for (std::size_t i = 0; i < kNodes; ++i)
+        EXPECT_EQ(runs[0][i], static_cast<int>(i * i));
     EXPECT_EQ(runs[0], runs[1]);
     EXPECT_EQ(runs[0], runs[2]);
+    EXPECT_EQ(runs[0], runs[3]);
 }
 
 TEST(TaskGraphTest, EdgesAreHappensBefore)
