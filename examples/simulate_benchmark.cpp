@@ -5,7 +5,8 @@
  *
  * Usage: simulate_benchmark [benchmark] [machine] [scheduler] [scale]
  *   benchmark, machine, scheduler: any name runner::validBenchmarks(),
- *   validMachines() or validSchedulers() lists (mcasim --help shows them)
+ *   runner::validMachines() or compiler::schedulerNames() lists
+ *   (mcasim --help shows them)
  *
  * Demonstrates the full public API surface: a runner::JobSpec names the
  * point, the runner maps it to a machine and a compile, and the

@@ -178,7 +178,13 @@ fi
     --verify-ir --quiet >/dev/null
 "$SIM" --benchmark ora --max-insts 5000 --scheduler multilevel \
     --verify-ir --quiet >/dev/null
-"$SIM" --list-passes >/dev/null
+# The pass table lists the eight passes in pipeline order.
+passes="$("$SIM" --list-passes | awk '{printf "%s ", $1}')"
+want="optimize unroll superblock schedule profile partition regalloc emit "
+if [ "$passes" != "$want" ]; then
+    echo "ci.sh: --list-passes printed '$passes', want '$want'"
+    exit 1
+fi
 "$SIM" --benchmark ora --max-insts 5000 --dump-after regalloc --quiet \
     >/dev/null
 
@@ -262,10 +268,12 @@ if [ -z "$direct" ] || [ "$direct" != "$replay" ]; then
 fi
 
 # Corrupt-trace probes: a 2000-instruction trace with one record field
-# corrupted must fail by name (exit 1, "trace:" on stderr), not abort,
-# hang or simulate. Records are 52 bytes after a 24-byte header; the
-# opcode is byte 40 of a record, the dest register bytes 42-43 (index,
-# then class). Arguments: name, record, byte offset, printf bytes.
+# corrupted, or one operand that does not fit its opcode, must fail by
+# name (exit 1, "trace:" on stderr), not abort, hang or simulate.
+# Records are 52 bytes after a 24-byte header; the opcode is byte 40 of
+# a record, the dest, src0 and src1 registers bytes 42-43, 44-45 and
+# 46-47 (index, then class; ff ff for none). Arguments: name, record,
+# byte offset, printf bytes.
 "$SIM" --benchmark gcc1 --max-insts 2000 \
     --save-trace "$TMP/small.mct" --quiet >/dev/null
 corrupt_trace_probe() {
@@ -285,6 +293,17 @@ corrupt_trace_probe() {
 corrupt_trace_probe opcode-250 100 40 '\372'
 corrupt_trace_probe dest-index-200 0 42 '\310\000'
 corrupt_trace_probe dest-class-7 0 42 '\003\007'
+# Operands that do not fit the opcode (isa::illFormedOperand), in the
+# first record with a given opcode (isa::Op order: ldl 24, stl 26).
+first_record() {
+    python3 -c 'import sys
+b = open(sys.argv[1], "rb").read()
+print(next(i for i in range((len(b) - 24) // 52)
+           if b[24 + 52 * i + 40] == int(sys.argv[2])))' "$TMP/small.mct" "$1"
+}
+corrupt_trace_probe load-without-dest "$(first_record 24)" 42 '\377\377'
+corrupt_trace_probe store-src1-without-src0 "$(first_record 26)" 44 \
+    '\377\377'
 # A replay compiles nothing, so a compile flag is refused, not ignored.
 probe mcasim --scheduler --load-trace "$TMP/small.mct" --scheduler native
 

@@ -92,22 +92,6 @@ PartitionOptions::validate() const
             "; assignments are stored as int8_t)");
 }
 
-unsigned
-estimateDistributionWidth(const prog::Instr &in, const prog::Program &prog,
-                          const ClusterAssignment &assignment,
-                          unsigned num_clusters)
-{
-    std::vector<bool> pinned;
-    bool dest_global;
-    knownClusters(in, prog, assignment, num_clusters, pinned, dest_global);
-    if (dest_global)
-        return num_clusters;
-    unsigned n = 0;
-    for (bool p : pinned)
-        n += p ? 1 : 0;
-    return n;
-}
-
 ClusterAssignment
 localSchedule(const prog::Program &prog, const PartitionOptions &options,
               PartitionTrace *trace)

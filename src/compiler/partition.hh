@@ -126,12 +126,6 @@ ClusterAssignment localSchedule(const prog::Program &prog,
 ClusterAssignment roundRobinSchedule(const prog::Program &prog,
                                      const PartitionOptions &options);
 
-/** Count of clusters an instruction would be distributed to (0 = unknown). */
-unsigned estimateDistributionWidth(const prog::Instr &in,
-                                   const prog::Program &prog,
-                                   const ClusterAssignment &assignment,
-                                   unsigned num_clusters);
-
 } // namespace mca::compiler
 
 #endif // MCA_COMPILER_PARTITION_HH

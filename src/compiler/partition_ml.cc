@@ -15,6 +15,17 @@ namespace
 
 constexpr std::uint32_t kNo = ~std::uint32_t{0};
 
+/** Stop coarsening at max(kCoarsenTarget, 8 x N) nodes. */
+constexpr std::size_t kCoarsenTarget = 64;
+/** FM pass budget per uncoarsening level. */
+constexpr unsigned kFmMaxPasses = 8;
+/**
+ * Above this node count a level uses greedy positive-gain sweeps
+ * instead of full FM with rollback (compile-time guard; the coarse
+ * levels where FM matters most are always below it).
+ */
+constexpr std::size_t kFmExhaustiveLimit = 4096;
+
 struct Edge
 {
     std::uint32_t to;
@@ -349,8 +360,7 @@ scorePartition(const AffinityGraph &graph,
 
 ClusterAssignment
 multilevelPartition(const prog::Program &prog,
-                    const PartitionOptions &options, PartitionStats *stats,
-                    const MultilevelOptions &ml)
+                    const PartitionOptions &options, PartitionStats *stats)
 {
     options.validate();
     const unsigned k = options.numClusters;
@@ -387,12 +397,12 @@ multilevelPartition(const prog::Program &prog,
     const double ideal =
         static_cast<double>(affinity.totalNodeWeight) / k;
     const std::uint64_t cap = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(ideal * (1.0 + ml.balanceTolerance)) + 1,
+        static_cast<std::uint64_t>(ideal * (1.0 + kBalanceTolerance)) + 1,
         max_node);
 
     // ---- phase 1: coarsen -------------------------------------------
     const std::size_t stop =
-        std::max<std::size_t>(ml.coarsenTarget, 8 * std::size_t{k});
+        std::max<std::size_t>(kCoarsenTarget, 8 * std::size_t{k});
     // A merged node bigger than an ideal cluster could never be placed.
     const std::uint64_t max_pair =
         std::max<std::uint64_t>(affinity.totalNodeWeight / k, 1);
@@ -434,9 +444,8 @@ multilevelPartition(const prog::Program &prog,
         }
         RefineState st(levels[level], k, std::move(part));
         rebalance(st, cap);
-        const bool exhaustive =
-            st.g.numNodes() <= ml.fmExhaustiveLimit;
-        for (unsigned pass = 0; pass < ml.fmMaxPasses; ++pass) {
+        const bool exhaustive = st.g.numNodes() <= kFmExhaustiveLimit;
+        for (unsigned pass = 0; pass < kFmMaxPasses; ++pass) {
             const std::int64_t gain =
                 exhaustive ? fmPass(st, cap) : greedyPass(st, cap);
             ++fm_passes;

@@ -55,29 +55,15 @@ struct PartitionStats
     unsigned numClusters = 0;
 };
 
-/** Tuning knobs of the multilevel partitioner (docs/compiler.md). */
-struct MultilevelOptions
-{
-    /**
-     * Balance cap: no cluster may exceed (1 + tolerance) x the ideal
-     * weight total/N (relaxed to the heaviest single node when that
-     * node alone is bigger). Node weights are discrete, so the cap is
-     * best-effort: a cluster whose every node is too heavy to fit
-     * anywhere else can stay above it, bounded by cap + the heaviest
-     * node weight in practice.
-     */
-    double balanceTolerance = 0.10;
-    /** Stop coarsening at max(coarsenTarget, 8 x N) nodes. */
-    unsigned coarsenTarget = 64;
-    /** FM pass budget per uncoarsening level. */
-    unsigned fmMaxPasses = 8;
-    /**
-     * Above this node count a level uses greedy positive-gain sweeps
-     * instead of full FM with rollback (compile-time guard; the
-     * coarse levels where FM matters most are always below it).
-     */
-    unsigned fmExhaustiveLimit = 4096;
-};
+/**
+ * Balance cap of the multilevel partitioner: no cluster may exceed
+ * (1 + tolerance) x the ideal weight total/N (relaxed to the heaviest
+ * single node when that node alone is bigger). Node weights are
+ * discrete, so the cap is best-effort: a cluster whose every node is
+ * too heavy to fit anywhere else can stay above it, bounded by cap +
+ * the heaviest node weight in practice.
+ */
+inline constexpr double kBalanceTolerance = 0.10;
 
 /**
  * Partition a program's local live ranges into
@@ -90,8 +76,7 @@ struct MultilevelOptions
  */
 ClusterAssignment multilevelPartition(const prog::Program &prog,
                                       const PartitionOptions &options,
-                                      PartitionStats *stats = nullptr,
-                                      const MultilevelOptions &ml = {});
+                                      PartitionStats *stats = nullptr);
 
 /**
  * Score any assignment against the program's affinity graph — the

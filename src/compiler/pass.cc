@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 
 #include "compiler/affinity.hh"
@@ -32,197 +33,118 @@ spillOpCount(const CompileOutput &out)
     return out.alloc.spillLoadsInserted + out.alloc.spillStoresInserted;
 }
 
-class OptimizePass : public Pass
-{
-  public:
-    std::string_view name() const override { return "optimize"; }
-    std::string_view
-    description() const override
-    {
-        return "conventional IL optimizations (step 1)";
-    }
-    void
-    run(PassContext &ctx) override
-    {
-        ctx.out.optStats = optimizeProgram(ctx.program);
-    }
-};
+/** Trace length of the profiling run that weighs blocks before a
+ *  clustered scheduler partitions them. */
+constexpr std::uint64_t kProfileMaxInsts = 200'000;
 
-class UnrollPass : public Pass
+bool
+always(const CompileOptions &)
 {
-  public:
-    std::string_view name() const override { return "unroll"; }
-    std::string_view
-    description() const override
-    {
-        return "unroll eligible counted self-loops (§6)";
-    }
-    void
-    run(PassContext &ctx) override
-    {
-        ctx.out.unrollStats =
-            unrollLoops(ctx.program, ctx.options.unrollFactor);
-    }
-};
+    return true;
+}
 
-class SuperblockPass : public Pass
+bool
+clustered(const CompileOptions &options)
 {
-  public:
-    std::string_view name() const override { return "superblock"; }
-    std::string_view
-    description() const override
-    {
-        return "superblock formation: tail duplication + straightening "
-               "(§6)";
-    }
-    void
-    run(PassContext &ctx) override
-    {
-        ctx.out.superblockStats = formSuperblocks(ctx.program);
-    }
-};
+    return options.scheduler != SchedulerKind::Native;
+}
 
-class SchedulePass : public Pass
+void
+runPartition(PassContext &ctx)
 {
-  public:
-    std::string_view name() const override { return "schedule"; }
-    std::string_view
-    description() const override
-    {
-        return "prepass list scheduling (step 2)";
+    PartitionOptions popt;
+    popt.numClusters = ctx.options.numClusters;
+    popt.imbalanceThreshold = ctx.options.imbalanceThreshold;
+    popt.validate();
+    MCA_ASSERT(ctx.options.numClusters >= 2,
+               "partition pass needs a clustered target");
+    switch (ctx.options.scheduler) {
+      case SchedulerKind::Native:
+        MCA_PANIC("partition pass scheduled for a native compile");
+      case SchedulerKind::Local:
+        ctx.out.partition =
+            localSchedule(ctx.program, popt, &ctx.out.partitionTrace);
+        break;
+      case SchedulerKind::RoundRobin:
+        ctx.out.partition = roundRobinSchedule(ctx.program, popt);
+        break;
+      case SchedulerKind::Multilevel:
+        ctx.out.partition = multilevelPartition(ctx.program, popt,
+                                                &ctx.out.partitionStats);
+        break;
     }
-    void
-    run(PassContext &ctx) override
-    {
-        ctx.out.scheduleStats = listSchedule(ctx.program);
+    // One comparable quality record per compile, whichever
+    // partitioner ran (the multilevel fills its FM fields above).
+    if (ctx.options.scheduler != SchedulerKind::Multilevel) {
+        const AffinityGraph graph = buildAffinityGraph(ctx.program);
+        ctx.out.partitionStats = scorePartition(
+            graph, ctx.out.partition, ctx.options.numClusters);
     }
-};
+    ctx.verify.clusterOf = &ctx.out.partition.cluster;
+    ctx.verify.numClusters = ctx.options.numClusters;
+}
 
-class ProfilePass : public Pass
+void
+runRegalloc(PassContext &ctx)
 {
-  public:
-    std::string_view name() const override { return "profile"; }
-    std::string_view
-    description() const override
-    {
-        return "profiling run: measured block/edge weights for the "
-               "partitioner";
+    AllocOptions aopt;
+    aopt.regMap = isa::RegisterMap(
+        ctx.options.scheduler == SchedulerKind::Native
+            ? 1
+            : ctx.options.numClusters);
+    aopt.assignment = ctx.out.partition;
+    ctx.out.alloc = allocateRegisters(ctx.program, aopt);
+    // Later passes (and verification) see what will be emitted: the
+    // spill-expanded rewrite, its final assignment extended to the
+    // spill temporaries, and the coloring itself. A native compile has
+    // no cluster assignment to check.
+    ctx.program = ctx.out.alloc.rewritten;
+    if (ctx.options.scheduler != SchedulerKind::Native) {
+        ctx.verify.clusterOf = &ctx.out.alloc.finalAssignment.cluster;
+        ctx.verify.numClusters = ctx.out.alloc.finalMap.numClusters();
     }
-    void
-    run(PassContext &ctx) override
-    {
-        const auto profile =
-            exec::profileProgram(ctx.program, ctx.options.profileSeed,
-                                 ctx.options.profileMaxInsts);
-        exec::applyProfile(ctx.program, profile);
-    }
-};
+    ctx.verify.regOf = &ctx.out.alloc.regOf;
+    ctx.verify.regMap = &ctx.out.alloc.finalMap;
+}
 
-class PartitionPass : public Pass
-{
-  public:
-    std::string_view name() const override { return "partition"; }
-    std::string_view
-    description() const override
-    {
-        return "live-range partitioning across clusters (step 4, §3.5)";
-    }
-    void
-    run(PassContext &ctx) override
-    {
-        PartitionOptions popt;
-        popt.numClusters = ctx.options.numClusters;
-        popt.imbalanceThreshold = ctx.options.imbalanceThreshold;
-        popt.validate();
-        switch (ctx.options.scheduler) {
-          case SchedulerKind::Native:
-            MCA_PANIC("partition pass scheduled for a native compile");
-            break;
-          case SchedulerKind::Local:
-            MCA_ASSERT(ctx.options.numClusters >= 2,
-                       "local scheduler needs a clustered target");
-            ctx.out.partition = localSchedule(ctx.program, popt,
-                                              &ctx.out.partitionTrace);
-            break;
-          case SchedulerKind::RoundRobin:
-            MCA_ASSERT(ctx.options.numClusters >= 2,
-                       "round-robin needs a clustered target");
-            ctx.out.partition = roundRobinSchedule(ctx.program, popt);
-            break;
-          case SchedulerKind::Multilevel:
-            MCA_ASSERT(ctx.options.numClusters >= 2,
-                       "multilevel partitioner needs a clustered target");
-            ctx.out.partition = multilevelPartition(
-                ctx.program, popt, &ctx.out.partitionStats);
-            break;
-        }
-        // One comparable quality record per compile, whichever
-        // partitioner ran (the multilevel fills its FM fields above).
-        if (ctx.options.scheduler != SchedulerKind::Multilevel) {
-            const AffinityGraph graph = buildAffinityGraph(ctx.program);
-            ctx.out.partitionStats = scorePartition(
-                graph, ctx.out.partition, ctx.options.numClusters);
-        }
-        ctx.verify.clusterOf = &ctx.out.partition.cluster;
-        ctx.verify.numClusters = ctx.options.numClusters;
-    }
-};
-
-class RegallocPass : public Pass
-{
-  public:
-    std::string_view name() const override { return "regalloc"; }
-    std::string_view
-    description() const override
-    {
-        return "graph-coloring register allocation with spilling "
-               "(step 5)";
-    }
-    void
-    run(PassContext &ctx) override
-    {
-        AllocOptions aopt;
-        aopt.regMap = isa::RegisterMap(
-            ctx.options.scheduler == SchedulerKind::Native
-                ? 1
-                : ctx.options.numClusters);
-        aopt.assignment = ctx.out.partition;
-        ctx.out.alloc = allocateRegisters(ctx.program, aopt);
-        // Later passes (and verification) see what will be emitted:
-        // the spill-expanded rewrite, its final assignment extended to
-        // the spill temporaries, and the coloring itself. A native
-        // compile has no cluster assignment to check.
-        ctx.program = ctx.out.alloc.rewritten;
-        if (ctx.options.scheduler != SchedulerKind::Native) {
-            ctx.verify.clusterOf =
-                &ctx.out.alloc.finalAssignment.cluster;
-            ctx.verify.numClusters =
-                ctx.out.alloc.finalMap.numClusters();
-        }
-        ctx.verify.regOf = &ctx.out.alloc.regOf;
-        ctx.verify.regMap = &ctx.out.alloc.finalMap;
-    }
-};
-
-class EmitPass : public Pass
-{
-  public:
-    std::string_view name() const override { return "emit"; }
-    std::string_view
-    description() const override
-    {
-        return "machine-code emission (step 6)";
-    }
-    void
-    run(PassContext &ctx) override
-    {
-        ctx.out.binary = emitMachine(ctx.out.alloc);
-    }
-    std::string
-    dump(const PassContext &ctx) const override
-    {
-        return prog::dumpProgram(ctx.out.binary);
-    }
+/** The pipeline (§3.1), in pass order. */
+constexpr Pass kPasses[] = {
+    {"optimize", "conventional IL optimizations (step 1)", always,
+     [](PassContext &ctx) {
+         ctx.out.optStats = optimizeProgram(ctx.program);
+     }},
+    {"unroll", "unroll eligible counted self-loops (§6)",
+     [](const CompileOptions &o) { return o.unrollFactor >= 2; },
+     [](PassContext &ctx) {
+         ctx.out.unrollStats =
+             unrollLoops(ctx.program, ctx.options.unrollFactor);
+     }},
+    {"superblock",
+     "superblock formation: tail duplication + straightening (§6)",
+     [](const CompileOptions &o) { return o.superblocks; },
+     [](PassContext &ctx) {
+         ctx.out.superblockStats = formSuperblocks(ctx.program);
+     }},
+    {"schedule", "prepass list scheduling (step 2)", always,
+     [](PassContext &ctx) {
+         ctx.out.scheduleStats = listSchedule(ctx.program);
+     }},
+    {"profile",
+     "profiling run: measured block/edge weights for the partitioner",
+     clustered,
+     [](PassContext &ctx) {
+         const auto profile = exec::profileProgram(
+             ctx.program, ctx.options.profileSeed, kProfileMaxInsts);
+         exec::applyProfile(ctx.program, profile);
+     }},
+    {"partition", "live-range partitioning across clusters (step 4, §3.5)",
+     clustered, runPartition},
+    {"regalloc",
+     "graph-coloring register allocation with spilling (step 5)", always,
+     runRegalloc},
+    {"emit", "machine-code emission (step 6)", always,
+     [](PassContext &ctx) { ctx.out.binary = emitMachine(ctx.out.alloc); },
+     true},
 };
 
 bool
@@ -234,133 +156,87 @@ wantsDump(const CompileOptions &options, std::string_view pass)
     return false;
 }
 
+/**
+ * Check the input program. Pre-existing def-before-use findings are an
+ * input-program property (the random fuzzer emits them on purpose; the
+ * trace interpreter zero-fills unwritten live ranges), not a pass bug:
+ * downgrade that one check and hold the passes to every other
+ * invariant. Anything else in the input is fatal.
+ */
 void
-verifyOrThrow(const PassContext &ctx, const std::string &when)
+verifyInput(PassContext &ctx)
 {
-    const prog::VerifyResult res =
-        prog::verifyIR(ctx.program, ctx.verify);
-    if (!res.ok())
-        throw std::runtime_error("verify-ir: invariant violation " +
-                                 when + ":\n" + res.str());
+    const prog::VerifyResult input = prog::verifyIR(ctx.program, ctx.verify);
+    if (input.ok())
+        return;
+    const bool onlyDefBeforeUse = std::all_of(
+        input.errors.begin(), input.errors.end(),
+        [](const prog::VerifyError &e) {
+            return e.kind == prog::VerifyErrorKind::DefBeforeUse;
+        });
+    if (!onlyDefBeforeUse)
+        throw std::runtime_error(
+            "verify-ir: invariant violation in the input program:\n" +
+            input.str());
+    ctx.verify.checkDefBeforeUse = false;
 }
 
 } // namespace
 
-std::string
-Pass::dump(const PassContext &ctx) const
-{
-    return prog::dumpProgram(ctx.program);
-}
-
-const std::vector<PassInfo> &
+std::span<const Pass>
 allPasses()
 {
-    // Canonical pipeline order; buildPipeline() picks the subset the
-    // options enable.
-    static const std::vector<PassInfo> kPasses = [] {
-        std::vector<PassInfo> infos;
-        for (const auto &pass : buildPipeline([] {
-                 CompileOptions all;
-                 all.scheduler = SchedulerKind::Local;
-                 all.numClusters = 2;
-                 all.unrollFactor = 2;
-                 all.superblocks = true;
-                 return all;
-             }()))
-            infos.push_back({pass->name(), pass->description()});
-        return infos;
-    }();
     return kPasses;
 }
 
 bool
 isPassName(std::string_view name)
 {
-    const auto &passes = allPasses();
-    return std::any_of(passes.begin(), passes.end(),
-                       [&](const PassInfo &p) { return p.name == name; });
-}
-
-std::vector<std::unique_ptr<Pass>>
-buildPipeline(const CompileOptions &options)
-{
-    std::vector<std::unique_ptr<Pass>> passes;
-    if (options.optimize)
-        passes.push_back(std::make_unique<OptimizePass>());
-    if (options.unrollFactor >= 2)
-        passes.push_back(std::make_unique<UnrollPass>());
-    if (options.superblocks)
-        passes.push_back(std::make_unique<SuperblockPass>());
-    if (options.listSchedule)
-        passes.push_back(std::make_unique<SchedulePass>());
-    if (options.scheduler != SchedulerKind::Native) {
-        passes.push_back(std::make_unique<ProfilePass>());
-        passes.push_back(std::make_unique<PartitionPass>());
-    }
-    passes.push_back(std::make_unique<RegallocPass>());
-    passes.push_back(std::make_unique<EmitPass>());
-    return passes;
+    return std::any_of(std::begin(kPasses), std::end(kPasses),
+                       [&](const Pass &p) { return p.name == name; });
 }
 
 void
-PassManager::run(PassContext &ctx) const
+runPass(const Pass &pass, PassContext &ctx)
 {
-    if (verifyIr_) {
-        // Pre-existing def-before-use findings are an input-program
-        // property (the random fuzzer emits them on purpose; the trace
-        // interpreter zero-fills unwritten live ranges), not a pass
-        // bug: downgrade that one check and hold the passes to every
-        // other invariant. Anything else in the input is fatal.
-        const prog::VerifyResult input =
-            prog::verifyIR(ctx.program, ctx.verify);
-        if (!input.ok()) {
-            const bool onlyDefBeforeUse = std::all_of(
-                input.errors.begin(), input.errors.end(),
-                [](const prog::VerifyError &e) {
-                    return e.kind ==
-                           prog::VerifyErrorKind::DefBeforeUse;
-                });
-            if (!onlyDefBeforeUse)
-                throw std::runtime_error(
-                    "verify-ir: invariant violation in the input "
-                    "program:\n" +
-                    input.str());
-            ctx.verify.checkDefBeforeUse = false;
-        }
+    if (ctx.options.verifyIr && ctx.out.passStats.empty())
+        verifyInput(ctx);
+
+    PassStat stat;
+    stat.pass = std::string(pass.name);
+    stat.blocksBefore = blockCount(ctx.program);
+    stat.instsBefore = ctx.program.staticInstCount();
+    stat.valuesBefore = ctx.program.values.size();
+    stat.spillOpsBefore = spillOpCount(ctx.out);
+
+    const auto start = std::chrono::steady_clock::now();
+    {
+        // Region per pass, reusing the per-pass PassStat names so the
+        // host profile and pass-stats dumps line up.
+        prof::ScopeTimer prof_scope(
+            prof::internRegion("compile." + stat.pass));
+        pass.run(ctx);
     }
+    stat.wallMs = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
 
-    for (const auto &pass : passes_) {
-        PassStat stat;
-        stat.pass = std::string(pass->name());
-        stat.blocksBefore = blockCount(ctx.program);
-        stat.instsBefore = ctx.program.staticInstCount();
-        stat.valuesBefore = ctx.program.values.size();
-        stat.spillOpsBefore = spillOpCount(ctx.out);
+    stat.blocksAfter = blockCount(ctx.program);
+    stat.instsAfter = ctx.program.staticInstCount();
+    stat.valuesAfter = ctx.program.values.size();
+    stat.spillOpsAfter = spillOpCount(ctx.out);
+    ctx.out.passStats.push_back(stat);
 
-        const auto start = std::chrono::steady_clock::now();
-        {
-            // Region per pass, reusing the per-pass PassStat names so
-            // the host profile and pass-stats dumps line up.
-            prof::ScopeTimer prof_scope(
-                prof::internRegion("compile." + stat.pass));
-            pass->run(ctx);
-        }
-        stat.wallMs = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-
-        stat.blocksAfter = blockCount(ctx.program);
-        stat.instsAfter = ctx.program.staticInstCount();
-        stat.valuesAfter = ctx.program.values.size();
-        stat.spillOpsAfter = spillOpCount(ctx.out);
-        ctx.out.passStats.push_back(stat);
-
-        if (wantsDump(ctx.options, pass->name()))
-            ctx.out.dumps.emplace_back(std::string(pass->name()),
-                                       pass->dump(ctx));
-        if (verifyIr_)
-            verifyOrThrow(ctx, "after pass '" + stat.pass + "'");
-    }
+    if (wantsDump(ctx.options, pass.name))
+        ctx.out.dumps.emplace_back(
+            stat.pass, pass.dumpsBinary ? prog::dumpProgram(ctx.out.binary)
+                                        : prog::dumpProgram(ctx.program));
+    if (!ctx.options.verifyIr)
+        return;
+    const prog::VerifyResult res = prog::verifyIR(ctx.program, ctx.verify);
+    if (!res.ok())
+        throw std::runtime_error("verify-ir: invariant violation after "
+                                 "pass '" + stat.pass + "':\n" + res.str());
 }
 
 void

@@ -1,27 +1,27 @@
 /**
  * @file
- * The compiler's pass manager.
+ * The compiler's pass table.
  *
- * Each stage of the paper's §3.1 pipeline is a named Pass running over
- * a shared PassContext: the working IL copy, the CompileOptions, the
+ * Each stage of the paper's §3.1 pipeline is one row of a fixed table,
+ * in pipeline order: its name, its description, when it runs (a
+ * predicate over CompileOptions) and what it does to a shared
+ * PassContext — the working IL copy, the CompileOptions, the
  * CompileOutput being assembled, and the growing prog::VerifyOptions
- * the partition/regalloc passes extend with their results. The
- * PassManager owns the sequence: it times every pass, records IR-delta
- * counters (blocks, instructions, live ranges, spill ops) into
+ * the partition/regalloc passes extend with their results.
+ *
+ * compile() hands every row the options enable to runPass(), the one
+ * per-pass runner: it times the pass, records IR-delta counters
+ * (blocks, instructions, live ranges, spill ops) into
  * CompileOutput::passStats, captures `--dump-after` snapshots, and —
  * under CompileOptions::verifyIr — runs prog::verifyIR() on the input
  * and after every pass, throwing std::runtime_error naming the
  * offending pass on the first violation.
- *
- * buildPipeline() translates CompileOptions into the exact pass
- * sequence the old hardcoded pipeline ran, so compile() output is
- * bit-identical to the pre-refactor compiler.
  */
 
 #ifndef MCA_COMPILER_PASS_HH
 #define MCA_COMPILER_PASS_HH
 
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,46 +57,38 @@ struct PassContext
     prog::VerifyOptions verify;
 };
 
-/** One named, self-describing compilation stage. */
-class Pass
+/** One row of the pass table: a named compilation stage. */
+struct Pass
 {
-  public:
-    virtual ~Pass() = default;
-
     /** Stable pass name (the `--dump-after` / `--list-passes` key). */
-    virtual std::string_view name() const = 0;
-
-    /** One-line description for `--list-passes`. */
-    virtual std::string_view description() const = 0;
-
-    virtual void run(PassContext &ctx) = 0;
-
-    /**
-     * Deterministic text snapshot for `--dump-after` (the working IL by
-     * default; the emit pass dumps the machine binary instead).
-     */
-    virtual std::string dump(const PassContext &ctx) const;
-};
-
-/** Name + description of one registered pass. */
-struct PassInfo
-{
     std::string_view name;
+    /** One-line description for `--list-passes`. */
     std::string_view description;
+    /** Whether a compile with these options runs the pass. */
+    bool (*runsFor)(const CompileOptions &options);
+    void (*run)(PassContext &ctx);
+    /**
+     * `--dump-after` snapshots the machine binary (the emit pass)
+     * instead of the working IL.
+     */
+    bool dumpsBinary = false;
 };
 
-/** Every pass the pipeline can run, in canonical pipeline order. */
-const std::vector<PassInfo> &allPasses();
+/** Every pass the pipeline can run, in pipeline order. */
+std::span<const Pass> allPasses();
 
-/** True if `name` names a registered pass. */
+/** True if `name` names a pass. */
 bool isPassName(std::string_view name);
 
 /**
- * The pass sequence for these options — exactly the stages the options
- * enable, in pipeline order.
+ * Run one pass over `ctx` and record it; see the file comment. Before
+ * the context's first pass, the input program is checked too: a
+ * def-before-use finding there is the input's own (the random fuzzer
+ * emits them on purpose) and only turns that check off for the passes,
+ * any other finding throws. Throws std::runtime_error naming the pass
+ * if the IR fails verification after it.
  */
-std::vector<std::unique_ptr<Pass>> buildPipeline(
-    const CompileOptions &options);
+void runPass(const Pass &pass, PassContext &ctx);
 
 /**
  * Register `<prefix>.<NN>_<pass>.{wall_us,blocks,insts,values,
@@ -118,35 +110,6 @@ void exportPassStats(const std::vector<PassStat> &passes,
  */
 void exportPartitionStats(const PartitionStats &stats, StatGroup &group,
                           const std::string &prefix = "partition");
-
-/** Runs a pass sequence over a context; see the file comment. */
-class PassManager
-{
-  public:
-    /** `verify_ir`: run prog::verifyIR between passes (throws). */
-    explicit PassManager(bool verify_ir) : verifyIr_(verify_ir) {}
-
-    void
-    add(std::unique_ptr<Pass> pass)
-    {
-        passes_.push_back(std::move(pass));
-    }
-
-    const std::vector<std::unique_ptr<Pass>> &passes() const
-    {
-        return passes_;
-    }
-
-    /**
-     * Run every pass in order. Throws std::runtime_error if a pass (or
-     * the input program) fails IR verification under verify_ir.
-     */
-    void run(PassContext &ctx) const;
-
-  private:
-    bool verifyIr_;
-    std::vector<std::unique_ptr<Pass>> passes_;
-};
 
 } // namespace mca::compiler
 

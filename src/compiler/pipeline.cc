@@ -1,6 +1,7 @@
 #include "compiler/pipeline.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,15 +13,20 @@ namespace mca::compiler
 namespace
 {
 
-const char *
+/** Every scheduler name and the kind it selects, in `--help` order. */
+constexpr std::pair<std::string_view, SchedulerKind> kSchedulers[] = {
+    {"native", SchedulerKind::Native},
+    {"local", SchedulerKind::Local},
+    {"roundrobin", SchedulerKind::RoundRobin},
+    {"multilevel", SchedulerKind::Multilevel},
+};
+
+std::string_view
 schedulerName(SchedulerKind kind)
 {
-    switch (kind) {
-    case SchedulerKind::Native: return "native";
-    case SchedulerKind::Local: return "local";
-    case SchedulerKind::RoundRobin: return "roundrobin";
-    case SchedulerKind::Multilevel: return "multilevel";
-    }
+    for (const auto &[name, k] : kSchedulers)
+        if (k == kind)
+            return name;
     return "unknown";
 }
 
@@ -33,44 +39,49 @@ CompileOptions::canonicalKey() const
     oss << "scheduler=" << schedulerName(scheduler)
         << ";clusters=" << numClusters
         << ";threshold=" << imbalanceThreshold
-        << ";optimize=" << optimize
         << ";unroll=" << unrollFactor
         << ";superblocks=" << superblocks
-        << ";list=" << listSchedule
-        << ";profileSeed=" << profileSeed
-        << ";profileMaxInsts=" << profileMaxInsts;
+        << ";profileSeed=" << profileSeed;
     return oss.str();
 }
 
 CompileOptions
 compileOptionsFor(const std::string &scheduler, unsigned machine_clusters)
 {
-    CompileOptions copt;
-    if (scheduler == "native") {
-        copt.scheduler = SchedulerKind::Native;
-        copt.numClusters = 1;
-    } else if (scheduler == "roundrobin") {
-        copt.scheduler = SchedulerKind::RoundRobin;
-        copt.numClusters = std::max(2u, machine_clusters);
-    } else if (scheduler == "local") {
-        copt.scheduler = machine_clusters >= 2 ? SchedulerKind::Local
-                                               : SchedulerKind::Native;
-        copt.numClusters = machine_clusters;
-    } else if (scheduler == "multilevel") {
-        copt.scheduler = machine_clusters >= 2 ? SchedulerKind::Multilevel
-                                               : SchedulerKind::Native;
-        copt.numClusters = machine_clusters;
-    } else {
+    const auto *row = std::find_if(
+        std::begin(kSchedulers), std::end(kSchedulers),
+        [&](const auto &entry) { return entry.first == scheduler; });
+    if (row == std::end(kSchedulers))
         throw std::runtime_error("unknown scheduler '" + scheduler + "'");
-    }
+    CompileOptions copt;
+    copt.scheduler = row->second;
+    copt.numClusters = machine_clusters;
+    if (copt.scheduler == SchedulerKind::Native)
+        copt.numClusters = 1;
+    else if (copt.scheduler == SchedulerKind::RoundRobin)
+        copt.numClusters = std::max(2u, machine_clusters);
+    else if (machine_clusters < 2) // nothing to partition
+        copt.scheduler = SchedulerKind::Native;
     return copt;
+}
+
+const std::vector<std::string> &
+schedulerNames()
+{
+    static const std::vector<std::string> kNames = [] {
+        std::vector<std::string> names;
+        for (const auto &entry : kSchedulers)
+            names.emplace_back(entry.first);
+        return names;
+    }();
+    return kNames;
 }
 
 const std::vector<std::string> &
 partitionerNames()
 {
-    static const std::vector<std::string> kNames = {"local", "roundrobin",
-                                                    "multilevel"};
+    static const std::vector<std::string> kNames(
+        schedulerNames().begin() + 1, schedulerNames().end());
     return kNames;
 }
 
@@ -97,10 +108,9 @@ compile(const prog::Program &prog, const CompileOptions &options)
 {
     CompileOutput out;
     PassContext ctx(prog, options, out);
-    PassManager manager(options.verifyIr);
-    for (auto &pass : buildPipeline(options))
-        manager.add(std::move(pass));
-    manager.run(ctx);
+    for (const Pass &pass : allPasses())
+        if (pass.runsFor(options))
+            runPass(pass, ctx);
     return out;
 }
 

@@ -62,16 +62,13 @@ struct CompileOptions
     /** Cluster count the binary is scheduled for (1 for Native). */
     unsigned numClusters = 1;
     unsigned imbalanceThreshold = 4;
-    bool optimize = true;
     /** Unroll eligible counted self-loops by this factor (1 = off). */
     unsigned unrollFactor = 1;
     /** Form superblocks (tail duplication + straightening, §6). */
     bool superblocks = false;
-    bool listSchedule = true;
     /** The profiling run that weighs blocks before a clustered
      *  scheduler partitions them. */
     std::uint64_t profileSeed = 1;
-    std::uint64_t profileMaxInsts = 200'000;
 
     /**
      * Run prog::verifyIR() between passes; a violation aborts the
@@ -110,6 +107,9 @@ struct CompileOptions
  */
 CompileOptions compileOptionsFor(const std::string &scheduler,
                                  unsigned machine_clusters);
+
+/** Every scheduler name compileOptionsFor() accepts, native first. */
+const std::vector<std::string> &schedulerNames();
 
 /**
  * The partitioner names `--partitioner` accepts: the clustered

@@ -15,6 +15,9 @@ namespace
 
 constexpr std::size_t kNoNode = ~std::size_t{0};
 
+/** Safety bound on color/spill rounds. */
+constexpr unsigned kMaxRounds = 32;
+
 /** Registers a value may be colored with. */
 std::vector<unsigned>
 allowedRegisters(isa::RegClass cls, int cluster,
@@ -244,7 +247,7 @@ allocateRegisters(const prog::Program &prog, const AllocOptions &options)
     }
 
     const std::size_t kClasses = 2;
-    for (unsigned round = 0; round < options.maxRounds; ++round) {
+    for (unsigned round = 0; round < kMaxRounds; ++round) {
         result.rounds = round + 1;
         const auto live = computeLiveness(st.prog);
         const auto costs = computeSpillCosts(st.prog);
@@ -391,7 +394,7 @@ allocateRegisters(const prog::Program &prog, const AllocOptions &options)
         // Cluster reassignments alone also force another round.
     }
     MCA_FATAL("register allocation did not converge in ",
-              options.maxRounds, " rounds");
+              kMaxRounds, " rounds");
 }
 
 prog::MachProgram

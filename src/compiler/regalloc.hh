@@ -38,8 +38,6 @@ struct AllocOptions
      * allocation (the "native binary" of the paper's baseline).
      */
     ClusterAssignment assignment;
-    /** Safety bound on color/spill rounds. */
-    unsigned maxRounds = 32;
 };
 
 /** Allocation outcome. */

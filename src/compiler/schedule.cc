@@ -5,13 +5,15 @@
 #include <vector>
 
 #include "isa/opcodes.hh"
-#include "support/panic.hh"
 
 namespace mca::compiler
 {
 
 namespace
 {
+
+/** Nominal machine width used when packing cycles. */
+constexpr unsigned kWidth = 8;
 
 struct Edge
 {
@@ -109,10 +111,9 @@ buildDag(const prog::BasicBlock &blk)
 } // namespace
 
 ScheduleStats
-listSchedule(prog::Program &prog, const ScheduleOptions &options)
+listSchedule(prog::Program &prog)
 {
     ScheduleStats stats;
-    MCA_ASSERT(options.width >= 1, "scheduler width must be >= 1");
 
     for (auto &fn : prog.functions) {
         for (auto &blk : fn.blocks) {
@@ -148,7 +149,7 @@ listSchedule(prog::Program &prog, const ScheduleOptions &options)
                           });
                 unsigned issued = 0;
                 for (std::uint32_t i : ready) {
-                    if (issued >= options.width)
+                    if (issued >= kWidth)
                         break;
                     done[i] = true;
                     order.push_back(i);

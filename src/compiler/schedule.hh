@@ -7,8 +7,8 @@
  * on the instruction order. This pass performs classic latency-weighted
  * list scheduling within each basic block: a dependence DAG (true, anti,
  * output, and memory-order edges) is built, instructions are prioritized
- * by critical-path height, and a machine of configurable width is
- * simulated to pick issue order.
+ * by critical-path height, and an 8-wide machine is simulated to
+ * pick issue order.
  */
 
 #ifndef MCA_COMPILER_SCHEDULE_HH
@@ -21,12 +21,6 @@
 namespace mca::compiler
 {
 
-struct ScheduleOptions
-{
-    /** Nominal machine width used when packing cycles. */
-    unsigned width = 8;
-};
-
 struct ScheduleStats
 {
     std::uint64_t blocksScheduled = 0;
@@ -38,8 +32,7 @@ struct ScheduleStats
  * stay last; all data, anti, output, and memory-order dependences are
  * preserved.
  */
-ScheduleStats listSchedule(prog::Program &prog,
-                           const ScheduleOptions &options = {});
+ScheduleStats listSchedule(prog::Program &prog);
 
 } // namespace mca::compiler
 

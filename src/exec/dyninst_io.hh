@@ -12,10 +12,12 @@
  *   dest, src0, src1           u16  cls<<8 | index, 0xffff for none
  *   remapIndex                 u32
  *
- * The decoder checks every field, so a corrupt trace file or snapshot
- * fails with a named error instead of steering the core into a panic,
- * a hang or a silently wrong result. Header-only: exec (trace files),
- * core (in-flight window, fetch buffer) and tests use it.
+ * The decoder checks every field, and the operands against the
+ * opcode's shape rule (isa::illFormedOperand), so a corrupt trace file
+ * or snapshot fails with a named error instead of steering the core
+ * into a panic, a hang or a silently wrong result. Header-only: exec
+ * (trace files), core (in-flight window, fetch buffer) and tests use
+ * it.
  */
 
 #ifndef MCA_EXEC_DYNINST_IO_HH
@@ -78,7 +80,9 @@ writeDynInst(ckpt::Writer &w, const DynInst &di)
  * the number of remap points the consumer can apply: remapIndex must
  * be kNoRemap or below it. A field that fails throws
  * std::runtime_error "<source>: record field <field> has invalid value
- * <value>"; a short buffer throws from the Reader.
+ * <value>", an operand that does not fit the opcode "<source>: record
+ * operand <operand> does not fit opcode <op>"; a short buffer throws
+ * from the Reader.
  */
 inline void
 readDynInst(ckpt::Reader &r, DynInst &di, std::uint32_t remap_bound,
@@ -116,6 +120,10 @@ readDynInst(ckpt::Reader &r, DynInst &di, std::uint32_t remap_bound,
     di.mi.dest = reg("dest");
     di.mi.srcs[0] = reg("src0");
     di.mi.srcs[1] = reg("src1");
+    if (const char *operand = isa::illFormedOperand(di.mi))
+        throw std::runtime_error(std::string(source) + ": record operand " +
+                                 operand + " does not fit opcode " +
+                                 std::string(isa::opName(di.mi.op)));
     di.remapIndex = r.u32();
     if (di.remapIndex != DynInst::kNoRemap && di.remapIndex >= remap_bound)
         bad("remapIndex", di.remapIndex);

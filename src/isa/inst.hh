@@ -45,11 +45,17 @@ struct MachInst
     std::string toString() const;
 };
 
+/**
+ * The operand of `mi` that breaks its opcode's shape rule — "dest",
+ * "src0" or "src1" — or nullptr if the instruction is well-formed. The
+ * rule says which operands each opcode has and their register classes
+ * (what the compiler emits and the make* helpers build); a source is
+ * never present without the ones before it.
+ */
+const char *illFormedOperand(const MachInst &mi);
+
 /** Build a three-register ALU-style instruction. */
 MachInst makeRRR(Op op, RegId dest, RegId src1, RegId src2);
-
-/** Build a register-immediate instruction. */
-MachInst makeRRI(Op op, RegId dest, RegId src, std::int64_t imm);
 
 /** Build a load: dest <- mem[base + disp]. */
 MachInst makeLoad(Op op, RegId dest, RegId base, std::int64_t disp);

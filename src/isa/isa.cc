@@ -114,19 +114,99 @@ opName(Op op)
     }
 }
 
-std::string_view
-opClassName(OpClass cls)
+namespace
 {
-    switch (cls) {
-      case OpClass::IntMul: return "int-mul";
-      case OpClass::IntOther: return "int-other";
-      case OpClass::FpDiv: return "fp-div";
-      case OpClass::FpOther: return "fp-other";
-      case OpClass::LoadStore: return "load-store";
-      case OpClass::CtrlFlow: return "ctrl-flow";
-      case OpClass::Nop: return "nop";
-      default: return "<bad-class>";
+
+/** What one operand slot of an opcode holds. */
+enum class Slot : std::uint8_t
+{
+    None,
+    Int,
+    Fp,
+    IntOrNone,
+};
+
+struct Shape
+{
+    Slot dest, src0, src1;
+};
+
+Shape
+shapeOf(Op op)
+{
+    using enum Slot;
+    switch (op) {
+      // Integer ALU and multiply; src1 is absent in the immediate form.
+      case Op::Add: case Op::Sub: case Op::And: case Op::Or:
+      case Op::Xor: case Op::Sll: case Op::Srl: case Op::Sra:
+      case Op::CmpEq: case Op::CmpLt: case Op::CmpLe: case Op::Mull:
+        return {Int, Int, IntOrNone};
+      case Op::Lda:
+        return {Int, None, None};
+      case Op::Mov:
+        return {Int, Int, None};
+      case Op::AddF: case Op::SubF: case Op::MulF: case Op::CmpF:
+      case Op::DivF: case Op::DivD: case Op::SqrtD:
+        return {Fp, Fp, Fp};
+      // No source: a constant materialized from the immediate.
+      case Op::CvtIF:
+        return {Fp, IntOrNone, None};
+      case Op::CvtFI:
+        return {Int, Fp, None};
+      case Op::MovF:
+        return {Fp, Fp, None};
+      // Memory ops always carry their base register (the zero register
+      // for an absolute address); a store's data comes first.
+      case Op::Ldl:
+        return {Int, Int, None};
+      case Op::Ldt:
+        return {Fp, Int, None};
+      case Op::Stl:
+        return {None, Int, Int};
+      case Op::Stt:
+        return {None, Fp, Int};
+      case Op::Beq: case Op::Bne: case Op::Jmp:
+        return {None, Int, None};
+      case Op::FBeq: case Op::FBne:
+        return {None, Fp, None};
+      // The link register is implicit in compiled code; makeJump
+      // names it.
+      case Op::Jsr:
+        return {IntOrNone, None, None};
+      case Op::Ret:
+        return {None, IntOrNone, None};
+      case Op::Br: case Op::Nop:
+        return {None, None, None};
+      default:
+        MCA_PANIC("shapeOf: unknown op ", static_cast<int>(op));
     }
+}
+
+bool
+fits(Slot slot, const std::optional<RegId> &reg)
+{
+    switch (slot) {
+      case Slot::None: return !reg;
+      case Slot::Int: return reg && reg->cls == RegClass::Int;
+      case Slot::Fp: return reg && reg->cls == RegClass::Fp;
+      case Slot::IntOrNone: return !reg || reg->cls == RegClass::Int;
+    }
+    return false;
+}
+
+} // namespace
+
+const char *
+illFormedOperand(const MachInst &mi)
+{
+    const Shape shape = shapeOf(mi.op);
+    if (!fits(shape.dest, mi.dest))
+        return "dest";
+    if (!fits(shape.src0, mi.srcs[0]))
+        return "src0";
+    if (!fits(shape.src1, mi.srcs[1]))
+        return "src1";
+    return nullptr;
 }
 
 std::string
@@ -157,17 +237,6 @@ makeRRR(Op op, RegId dest, RegId src1, RegId src2)
     mi.dest = dest;
     mi.srcs[0] = src1;
     mi.srcs[1] = src2;
-    return mi;
-}
-
-MachInst
-makeRRI(Op op, RegId dest, RegId src, std::int64_t imm)
-{
-    MachInst mi;
-    mi.op = op;
-    mi.dest = dest;
-    mi.srcs[0] = src;
-    mi.imm = imm;
     return mi;
 }
 

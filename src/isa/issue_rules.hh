@@ -148,7 +148,6 @@ class IssueSlots
                                                 : OpClass::FpOther);
     }
 
-    unsigned usedAll() const { return usedAll_; }
     const IssueRules &rules() const { return rules_; }
 
   private:

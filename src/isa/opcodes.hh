@@ -87,9 +87,6 @@ bool opPipelined(Op op);
 /** Mnemonic for printing. */
 std::string_view opName(Op op);
 
-/** Printable class name. */
-std::string_view opClassName(OpClass cls);
-
 inline bool
 isLoad(Op op)
 {

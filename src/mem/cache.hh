@@ -48,17 +48,6 @@ enum class ServiceLevel : unsigned
     Memory,
 };
 
-inline const char *
-serviceLevelName(ServiceLevel level)
-{
-    switch (level) {
-      case ServiceLevel::L1: return "l1";
-      case ServiceLevel::L2: return "l2";
-      case ServiceLevel::Memory: return "mem";
-    }
-    return "<bad-level>";
-}
-
 /** Configuration of one cache level. */
 struct CacheParams
 {

@@ -240,14 +240,6 @@ Builder::emitRet()
 }
 
 void
-Builder::emitNop()
-{
-    Instr in;
-    in.op = isa::Op::Nop;
-    cursor().instrs.push_back(in);
-}
-
-void
 Builder::emitRaw(const Instr &in)
 {
     cursor().instrs.push_back(in);

@@ -104,8 +104,6 @@ class Builder
     /** Return terminator. */
     void emitRet();
 
-    void emitNop();
-
     /** Append a raw instruction (escape hatch for tests). */
     void emitRaw(const Instr &in);
 

@@ -123,12 +123,6 @@ struct Program
 
     static constexpr FunctionId kMain = 0;
 
-    const ValueInfo &
-    valueInfo(ValueId v) const
-    {
-        return values.at(v);
-    }
-
     /** Total static instruction count across all functions. */
     std::size_t staticInstCount() const;
 

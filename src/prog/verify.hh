@@ -82,8 +82,8 @@ struct VerifyOptions
      * Check that every use is reached by a definition on all paths.
      * Benchmark programs satisfy this; the random fuzzer's programs
      * intentionally do not (the trace interpreter zero-fills unwritten
-     * live ranges), so the pass manager downgrades this check when the
-     * *input* program already violates it.
+     * live ranges), so the compiler's pass runner downgrades this check
+     * when the *input* program already violates it.
      */
     bool checkDefBeforeUse = true;
     /** Partitioner output: per-value cluster (-1 = unassigned). */

@@ -167,8 +167,8 @@ pointRows(JobSpec *spec, CampaignGrid *grid)
                 nameMachine(s, named->second, kClusterMachines[i]);
             });
     axis("--scheduler", "--schedulers", "KIND",
-         joinChoices(validSchedulers()) + " [local]",
-         oneOf(validSchedulers(), "scheduler"), &JobSpec::scheduler,
+         joinChoices(compiler::schedulerNames()) + " [local]",
+         oneOf(compiler::schedulerNames(), "scheduler"), &JobSpec::scheduler,
          &CampaignGrid::schedulers);
     axis("--partitioner", "--partitioners", "KIND",
          joinChoices(compiler::partitionerNames()) +

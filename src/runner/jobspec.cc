@@ -189,7 +189,7 @@ JobSpec::validate() const
 {
     requireOneOf(benchmark, validBenchmarks(), "benchmark");
     requireOneOf(machine, validMachines(), "machine");
-    requireOneOf(scheduler, validSchedulers(), "scheduler");
+    requireOneOf(scheduler, compiler::schedulerNames(), "scheduler");
     if (!predictor.empty())
         requireOneOf(predictor, validPredictors(), "predictor");
     if (!queueMode.empty())
@@ -327,15 +327,6 @@ validMachines()
 {
     static const std::vector<std::string> kNames = namesOf(kMachines);
     return kNames;
-}
-
-const std::vector<std::string> &
-validSchedulers()
-{
-    static const std::vector<std::string> kSchedulers = {
-        "native", "local", "roundrobin", "multilevel",
-    };
-    return kSchedulers;
 }
 
 const std::vector<std::string> &

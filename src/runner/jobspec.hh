@@ -333,9 +333,11 @@ std::string joinChoices(const std::vector<std::string> &choices);
 void requireOneOf(const std::string &value,
                   const std::vector<std::string> &valid, const char *what);
 
-/** Valid choices for the enumerated spec fields (for CLI help/errors). */
+/**
+ * Valid choices for the enumerated spec fields (for CLI help/errors);
+ * compiler::schedulerNames() lists the schedulers.
+ */
 const std::vector<std::string> &validMachines();
-const std::vector<std::string> &validSchedulers();
 const std::vector<std::string> &validPredictors();
 const std::vector<std::string> &validBenchmarks();
 const std::vector<std::string> &validQueueModes();

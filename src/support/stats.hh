@@ -67,7 +67,6 @@ class Distribution
     std::uint64_t max() const { return max_; }
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t bucketWidth() const { return bucketWidth_; }
     std::uint64_t sum() const { return sum_; }
     double sumSq() const { return sumSq_; }
 

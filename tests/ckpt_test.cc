@@ -621,10 +621,21 @@ coreRestoreError(const std::vector<HandRecord> &window,
     exec::DynInst add;
     add.mi = isa::makeRRR(isa::Op::Add, isa::intReg(2), isa::intReg(3),
                           isa::intReg(4));
+    // An operand field holds its record encoding (exec::kNoReg: none).
+    const auto operand = [&](const char *name,
+                             std::optional<isa::RegId> &reg) {
+        const std::uint64_t v = field(name, exec::encodeReg(reg));
+        reg.reset();
+        if (v != exec::kNoReg)
+            reg = isa::RegId(static_cast<isa::RegClass>(v >> 8), v & 0xff);
+    };
     const auto writeInst = [&] {
         exec::DynInst di = add;
         di.mi.op = static_cast<isa::Op>(
             field("opcode", static_cast<std::uint8_t>(di.mi.op)));
+        operand("dest", di.mi.dest);
+        operand("src0", di.mi.srcs[0]);
+        operand("src1", di.mi.srcs[1]);
         di.remapIndex = static_cast<std::uint32_t>(
             field("remap index", exec::DynInst::kNoRemap));
         exec::writeDynInst(w, di);
@@ -834,6 +845,39 @@ TEST(Ckpt, CoreRestoreBoundsEveryCountAndId)
     // A fetch-buffer record goes through the same codec.
     EXPECT_EQ(coreRestoreError({}, {{"fetch buffer", 1}, {"opcode", 250}}),
               "checkpoint: record field opcode has invalid value 250");
+}
+
+TEST(Ckpt, IllFormedRecordShapesAreRejected)
+{
+    // Records whose every field decodes but whose operands do not fit
+    // their opcode, in the window and in the fetch buffer.
+    const std::uint64_t none = exec::kNoReg;
+    const auto op = [](isa::Op o) { return static_cast<std::uint64_t>(o); };
+    const struct
+    {
+        const char *name;
+        Fields fields;
+        const char *error;
+    } cases[] = {
+        {"store with no sources",
+         {{"opcode", op(isa::Op::Stl)}, {"dest", none}, {"src0", none},
+          {"src1", none}},
+         "operand src0 does not fit opcode stl"},
+        {"load with no destination",
+         {{"opcode", op(isa::Op::Ldl)}, {"dest", none}, {"src1", none}},
+         "operand dest does not fit opcode ldl"},
+        {"src1 without src0", {{"src0", none}},
+         "operand src0 does not fit opcode add"},
+        {"fp destination on an integer add", {{"dest", 1u << 8 | 2}},
+         "operand dest does not fit opcode add"},
+    };
+    for (const auto &c : cases) {
+        const std::string want = std::string("checkpoint: record ") + c.error;
+        EXPECT_EQ(coreRestoreError({dualAdd()}, c.fields), want) << c.name;
+        Fields fetched = c.fields;
+        fetched["fetch buffer"] = 1;
+        EXPECT_EQ(coreRestoreError({}, fetched), want) << c.name;
+    }
 }
 
 TEST(Ckpt, WriterReaderScalarsRoundTrip)

@@ -9,7 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "ckpt/io.hh"
 #include "compiler/interference.hh"
 #include "compiler/liveness.hh"
 #include "compiler/optimize.hh"
@@ -722,13 +728,148 @@ TEST(Pipeline, HardwareMapCarriesGlobals)
     EXPECT_TRUE(map.isGlobal(isa::intReg(29)));
 }
 
+/**
+ * FNV-1a digests of prog::dumpProgram() of every benchmark's binary at
+ * scale 0.05 under five compile configurations. A refactor of the
+ * compiler driver must leave every entry unchanged; an intended change
+ * to code generation updates the table and says why.
+ */
+struct BinaryDigest
+{
+    const char *benchmark;
+    const char *config;
+    std::uint64_t digest;
+};
+
+constexpr BinaryDigest kBinaryDigests[] = {
+    {"compress", "native/1", 0xf0bd8a57b059126bull},
+    {"compress", "local/2", 0xea15c9f3faa025c3ull},
+    {"compress", "roundrobin/2", 0x150b5a80795998cdull},
+    {"compress", "multilevel/4", 0x76276c6fccce3bf3ull},
+    {"compress", "local/2+unroll2+sb", 0x0f70f25cfd7672cbull},
+    {"doduc", "native/1", 0x12f76c64286f0213ull},
+    {"doduc", "local/2", 0xc114c44a7c3adbd3ull},
+    {"doduc", "roundrobin/2", 0x663c02cc3c65b71dull},
+    {"doduc", "multilevel/4", 0x99bf199266180140ull},
+    {"doduc", "local/2+unroll2+sb", 0x964b5d18a28904faull},
+    {"gcc1", "native/1", 0x081a799a2f02863cull},
+    {"gcc1", "local/2", 0xf944c08820391788ull},
+    {"gcc1", "roundrobin/2", 0xcf7467ff7c283a64ull},
+    {"gcc1", "multilevel/4", 0x79b19fc3b091e6b6ull},
+    {"gcc1", "local/2+unroll2+sb", 0x9d58c6b710fa86e2ull},
+    {"ora", "native/1", 0x9fcc945d998a313eull},
+    {"ora", "local/2", 0x3a472ff9147c287dull},
+    {"ora", "roundrobin/2", 0xf0b20b417e03c5cfull},
+    {"ora", "multilevel/4", 0x27a5f9750308756eull},
+    {"ora", "local/2+unroll2+sb", 0xb798ba13a66f8a70ull},
+    {"su2cor", "native/1", 0x53ad50aa1cec3989ull},
+    {"su2cor", "local/2", 0x4f02c375db7e8ff8ull},
+    {"su2cor", "roundrobin/2", 0x2caa8cda631c5ce4ull},
+    {"su2cor", "multilevel/4", 0xa0bfe38e1479a476ull},
+    {"su2cor", "local/2+unroll2+sb", 0xaf976615db653de7ull},
+    {"tomcatv", "native/1", 0x7afe452214fb52e5ull},
+    {"tomcatv", "local/2", 0x568e7762b60353c7ull},
+    {"tomcatv", "roundrobin/2", 0xed7c502fe3dd5368ull},
+    {"tomcatv", "multilevel/4", 0xc08b27462da55da0ull},
+    {"tomcatv", "local/2+unroll2+sb", 0x76522507386edd32ull},
+};
+
+/** The compile configurations kBinaryDigests pins, in table order. */
+struct PinnedConfig
+{
+    const char *name;
+    const char *scheduler;
+    unsigned clusters;
+    unsigned unrollFactor;
+    bool superblocks;
+};
+
+constexpr PinnedConfig kPinnedConfigs[] = {
+    {"native/1", "native", 1, 1, false},
+    {"local/2", "local", 2, 1, false},
+    {"roundrobin/2", "roundrobin", 2, 1, false},
+    {"multilevel/4", "multilevel", 4, 1, false},
+    {"local/2+unroll2+sb", "local", 2, 2, true},
+};
+
+TEST(CompilerOutput, BinariesMatchPinnedDigests)
+{
+    std::size_t row = 0;
+    for (const auto &bench : workloads::allBenchmarks()) {
+        const auto p = bench.make(workloads::WorkloadParams{0.05});
+        for (const auto &config : kPinnedConfigs) {
+            auto copt = compiler::compileOptionsFor(config.scheduler,
+                                                    config.clusters);
+            copt.unrollFactor = config.unrollFactor;
+            copt.superblocks = config.superblocks;
+            const std::string text =
+                prog::dumpProgram(compiler::compile(p, copt).binary);
+            const std::uint64_t digest =
+                ckpt::fnv1a(text.data(), text.size());
+            ASSERT_LT(row, std::size(kBinaryDigests))
+                << "    {\"" << bench.name << "\", \"" << config.name
+                << "\", 0x" << std::hex << digest << "ull},";
+            EXPECT_EQ(kBinaryDigests[row].benchmark, bench.name);
+            EXPECT_STREQ(kBinaryDigests[row].config, config.name);
+            EXPECT_EQ(kBinaryDigests[row].digest, digest)
+                << bench.name << " " << config.name << ": 0x" << std::hex
+                << digest;
+            ++row;
+        }
+    }
+    EXPECT_EQ(row, std::size(kBinaryDigests));
+}
+
+TEST(CompilerOutput, EveryEmittedInstructionFitsItsOpcodeShape)
+{
+    std::vector<std::pair<std::string, prog::Program>> programs;
+    for (const auto &bench : workloads::allBenchmarks())
+        programs.emplace_back(bench.name,
+                              bench.make(workloads::WorkloadParams{0.05}));
+    programs.emplace_back("pointer-chase",
+                          workloads::makePointerChase(
+                              workloads::WorkloadParams{0.05}));
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        workloads::RandomProgramParams rp;
+        rp.seed = seed;
+        rp.fpFraction = 0.2 * static_cast<double>(seed % 4);
+        rp.memFraction = 0.1 * static_cast<double>(seed % 5);
+        programs.emplace_back("random " + std::to_string(seed),
+                              workloads::makeRandomProgram(rp));
+    }
+
+    const auto check = [](const prog::MachProgram &binary,
+                          const std::string &what) {
+        for (const auto &fn : binary.functions)
+            for (const auto &blk : fn.blocks)
+                for (const auto &e : blk.instrs)
+                    if (const char *operand = isa::illFormedOperand(e.mi))
+                        ADD_FAILURE() << what << ": " << e.mi.toString()
+                                      << ": operand " << operand;
+    };
+    for (const auto &[name, p] : programs) {
+        for (const char *scheduler :
+             {"native", "local", "roundrobin", "multilevel"})
+            for (unsigned clusters : {1u, 2u, 4u})
+                check(compiler::compile(p, compiler::compileOptionsFor(
+                                               scheduler, clusters))
+                          .binary,
+                      name + " " + scheduler + "/" +
+                          std::to_string(clusters));
+        auto copt = compiler::compileOptionsFor("local", 2);
+        copt.unrollFactor = 2;
+        copt.superblocks = true;
+        check(compiler::compile(p, copt).binary,
+              name + " local/2 unroll 2 + superblocks");
+    }
+}
+
 TEST(Pipeline, LocalSchedulerProfilesFirst)
 {
     const auto p = workloads::makeGcc1(workloads::WorkloadParams{0.01});
     compiler::CompileOptions copt;
     copt.scheduler = compiler::SchedulerKind::Local;
     copt.numClusters = 2;
-    copt.profileMaxInsts = 5'000;
     const auto out = compiler::compile(p, copt);
     EXPECT_GT(out.partitionTrace.blockOrder.size(), 10u);
     EXPECT_GT(out.binary.staticInstCount(), 0u);

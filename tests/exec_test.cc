@@ -459,23 +459,27 @@ TEST(ProgramTrace, EmitsMachineInstructionsWithAddresses)
 TEST(ProgramTrace, SpillCodeIsMarked)
 {
     // A block with 40 simultaneously live values guarantees spills.
+    // They derive from a live-in value, which the optimizer cannot
+    // fold the way it folds constants, and their sum is stored, so
+    // dead-code elimination keeps them.
     prog::Builder b("pressure");
     const auto fn = b.function("main");
     const auto b0 = b.block(fn, 1);
     b.setInsertPoint(fn, b0);
+    const auto in = b.liveInValue(RegClass::Int, "in");
     std::vector<prog::ValueId> vals;
     for (int i = 0; i < 40; ++i)
-        vals.push_back(b.emitConst(RegClass::Int, i, "v"));
+        vals.push_back(b.emitRRI(Op::Add, in, i, "v"));
     auto acc = vals[0];
     for (int i = 1; i < 40; ++i)
         acc = b.emitRRR(Op::Add, acc, vals[i], "s");
+    b.emitStore(Op::Stl, acc, b.stream(prog::AddrStream::fixed(0x100)), in);
     b.emitRet();
     const auto p = b.build();
 
     compiler::CompileOptions copt;
     copt.scheduler = compiler::SchedulerKind::Native;
     copt.numClusters = 1;
-    copt.optimize = false; // keep all 40 constants live
     const auto out = compiler::compile(p, copt);
     ASSERT_GT(out.alloc.spillLoadsInserted, 0u);
     exec::ProgramTrace trace(out.binary, 5, 20000);
@@ -487,8 +491,9 @@ TEST(ProgramTrace, SpillCodeIsMarked)
 
 TEST(ProgramTrace, FillsEveryFieldOfAReusedRecord)
 {
-    // A loop that loads, stores and keeps 40 values live across its
-    // back edge, so the trace also carries spill loads and stores.
+    // A loop that loads, stores and keeps 40 values derived from a
+    // live-in value live across its back edge, so the trace also
+    // carries spill code.
     prog::Builder b("fill");
     const auto fn = b.function("main");
     const auto b0 = b.block(fn, 1, "entry");
@@ -497,9 +502,10 @@ TEST(ProgramTrace, FillsEveryFieldOfAReusedRecord)
     const auto arr = b.stream(prog::AddrStream::strided(0x8000, 8, 512));
     b.setInsertPoint(fn, b0);
     const auto base = b.emitConst(RegClass::Int, 0x8000, "base");
+    const auto in = b.liveInValue(RegClass::Int, "in");
     std::vector<prog::ValueId> vals;
     for (int i = 0; i < 40; ++i)
-        vals.push_back(b.emitConst(RegClass::Int, i, "v"));
+        vals.push_back(b.emitRRI(Op::Add, in, i, "v"));
     b.edge(fn, b0, b1);
     b.setInsertPoint(fn, b1);
     auto acc = b.emitLoad(Op::Ldl, arr, base, "x");
@@ -517,7 +523,6 @@ TEST(ProgramTrace, FillsEveryFieldOfAReusedRecord)
     compiler::CompileOptions copt;
     copt.scheduler = compiler::SchedulerKind::Native;
     copt.numClusters = 1;
-    copt.optimize = false; // keep all 40 constants live
     const auto out = compiler::compile(p, copt);
     exec::ProgramTrace filled(out.binary, 5, 20000);
     exec::ProgramTrace reference(out.binary, 5, 20000);

@@ -137,6 +137,40 @@ TEST(MachInst, ToStringDisassembles)
     EXPECT_EQ(ld.toString(), "ldt f2, r30, #24");
 }
 
+TEST(MachInst, ShapeRuleNamesTheOperandThatDoesNotFit)
+{
+    // What the make* helpers build fits, the link register included.
+    const isa::MachInst built[] = {
+        isa::makeRRR(Op::Mull, intReg(3), intReg(1), intReg(2)),
+        isa::makeRRR(Op::DivD, fpReg(3), fpReg(1), fpReg(2)),
+        isa::makeLoad(Op::Ldt, fpReg(2), intReg(30), 24),
+        isa::makeStore(Op::Stt, fpReg(2), intReg(31), 0),
+        isa::makeBranch(Op::FBne, fpReg(4)),
+        isa::makeJump(Op::Jsr),
+        isa::makeJump(Op::Ret),
+        isa::makeJump(Op::Br),
+    };
+    for (const auto &mi : built)
+        EXPECT_EQ(isa::illFormedOperand(mi), nullptr) << mi.toString();
+
+    auto add = isa::makeRRR(Op::Add, intReg(3), intReg(1), intReg(2));
+    add.srcs[1].reset(); // the immediate form
+    EXPECT_EQ(isa::illFormedOperand(add), nullptr);
+    add.dest = fpReg(3);
+    EXPECT_STREQ(isa::illFormedOperand(add), "dest");
+
+    auto store = isa::makeStore(Op::Stl, intReg(1), intReg(2), 0);
+    store.srcs[0].reset();
+    EXPECT_STREQ(isa::illFormedOperand(store), "src0");
+
+    isa::MachInst lda;
+    lda.op = Op::Lda;
+    lda.dest = intReg(1);
+    EXPECT_EQ(isa::illFormedOperand(lda), nullptr);
+    lda.srcs[1] = intReg(2);
+    EXPECT_STREQ(isa::illFormedOperand(lda), "src1");
+}
+
 TEST(MachInstDeath, WrongBuilderOpPanics)
 {
     EXPECT_DEATH(isa::makeLoad(Op::Add, intReg(1), intReg(2), 0),

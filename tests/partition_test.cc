@@ -89,10 +89,9 @@ TEST(PartitionProperty, MultilevelDeterministic)
 // The balance cap is max((1 + tolerance) * ideal + 1, heaviest node).
 // Node weights are discrete, so a cluster whose every member is too
 // heavy to move can exceed the cap — but never by more than one
-// heaviest-node weight (see MultilevelOptions::balanceTolerance).
+// heaviest-node weight (see compiler::kBalanceTolerance).
 TEST(PartitionProperty, MultilevelRespectsBalanceBound)
 {
-    const compiler::MultilevelOptions ml;
     workloads::WorkloadParams wp;
     wp.scale = 0.05;
     for (const auto &bench : workloads::allBenchmarks()) {
@@ -111,7 +110,7 @@ TEST(PartitionProperty, MultilevelRespectsBalanceBound)
             const double ideal =
                 static_cast<double>(graph.totalNodeWeight) / n;
             const double cap = std::max(
-                ideal * (1.0 + ml.balanceTolerance) + 1.0,
+                ideal * (1.0 + compiler::kBalanceTolerance) + 1.0,
                 static_cast<double>(maxNode));
             EXPECT_LE(stats.balance,
                       (cap + static_cast<double>(maxNode)) / ideal + 1e-9)

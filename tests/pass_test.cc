@@ -1,6 +1,6 @@
 /**
  * @file
- * Pass-manager tests: registry contents, per-pass stats, dump capture
+ * Pass-table tests: registry contents, per-pass stats, dump capture
  * (including the golden-text regression for every pass on a small
  * fixed program), between-pass verification, and the canonical
  * compile-options key.
@@ -90,10 +90,12 @@ TEST(PassRegistry, IsPassName)
 
 TEST(BuildPipeline, MatchesOptions)
 {
+    // The passes a compile runs, read back from its pass records.
     auto names = [](const compiler::CompileOptions &copt) {
         std::vector<std::string> out;
-        for (const auto &pass : compiler::buildPipeline(copt))
-            out.push_back(std::string(pass->name()));
+        for (const auto &stat :
+             compiler::compile(goldenProgram(), copt).passStats)
+            out.push_back(stat.pass);
         return out;
     };
 
@@ -116,12 +118,6 @@ TEST(BuildPipeline, MatchesOptions)
                                         "superblock", "schedule",
                                         "profile", "partition",
                                         "regalloc", "emit"}));
-
-    auto bare = compiler::compileOptionsFor("native", 1);
-    bare.optimize = false;
-    bare.listSchedule = false;
-    EXPECT_EQ(names(bare),
-              (std::vector<std::string>{"regalloc", "emit"}));
 }
 
 TEST(PassStats, RecordedPerPass)
@@ -234,29 +230,20 @@ TEST(Dumps, EmitPassDumpsTheBinary)
 
 TEST(PassManager, VerifyCatchesCorruptingPass)
 {
-    class EvilPass : public compiler::Pass
-    {
-      public:
-        std::string_view name() const override { return "evil"; }
-        std::string_view description() const override
-        {
-            return "corrupts the CFG (test only)";
-        }
-        void
-        run(compiler::PassContext &ctx) override
-        {
+    const compiler::Pass evil = {
+        "evil", "corrupts the CFG (test only)",
+        [](const compiler::CompileOptions &) { return true; },
+        [](compiler::PassContext &ctx) {
             ctx.program.functions[0].blocks[0].succs.push_back(99);
-        }
-    };
+        }};
 
     const auto p = goldenProgram();
     auto copt = compiler::compileOptionsFor("local", 2);
+    copt.verifyIr = true;
     compiler::CompileOutput out;
     compiler::PassContext ctx(p, copt, out);
-    compiler::PassManager manager(/*verify_ir=*/true);
-    manager.add(std::make_unique<EvilPass>());
     try {
-        manager.run(ctx);
+        compiler::runPass(evil, ctx);
         FAIL() << "corrupt IR passed verification";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find("after pass 'evil'"),

@@ -222,6 +222,59 @@ TEST_F(TraceIoFixture, CorruptFieldsFailByName)
         << "truncated last record: " << cut;
 }
 
+TEST_F(TraceIoFixture, IllFormedOperandShapesFailByName)
+{
+    // Records whose every field decodes but whose operands do not fit
+    // their opcode: each must throw a "trace:" error naming the opcode
+    // and the operand.
+    const auto out = compiledCompress();
+    {
+        exec::ProgramTrace source(out.binary, 7, 200);
+        ASSERT_EQ(exec::writeTrace(path, source), 200u);
+    }
+    const std::string clean = fileBytes(path);
+    constexpr std::size_t kOp = 40, kDest = 42, kSrc0 = 44, kSrc1 = 46;
+    const auto record = [](std::size_t i, std::size_t offset) {
+        return exec::kTraceHeaderBytes + i * exec::kDynInstBytes + offset;
+    };
+    // The first record with opcode `op` (and src1 set, if asked).
+    const auto first = [&](isa::Op op, bool with_src1) {
+        for (std::size_t i = 0; i < 200; ++i)
+            if (clean[record(i, kOp)] == static_cast<char>(op) &&
+                (!with_src1 || clean.substr(record(i, kSrc1), 2) !=
+                                   "\xff\xff"))
+                return i;
+        ADD_FAILURE() << "no " << isa::opName(op) << " record";
+        return std::size_t{0};
+    };
+    const std::string none = "\xff\xff";
+    const struct
+    {
+        const char *name;
+        std::size_t at;
+        std::string bytes;
+        const char *error;
+    } cases[] = {
+        {"store with no sources", record(first(isa::Op::Stl, true), kSrc0),
+         none + none, "operand src0 does not fit opcode stl"},
+        {"load with no destination",
+         record(first(isa::Op::Ldl, false), kDest), none,
+         "operand dest does not fit opcode ldl"},
+        {"src1 without src0", record(first(isa::Op::Add, true), kSrc0),
+         none, "operand src0 does not fit opcode add"},
+        {"fp destination on an integer add",
+         record(first(isa::Op::Add, false), kDest + 1), "\x01",
+         "operand dest does not fit opcode add"},
+    };
+    for (const auto &c : cases) {
+        std::string bytes = clean;
+        bytes.replace(c.at, c.bytes.size(), c.bytes);
+        writeFile(path, bytes);
+        EXPECT_EQ(replayError(path), std::string("trace: record ") + c.error)
+            << c.name;
+    }
+}
+
 TEST_F(TraceIoFixture, GlobalRegistersRoundtripThroughTheHeader)
 {
     const auto out = compiledCompress();
