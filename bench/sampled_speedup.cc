@@ -108,7 +108,6 @@ runCase(const CaseSpec &cs, double scale, std::uint64_t max_insts)
 
     // Sampled estimate of the same run.
     sample::SampleSpec spec;
-    spec.mode = sample::SampleSpec::Mode::Systematic;
     spec.period = cs.period;
     spec.detail = cs.detail;
     spec.warmup = cs.warmup;

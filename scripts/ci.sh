@@ -80,12 +80,22 @@ probe mcarun --machines --study buffers --machines quad8
 probe mcarun --trace-seeds --study table2 --trace-seeds 1,2
 # A flag the chosen run would not read is refused by name: a sampled
 # run keeps no cycle stack, a trace save simulates (and profiles)
-# nothing, and --stats-out only redirects --interval-stats rows.
-probe mcasim --cycle-stacks --benchmark gcc1 \
-    --sample "systematic:period=20000,detail=4000,warmup=1000" --cycle-stacks
+# nothing, --stats-out only redirects --interval-stats rows, and the
+# window size and worker count belong to a sampled run.
+probe mcasim --cycle-stacks --benchmark gcc1 --sample-period 20000 \
+    --sample-detail 4000 --sample-warmup 1000 --cycle-stacks
 probe mcasim --prof-out --save-trace "$TMP/refused.mct" \
     --prof-out "$TMP/refused.json"
 probe mcasim --stats-out --stats-out "$TMP/refused.csv"
+probe mcasim --sample-detail --sample-detail 4000
+probe mcasim --jobs --jobs 2
+# A sampled point is spelled with the shared --sample-* rows only.
+probe mcasim --sample --benchmark gcc1 \
+    --sample "systematic:period=20000,detail=4000,warmup=1000"
+# A plan whose warmup + detail overflow past 2^64 still overlaps.
+probe mcarun compress/dual8/local --benchmarks compress \
+    --sample-periods 20000 --sample-detail 1 \
+    --sample-warmup 18446744073709551615 --no-cache
 # Only one results sink can be stdout.
 probe mcarun --csv --study table2 --out - --csv -
 
@@ -153,20 +163,29 @@ probe mcasim tomcatv/octa8/local --benchmark tomcatv --machine octa8 --otb 1
 probe mcarun tomcatv/quad8/local --benchmarks tomcatv --machines quad8 \
     --otb 1 --no-cache
 
-# Replay-livelock probe: with two OTB entries per cluster on the
-# 4-cluster machine, replays never let the oldest instruction retire.
-# The run must fail by name (exit 1, "fatal:" naming the livelock), not
-# abort.
-status=0
-"$SIM" --benchmark tomcatv --clusters 4 --otb 2 --max-insts 20000 \
-    >/dev/null 2>"$TMP/livelock.txt" || status=$?
-if [ "$status" -ne 1 ] ||
-    ! grep -q "^fatal: replay exceptions are not making progress" \
-        "$TMP/livelock.txt"; then
-    echo "ci.sh: the replay livelock must exit 1 naming it, got $status:"
-    cat "$TMP/livelock.txt"
-    exit 1
-fi
+# Runtime-failure probes: each run must fail by name (exit 1, "fatal:"
+# naming the failure), not abort or report a number.
+fails() {
+    want="$1"
+    shift
+    status=0
+    "$SIM" "$@" >/dev/null 2>"$TMP/fails.txt" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q "^fatal: $want" "$TMP/fails.txt"
+    then
+        echo "ci.sh: 'mcasim $*' must exit 1 naming '$want', got $status:"
+        cat "$TMP/fails.txt"
+        exit 1
+    fi
+}
+# With two OTB entries per cluster on the 4-cluster machine, replays
+# never let the oldest instruction retire.
+fails "replay exceptions are not making progress" --benchmark tomcatv \
+    --clusters 4 --otb 2 --max-insts 20000
+# A run that spends its cycle budget, as mcarun records a timeout.
+fails "cycle budget exhausted (1000 cycles)" --max-cycles 1000
+# A sampling plan whose first window starts past the trace's end.
+fails "sample: no window measured" --benchmark compress --max-insts 60000 \
+    --sample-period 70000 --sample-detail 4000 --sample-warmup 1000
 
 # Verified-compile smoke: every pass's output passes prog::verifyIR on
 # all three schedulers, with dumps and per-pass stats exercised.
@@ -307,14 +326,13 @@ corrupt_trace_probe store-src1-without-src0 "$(first_record 26)" 44 \
 # A replay compiles nothing, so a compile flag is refused, not ignored.
 probe mcasim --scheduler --load-trace "$TMP/small.mct" --scheduler native
 
-# Sampled-simulation smoke: the mcasim --sample path and the mcarun
-# samplePeriods axis both run end to end. The campaign's JSONL and CSV
+# Sampled-simulation smoke: mcasim's sampled run and the mcarun
+# --sample-periods axis both run end to end. The campaign's JSONL and CSV
 # must carry one column list in one order, and mark exactly the one
 # sampled job; under --quiet mcarun prints only the results, so its
 # stderr stays empty.
-"$SIM" --benchmark gcc1 --scale 1 \
-    --sample "systematic:period=20000,detail=4000,warmup=1000" \
-    --quiet >/dev/null
+"$SIM" --benchmark gcc1 --scale 1 --sample-period 20000 \
+    --sample-detail 4000 --sample-warmup 1000 --quiet >/dev/null
 "$BUILD/src/tools/mcarun" --benchmarks compress \
     --sample-periods 0,20000 --scale 0.5 --max-insts 60000 \
     --no-cache --quiet --out "$TMP/sampled.jsonl" \
@@ -350,8 +368,8 @@ PY
 python3 scripts/prof_report.py "$TMP/prof1.json" \
     --min-coverage 0.9 >/dev/null
 "$SIM" --benchmark gcc1 --prof --prof-out "$TMP/prof2.json" \
-    --sample "systematic:period=20000,detail=4000,warmup=1000,jobs=2" \
-    --trace-out "$TMP/prof_trace.json" --quiet >/dev/null
+    --sample-period 20000 --sample-detail 4000 --sample-warmup 1000 \
+    --jobs 2 --trace-out "$TMP/prof_trace.json" --quiet >/dev/null
 python3 scripts/prof_report.py "$TMP/prof2.json" >/dev/null
 python3 scripts/prof_report.py --diff "$TMP/prof1.json" \
     "$TMP/prof2.json" >/dev/null

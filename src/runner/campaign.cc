@@ -9,7 +9,6 @@
 #include "compiler/pipeline.hh"
 #include "prof/prof.hh"
 #include "taskgraph/taskgraph.hh"
-#include "workloads/workloads.hh"
 
 namespace mca::runner
 {
@@ -163,11 +162,11 @@ runCampaign(const std::vector<JobSpec> &specs,
         // here will fail identically inside runJob, which owns the
         // error reporting — leave its node without a compile edge.
         std::string key;
+        compiler::CompileOptions copt;
         try {
             spec.validate();
-            const core::ProcessorConfig cfg = machineConfigFor(spec);
-            const compiler::CompileOptions copt =
-                jobCompileOptions(spec, cfg.numClusters);
+            copt = jobCompileOptions(spec,
+                                     machineConfigFor(spec).numClusters);
             key = ArtifactStore::compileKeyFor(spec, copt);
         } catch (const std::exception &) {
             continue;
@@ -177,21 +176,9 @@ runCampaign(const std::vector<JobSpec> &specs,
         if (it == compileNodes.end()) {
             const taskgraph::NodeId compile = graph.add(
                 "compile " + spec.benchmark + "/" + spec.scheduler,
-                "compile", [&, i, key] {
-                    const JobSpec &cspec = specs[i];
-                    const core::ProcessorConfig cfg =
-                        machineConfigFor(cspec);
-                    const compiler::CompileOptions copt =
-                        jobCompileOptions(cspec, cfg.numClusters);
-                    store.getOrCompile(key, [&] {
-                        PROF_SCOPE("runner.compile");
-                        workloads::WorkloadParams wp;
-                        wp.scale = cspec.scale;
-                        const prog::Program program =
-                            workloads::benchmarkByName(cspec.benchmark)
-                                .make(wp);
-                        return compiler::compile(program, copt);
-                    });
+                "compile", [&, i, key, copt] {
+                    store.getOrCompile(
+                        key, [&] { return compileJob(specs[i], copt); });
                 });
             it = compileNodes.emplace(key, compile).first;
         }

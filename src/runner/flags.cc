@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <thread>
 #include <type_traits>
 
 #include "compiler/pipeline.hh"
@@ -33,6 +34,8 @@ namespace
 constexpr unsigned kMaxCacheKb = 64 * 1024;
 constexpr unsigned kMaxEntries = 4096;
 constexpr unsigned kMaxUnroll = 64;
+/** Cap on worker threads. */
+constexpr unsigned kMaxJobs = 4096;
 
 /** `--clusters N`: the 8-way machine split into N clusters. */
 const std::vector<std::string> kClusterCounts = {"1", "2", "4", "8"};
@@ -200,6 +203,8 @@ pointRows(JobSpec *spec, CampaignGrid *grid)
     axis("--max-insts", "", "N", "trace length cap [300000]",
          inRange<std::uint64_t>(1), &JobSpec::maxInsts,
          &CampaignGrid::maxInsts);
+    axis("--max-cycles", "", "N", "a full run's cycle budget [100000000]",
+         inRange<Cycle>(1), &JobSpec::maxCycles, &CampaignGrid::maxCycles);
 
     rows.push_back({"", "", "memory hierarchy (docs/memory.md)", {}});
     axis("--l2-kb", "--l2-kb", "N", "shared L2 KB (0 = no L2) [0]",
@@ -238,17 +243,17 @@ pointRows(JobSpec *spec, CampaignGrid *grid)
     rows.push_back({"--reserve-oldest", "", "keep a buffer entry for the "
                     "oldest",
                     set(spec ? spec->reserveOldest : grid->reserveOldest)});
-    if (grid) {
-        rows.push_back({"", "", "sampling (docs/sampling.md)", {}});
-        list("--sample-periods", "interval periods; 0 = full run [0]",
-             inRange<std::uint64_t>(0), &CampaignGrid::samplePeriods);
-        one(grid, "--sample-detail", "N", "measured insts per period [10000]",
-            inRange<std::uint64_t>(1), &CampaignGrid::sampleDetail);
-        one(grid, "--sample-warmup", "N", "warmup insts per period [2000]",
-            inRange<std::uint64_t>(0), &CampaignGrid::sampleWarmup);
-        one(grid, "--max-cycles", "N", "cycle budget, then timeout [100000000]",
-            inRange<Cycle>(1), &CampaignGrid::maxCycles);
-    }
+
+    rows.push_back({"", "", "sampling (docs/sampling.md)", {}});
+    axis("--sample-period", "--sample-periods", "N",
+         "insts between windows; 0 = full run [0]", inRange<std::uint64_t>(0),
+         &JobSpec::samplePeriod, &CampaignGrid::samplePeriods);
+    axis("--sample-detail", "", "N", "measured insts per window [10000]",
+         inRange<std::uint64_t>(1), &JobSpec::sampleDetail,
+         &CampaignGrid::sampleDetail);
+    axis("--sample-warmup", "", "N", "warmup insts per window [2000]",
+         inRange<std::uint64_t>(0), &JobSpec::sampleWarmup,
+         &CampaignGrid::sampleWarmup);
     return rows;
 }
 
@@ -274,6 +279,18 @@ gridFlags(CampaignGrid &grid)
             list(text);
     };
     return rows;
+}
+
+FlagTable
+jobsFlags(unsigned &jobs)
+{
+    const Flag::Action parse = [&jobs](const std::string &text) {
+        jobs = text == "auto"
+                   ? std::max(std::thread::hardware_concurrency(), 1u)
+                   : static_cast<unsigned>(parseUnsigned(text, 1, kMaxJobs));
+    };
+    return {{"--jobs", "N|auto", "worker threads, 1..4096 or all [1]", parse},
+            {"-j", "N|auto", "same as --jobs", parse}};
 }
 
 void

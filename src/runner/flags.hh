@@ -63,10 +63,13 @@ number(T &out, T min = 0, T max = std::numeric_limits<T>::max())
  *  8-way machine with N clusters). */
 FlagTable pointFlags(JobSpec &spec);
 
-/** The point parameters bound to a grid, with its sampling axis: an
- *  axis takes a list, and every other parameter is one value all jobs
- *  share. */
+/** The point parameters bound to a grid: an axis takes a list, and
+ *  every other parameter is one value all jobs share. */
 FlagTable gridFlags(CampaignGrid &grid);
+
+/** `--jobs N|auto` and `-j`: worker threads, 1..4096, or `auto` for one
+ *  per hardware thread. */
+FlagTable jobsFlags(unsigned &jobs);
 
 /**
  * Make every row now in `table` also append its name to `given` each

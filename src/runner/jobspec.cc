@@ -12,7 +12,6 @@
 #include "core/config.hh"
 #include "harness/experiment.hh"
 #include "sample/driver.hh"
-#include "sample/spec.hh"
 #include "workloads/workloads.hh"
 
 namespace mca::runner
@@ -41,13 +40,14 @@ const std::pair<const char *, PredictorKind> kPredictors[] = {
     {"nottaken", PredictorKind::StaticNotTaken},
 };
 
-/** A sampled spec's plan: systematic, on one lane. */
+/** A sampled spec's plan on `jobs` window workers. */
 sample::SampleSpec
-samplePlan(const JobSpec &spec)
+samplePlan(const JobSpec &spec, unsigned jobs = 1)
 {
     return {.period = spec.samplePeriod,
             .detail = spec.sampleDetail,
-            .warmup = spec.sampleWarmup};
+            .warmup = spec.sampleWarmup,
+            .jobs = jobs};
 }
 
 /** Dispatch-queue modes: whether entries are held until retirement
@@ -213,6 +213,43 @@ jobStatusName(JobStatus status)
     return "unknown";
 }
 
+std::string
+cycleBudgetError(Cycle max_cycles)
+{
+    return "cycle budget exhausted (" + std::to_string(max_cycles) +
+           " cycles)";
+}
+
+compiler::CompileOutput
+compileJob(const JobSpec &spec, const compiler::CompileOptions &copt)
+{
+    PROF_SCOPE("runner.compile");
+    workloads::WorkloadParams wp;
+    wp.scale = spec.scale;
+    const prog::Program program =
+        workloads::benchmarkByName(spec.benchmark).make(wp);
+    return compiler::compile(program, copt);
+}
+
+sample::SampleReport
+runSampled(const JobSpec &spec, const compiler::CompileOutput &compiled,
+           core::ProcessorConfig cfg, unsigned jobs)
+{
+    cfg.regMap = compiled.hardwareMap(cfg.numClusters);
+    const sample::SampledDriver driver(compiled.binary, cfg, spec.traceSeed,
+                                       spec.maxInsts);
+    sample::SampleReport rep = driver.run(samplePlan(spec, jobs));
+    if (!rep.allConserved)
+        throw std::runtime_error(
+            "sample: a window violated cycle-stack conservation");
+    if (rep.intervals.empty())
+        throw std::runtime_error(
+            "sample: no window measured (period " +
+            std::to_string(spec.samplePeriod) + ", trace of " +
+            std::to_string(rep.totalInsts) + " instructions)");
+    return rep;
+}
+
 JobResult
 runJob(const JobSpec &spec, ArtifactStore *store)
 {
@@ -228,14 +265,7 @@ runJob(const JobSpec &spec, ArtifactStore *store)
             jobCompileOptions(spec, cfg.numClusters);
         // Workload construction lives inside the builder so cache hits
         // skip it along with the compile.
-        const auto build = [&] {
-            PROF_SCOPE("runner.compile");
-            workloads::WorkloadParams wp;
-            wp.scale = spec.scale;
-            const prog::Program program =
-                workloads::benchmarkByName(spec.benchmark).make(wp);
-            return compiler::compile(program, copt);
-        };
+        const auto build = [&] { return compileJob(spec, copt); };
         const std::shared_ptr<const compiler::CompileOutput> compiled =
             store ? store->getOrCompile(
                         ArtifactStore::compileKeyFor(spec, copt), build)
@@ -252,19 +282,11 @@ runJob(const JobSpec &spec, ArtifactStore *store)
             // intervals instead of a full detailed run. The campaign
             // already parallelizes across jobs, so the driver runs its
             // intervals serially (no nested pools).
-            const sample::SampleSpec sspec = samplePlan(spec);
-            core::ProcessorConfig scfg = cfg;
-            scfg.regMap = compiled->hardwareMap(cfg.numClusters);
-            sample::SampledDriver driver(compiled->binary, scfg,
-                                         spec.traceSeed, spec.maxInsts);
             sample::SampleReport rep;
             {
                 PROF_SCOPE("runner.sample");
-                rep = driver.run(sspec);
+                rep = runSampled(spec, *compiled, cfg);
             }
-            if (!rep.allConserved)
-                throw std::runtime_error(
-                    "sampled interval violated cycle-stack conservation");
             out.sampled = true;
             out.sampledIntervals = rep.intervals.size();
             out.cpiCi95 = rep.cpiCi95;
@@ -273,45 +295,40 @@ runJob(const JobSpec &spec, ArtifactStore *store)
             out.ipc = rep.cpiMean > 0.0 ? 1.0 / rep.cpiMean : 0.0;
             // Stall attribution summed over the measured windows; each
             // interval conserves, so the sum does too.
-            if (!rep.intervals.empty())
-                out.stackSlots = rep.intervals.front().stack.slots;
+            out.stackSlots = rep.intervals.front().stack.slots;
             for (const auto &iv : rep.intervals)
                 for (std::size_t i = 0; i < obs::kNumStallCauses; ++i)
                     out.stackSlotCycles[i] += iv.stack.slotCycles[i];
             out.status = JobStatus::Ok;
-            out.wallMs = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-            return out;
-        }
+        } else {
+            harness::RunStats stats;
+            {
+                PROF_SCOPE("runner.simulate");
+                stats = harness::simulate(
+                    compiled->binary, compiled->hardwareMap(cfg.numClusters),
+                    cfg, spec.traceSeed, spec.maxInsts, spec.maxCycles);
+            }
 
-        harness::RunStats stats;
-        {
-            PROF_SCOPE("runner.simulate");
-            stats = harness::simulate(
-                compiled->binary, compiled->hardwareMap(cfg.numClusters),
-                cfg, spec.traceSeed, spec.maxInsts, spec.maxCycles);
+            out.cycles = stats.cycles;
+            out.retired = stats.retired;
+            out.ipc = stats.ipc;
+            out.distSingle = stats.distSingle;
+            out.distDual = stats.distDual;
+            out.operandForwards = stats.operandForwards;
+            out.resultForwards = stats.resultForwards;
+            out.replays = stats.replays;
+            out.issueDisorder = stats.issueDisorder;
+            out.bpredAccuracy = stats.bpredAccuracy;
+            out.dcacheMissRate = stats.dcacheMissRate;
+            out.icacheMissRate = stats.icacheMissRate;
+            out.l2MissRate = stats.l2MissRate;
+            out.stackSlotCycles = stats.cycleStack.slotCycles;
+            out.stackSlots = stats.cycleStack.slots;
+            out.status =
+                stats.completed ? JobStatus::Ok : JobStatus::TimedOut;
+            if (out.status == JobStatus::TimedOut)
+                out.error = cycleBudgetError(spec.maxCycles);
         }
-
-        out.cycles = stats.cycles;
-        out.retired = stats.retired;
-        out.ipc = stats.ipc;
-        out.distSingle = stats.distSingle;
-        out.distDual = stats.distDual;
-        out.operandForwards = stats.operandForwards;
-        out.resultForwards = stats.resultForwards;
-        out.replays = stats.replays;
-        out.issueDisorder = stats.issueDisorder;
-        out.bpredAccuracy = stats.bpredAccuracy;
-        out.dcacheMissRate = stats.dcacheMissRate;
-        out.icacheMissRate = stats.icacheMissRate;
-        out.l2MissRate = stats.l2MissRate;
-        out.stackSlotCycles = stats.cycleStack.slotCycles;
-        out.stackSlots = stats.cycleStack.slots;
-        out.status = stats.completed ? JobStatus::Ok : JobStatus::TimedOut;
-        if (out.status == JobStatus::TimedOut)
-            out.error = "cycle budget exhausted (" +
-                        std::to_string(spec.maxCycles) + " cycles)";
     } catch (const std::exception &e) {
         out.status = JobStatus::Failed;
         out.error = e.what();

@@ -38,6 +38,12 @@
 namespace mca::compiler
 {
 struct CompileOptions;
+struct CompileOutput;
+}
+
+namespace mca::sample
+{
+struct SampleReport;
 }
 
 namespace mca::runner
@@ -98,8 +104,9 @@ struct JobSpec
     std::uint64_t profileSeed = 42;
     std::uint64_t maxInsts = 300'000;
     /**
-     * Simulation cycle budget. A run that hits this bound without
-     * retiring the full trace is recorded as JobStatus::TimedOut. The
+     * Cycle budget of a full detailed run (a sampled run does not read
+     * it). A run that hits this bound without retiring the full trace
+     * is recorded as JobStatus::TimedOut. The
      * budget is deterministic (simulated cycles, not wall clock), so
      * timeout behaviour is identical at any --jobs width.
      */
@@ -306,6 +313,29 @@ class ArtifactStore;
  * node, so by the time runJob asks the store the artifact is ready.
  */
 JobResult runJob(const JobSpec &spec, ArtifactStore *store = nullptr);
+
+/** `cycle budget exhausted (N cycles)`: the error of a run that spent
+ *  its cycle budget without finishing. */
+std::string cycleBudgetError(Cycle max_cycles);
+
+/**
+ * Build the spec's workload and compile it with `copt`, inside the
+ * `runner.compile` profile region: runJob's compile and the campaign's
+ * compile nodes.
+ */
+compiler::CompileOutput compileJob(const JobSpec &spec,
+                                   const compiler::CompileOptions &copt);
+
+/**
+ * Run the spec's sampling plan (samplePeriod > 0) over its compiled
+ * binary on machine `cfg`, whose hardware map is set here, with `jobs`
+ * window workers. Throws std::runtime_error when the plan is
+ * infeasible, and one starting `sample:` when a window breaks
+ * cycle-stack conservation or no window was measured.
+ */
+sample::SampleReport runSampled(const JobSpec &spec,
+                                const compiler::CompileOutput &compiled,
+                                core::ProcessorConfig cfg, unsigned jobs = 1);
 
 /**
  * Build the ProcessorConfig a spec names (machine factory + predictor

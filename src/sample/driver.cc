@@ -87,7 +87,8 @@ measureInterval(const prog::MachProgram &binary,
 void
 SampleReport::dumpJson(std::ostream &os) const
 {
-    os << "{\"spec\": \"" << spec.canonical() << "\""
+    os << "{\"period\": " << spec.period << ", \"detail\": " << spec.detail
+       << ", \"warmup\": " << spec.warmup
        << ", \"total_insts\": " << totalInsts
        << ", \"detailed_insts\": " << detailedInsts
        << ", \"intervals\": " << intervals.size()
@@ -127,9 +128,7 @@ SampledDriver::run(const SampleSpec &spec) const
     rep.spec = spec;
 
     const std::uint64_t phase =
-        spec.mode == SampleSpec::Mode::Systematic
-            ? exec::hashSeed(seed_, kPhaseSalt, 0) % spec.period
-            : spec.offset % spec.period;
+        exec::hashSeed(seed_, kPhaseSalt, 0) % spec.period;
 
     // Both passes run as one task graph: warm_k advances the shared
     // warmer to interval k's start and snapshots it, warm_k → warm_k+1
@@ -206,10 +205,7 @@ SampledDriver::run(const SampleSpec &spec) const
         graph.addEdge(warmNodes[nWindows - 1], drain);
 
     const taskgraph::Executor executor(spec.jobs);
-    const taskgraph::ExecStats estats = executor.run(graph);
-    rep.taskSpans = estats.spans;
-    rep.execCriticalPathMs = estats.criticalPathMs;
-    rep.execMaxQueueDepth = estats.maxQueueDepth;
+    rep.taskSpans = executor.run(graph).spans;
 
     // Surface node failures with the same messages the sequential
     // driver threw: warming errors propagate as-is, measurement errors

@@ -97,14 +97,10 @@ struct SampleReport
     // simulated result and excluded from dumpJson).
     /** Per-node spans of the warm/measure graph (Perfetto export). */
     std::vector<taskgraph::TaskSpan> taskSpans;
-    /** Longest warm→measure chain in host ms. */
-    double execCriticalPathMs = 0.0;
-    /** Peak ready-queue depth inside the executor. */
-    std::size_t execMaxQueueDepth = 0;
 
     /**
-     * Emit the report as one JSON object (spec, totals, extrapolation,
-     * and the per-interval table including cycle stacks).
+     * Emit the report as one JSON object (the plan, totals,
+     * extrapolation, and the per-interval table).
      */
     void dumpJson(std::ostream &os) const;
 };

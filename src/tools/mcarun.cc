@@ -33,7 +33,6 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runner/campaign.hh"
@@ -93,12 +92,6 @@ parse(int argc, char **argv)
 {
     using namespace runner;
     Options opt;
-    const Flag::Action jobs = [&](const std::string &v) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        opt.jobs = v == "auto" ? std::max(hw, 1u)
-                               : static_cast<unsigned>(
-                                     parseUnsigned(v, 1, 4096));
-    };
     // Note each grid flag given, so a study can refuse the ones it does
     // not read instead of ignoring them.
     FlagTable table = gridFlags(opt.grid);
@@ -109,8 +102,6 @@ parse(int argc, char **argv)
         {"--study", "NAME",
          joinChoices(studyNames()) + ": run a study, not the grid",
          [&](const std::string &v) { opt.study = &studyNamed(v); }},
-        {"--jobs", "N|auto", "worker threads, 1..4096 or all [1]", jobs},
-        {"-j", "N|auto", "same as --jobs", jobs},
         {"--cache", "DIR", "result cache [.mcarun-cache]", store(opt.cacheDir)},
         {"--no-cache", "", "disable the result cache", set(opt.noCache)},
         {"--out", "FILE", "JSON-lines results (-: stdout, no table)",
@@ -120,6 +111,8 @@ parse(int argc, char **argv)
         {"--telemetry", "FILE", "JSONL progress", store(opt.telemetryOut)},
         {"--no-table", "", "no human-readable table", set(opt.noTable)},
     });
+    const FlagTable jobs = jobsFlags(opt.jobs);
+    table.insert(table.end(), jobs.begin(), jobs.end());
     const auto check = [&] {
         if (opt.study) {
             for (const auto &flag : given)

@@ -11,10 +11,12 @@
  *   mcasim --benchmark ora --save-trace ora.mct
  *   mcasim --load-trace ora.mct --machine single8 --dump-stats
  *   mcasim --random-seed 7 --machine dual8 --timeline 40
+ *   mcasim --benchmark gcc1 --scale 10 --sample-period 400000 --jobs 4
  *
  * A flag the chosen run would not read (say, --cycle-stacks on a
- * --sample run, or --scheduler on a --load-trace replay) is a usage
- * error naming it, never silently ignored.
+ * sampled run, or --scheduler on a --load-trace replay) is a usage
+ * error naming it, never silently ignored. A run that spends its
+ * --max-cycles budget prints what it ran, then exits 1.
  */
 
 #include <algorithm>
@@ -43,7 +45,6 @@
 #include "runner/flags.hh"
 #include "runner/jobspec.hh"
 #include "sample/driver.hh"
-#include "sample/spec.hh"
 #include "support/log.hh"
 #include "support/panic.hh"
 #include "workloads/workloads.hh"
@@ -72,7 +73,7 @@ struct Options
     bool quiet = false;
 
     // Checkpoint/restore + sampling (docs/sampling.md).
-    std::optional<sample::SampleSpec> sampling; // --sample plan
+    unsigned jobs = 1;      // sampled-window workers
     std::string ckptOut;    // write one snapshot here
     Cycle ckptAt = 0;       // cycle to take it at (0 = end of run)
     std::string ckptIn;     // restore this snapshot before running
@@ -94,8 +95,9 @@ struct Options
 
 /**
  * Refuse by name a flag that the run `opt` describes would never read:
- * a sampled run, a trace save, a trace replay and a random program
- * each skip some, and four flags only qualify a partner flag.
+ * a sampled run and a full one, a trace save, a trace replay and a
+ * random program each skip some, and four flags only qualify a partner
+ * flag.
  */
 void
 refuseUnread(const Options &opt, const std::vector<std::string> &given)
@@ -110,28 +112,32 @@ refuseUnread(const Options &opt, const std::vector<std::string> &given)
     const auto was = [&](std::string_view flag) {
         return std::find(given.begin(), given.end(), flag) != given.end();
     };
-    if (opt.sampling)
-        refuse({"--cycle-stacks", "--interval-stats", "--stats-out",
-                "--trace-insts", "--timeline", "--pass-stats", "--dump-stats",
-                "--ckpt-out", "--ckpt-at", "--ckpt-in", "--ckpt-every",
-                "--ckpt-dir"},
-               "a --sample run does not read it");
+    if (opt.spec.samplePeriod > 0)
+        refuse({"--max-cycles", "--cycle-stacks", "--interval-stats",
+                "--stats-out", "--trace-insts", "--timeline", "--pass-stats",
+                "--dump-stats", "--ckpt-out", "--ckpt-at", "--ckpt-in",
+                "--ckpt-every", "--ckpt-dir"},
+               "a sampled run does not read it");
+    else
+        refuse({"--sample-detail", "--sample-warmup", "--jobs", "-j"},
+               "only a sampled run (--sample-period N) reads it");
     if (!opt.saveTrace.empty())
-        refuse({"--sample", "--dump-binary", "--dump-stats", "--json",
-                "--timeline", "--pass-stats", "--ckpt-out", "--ckpt-at",
-                "--ckpt-in", "--ckpt-every", "--ckpt-dir", "--cycle-stacks",
-                "--interval-stats", "--stats-out", "--trace-out",
-                "--trace-insts", "--prof", "--prof-out", "--prof-hw",
-                "--paranoid", "--no-idle-skip", "--predictor", "--l2-kb",
-                "--l2-lat", "--mem-lat", "--fill-ports", "--icache-kb",
-                "--dcache-kb", "--dq", "--otb", "--rtb", "--mshr",
-                "--queue-mode", "--spec-history", "--reserve-oldest"},
+        refuse({"--sample-period", "--max-cycles", "--dump-binary",
+                "--dump-stats", "--json", "--timeline", "--pass-stats",
+                "--ckpt-out", "--ckpt-at", "--ckpt-in", "--ckpt-every",
+                "--ckpt-dir", "--cycle-stacks", "--interval-stats",
+                "--stats-out", "--trace-out", "--trace-insts", "--prof",
+                "--prof-out", "--prof-hw", "--paranoid", "--no-idle-skip",
+                "--predictor", "--l2-kb", "--l2-lat", "--mem-lat",
+                "--fill-ports", "--icache-kb", "--dcache-kb", "--dq", "--otb",
+                "--rtb", "--mshr", "--queue-mode", "--spec-history",
+                "--reserve-oldest"},
                "a --save-trace run writes the trace and simulates nothing");
     if (!opt.loadTrace.empty())
-        refuse({"--save-trace", "--sample", "--random-seed", "--verify-ir",
-                "--dump-after", "--pass-stats", "--dump-binary", "--benchmark",
-                "--scheduler", "--partitioner", "--threshold", "--scale",
-                "--unroll", "--trace-seed", "--max-insts"},
+        refuse({"--save-trace", "--sample-period", "--random-seed",
+                "--verify-ir", "--dump-after", "--pass-stats", "--dump-binary",
+                "--benchmark", "--scheduler", "--partitioner", "--threshold",
+                "--scale", "--unroll", "--trace-seed", "--max-insts"},
                "a --load-trace run replays the file and compiles nothing");
     if (opt.randomSeed)
         refuse({"--benchmark", "--scale"},
@@ -152,6 +158,8 @@ parse(int argc, char **argv)
     using namespace runner;
     Options opt;
     FlagTable table = pointFlags(opt.spec);
+    const FlagTable jobs = jobsFlags(opt.jobs);
+    table.insert(table.end(), jobs.begin(), jobs.end());
     table.insert(table.end(), {
         {"", "", "workload source (instead of --benchmark)", {}},
         {"--random-seed", "N", "random fuzzer program",
@@ -184,10 +192,7 @@ parse(int argc, char **argv)
         {"--json", "", "dump the statistics as JSON", set(opt.jsonStats)},
         {"--dump-binary", "", "print the compiled binary", set(opt.dumpBinary)},
         {"--timeline", "N", "first N insts' events", number(opt.timeline)},
-        {"", "", "checkpoint and sampling (docs/sampling.md)", {}},
-        {"--sample", "SPEC", "systematic|periodic:period=N,detail=N,"
-                             "warmup=N[,offset=N][,jobs=N]",
-         [&](auto &v) { opt.sampling = sample::SampleSpec::parse(v); }},
+        {"", "", "checkpoints (docs/sampling.md)", {}},
         {"--ckpt-out", "FILE", "snapshot at --ckpt-at", store(opt.ckptOut)},
         {"--ckpt-at", "N", "cycle of --ckpt-out [end]", number(opt.ckptAt)},
         {"--ckpt-in", "FILE", "restore a snapshot first", store(opt.ckptIn)},
@@ -339,24 +344,19 @@ simulate(const Options &opt)
             compiled->binary, spec.traceSeed, spec.maxInsts);
     }
 
-    if (opt.sampling) {
+    if (spec.samplePeriod > 0) {
         // Sampled run: the driver replays the compiled binary itself
         // (one functional warming pass + K detailed intervals), so it
         // needs the program, not a pre-opened trace.
         sample::SampleReport rep;
-        try {
+        {
             PROF_SCOPE("simulate");
-            sample::SampledDriver driver(compiled->binary, cfg,
-                                         spec.traceSeed, spec.maxInsts);
-            rep = driver.run(*opt.sampling);
-        } catch (const std::exception &e) {
-            MCA_FATAL(e.what());
+            rep = runner::runSampled(spec, *compiled, cfg, opt.jobs);
         }
-        if (!rep.allConserved)
-            MCA_FATAL("cycle-stack conservation violated in a sampled "
-                      "interval");
-        std::cout << source_desc << " on " << spec.machine << " [sampled "
-                  << opt.sampling->canonical() << "]: " << rep.totalInsts
+        std::cout << source_desc << " on " << spec.machine
+                  << " [sampled: period " << spec.samplePeriod << ", detail "
+                  << spec.sampleDetail << ", warmup " << spec.sampleWarmup
+                  << "]: " << rep.totalInsts
                   << " instructions, est " << rep.estTotalCycles
                   << " cycles (cpi " << rep.cpiMean << " +/- "
                   << rep.cpiCi95 << ", " << rep.intervals.size()
@@ -454,81 +454,70 @@ simulate(const Options &opt)
                       static_cast<unsigned long long>(cycle));
         return opt.ckptDir + "/" + name;
     };
-    Cycle nextEvery =
-        opt.ckptEvery > 0 ? cpu.now() + opt.ckptEvery : ~Cycle{0};
+    constexpr Cycle kNever = ~Cycle{0};
+    Cycle nextEvery = opt.ckptEvery > 0 ? cpu.now() + opt.ckptEvery : kNever;
     // --ckpt-at 0 means "at the end of the run" (saved after the loop).
-    bool ckptOutSaved = opt.ckptOut.empty() || opt.ckptAt == 0;
+    const Cycle ckptAt = opt.ckptAt > 0 ? opt.ckptAt : kNever;
+    bool ckptOutSaved = opt.ckptOut.empty();
 
     // Per-cycle observation is needed only for the sampler and the
-    // counter tracks; without them the run loop is exactly cpu.run()
-    // (zero overhead on the default path).
+    // counter tracks; without them the run loop is cpu.run() between
+    // stops (zero overhead on the default path).
     const bool per_cycle =
         opt.intervalStats > 0 || !opt.traceOut.empty();
+    // Counter tracks sample at the interval period (or a small fixed
+    // stride) so long runs do not drown the trace.
+    const Cycle counter_stride =
+        opt.intervalStats > 0 ? opt.intervalStats : 16;
     obs::PeriodicSampler sampler(
         opt.intervalStats > 0 ? opt.intervalStats : 1);
     obs::PerfettoExporter exporter;
+    obs::CycleObs snap;
     core::SimResult result;
     // One top-level region spanning the detailed run (and the
     // checkpoint saves riding on it); closed explicitly below, before
     // the profiler snapshot.
     std::optional<prof::ScopeTimer> simScope(
         std::in_place, prof::internRegion("simulate"));
-    if (per_cycle) {
-        // Counter tracks sample at the interval period (or a small
-        // fixed stride) so long runs do not drown the trace.
-        const Cycle counter_stride =
-            opt.intervalStats > 0 ? opt.intervalStats : 16;
-        obs::CycleObs snap;
-        while (cpu.step()) {
-            cpu.observe(snap);
-            if (opt.intervalStats > 0)
-                sampler.tick(snap);
-            if (!opt.traceOut.empty() &&
-                snap.cycle % counter_stride == 0)
-                exporter.addCounters(snap);
-            // step() never fast-forwards, so every boundary is seen.
-            if (!ckptOutSaved && cpu.now() >= opt.ckptAt) {
-                saveSnapshot(opt.ckptOut);
-                ckptOutSaved = true;
+    // One loop: run to the first of the next checkpoint boundary,
+    // --ckpt-at and the cycle budget, then snapshot (between cycles,
+    // where saveState is legal) and continue. The resumed segments are
+    // bit-identical to one uninterrupted run() (tests/ckpt_test.cc), so
+    // checkpoints are free of timing perturbation.
+    while (true) {
+        const Cycle stop = std::min(
+            {nextEvery, ckptOutSaved ? kNever : ckptAt, spec.maxCycles});
+        if (per_cycle) {
+            // step() never fast-forwards, so every cycle is observed.
+            while (cpu.now() < stop && cpu.step()) {
+                cpu.observe(snap);
+                if (opt.intervalStats > 0)
+                    sampler.tick(snap);
+                if (!opt.traceOut.empty() &&
+                    snap.cycle % counter_stride == 0)
+                    exporter.addCounters(snap);
             }
-            if (cpu.now() >= nextEvery) {
-                saveSnapshot(periodicPath(cpu.now()));
-                nextEvery += opt.ckptEvery;
-            }
+            // At its bound already, run() steps nothing and reports
+            // where the run stands.
+            result = cpu.run(cpu.now());
+        } else {
+            result = cpu.run(stop);
         }
-        sampler.finish();
-        result.cycles = cpu.now();
-        result.instructions = cpu.retiredInstructions();
-        result.completed = true;
-    } else if (opt.ckptEvery > 0 || !ckptOutSaved) {
-        // Segmented run: stop at each checkpoint boundary (between
-        // cycles, where saveState is legal), snapshot, continue. The
-        // resumed segments are bit-identical to one uninterrupted
-        // run() (tests/ckpt_test.cc), so checkpoints are free of
-        // timing perturbation.
-        while (true) {
-            const Cycle bound =
-                std::min(nextEvery, ckptOutSaved ? ~Cycle{0} : opt.ckptAt);
-            result = cpu.run(bound);
-            if (result.completed)
-                break;
-            if (!ckptOutSaved && cpu.now() >= opt.ckptAt) {
-                saveSnapshot(opt.ckptOut);
-                ckptOutSaved = true;
-            }
-            if (cpu.now() >= nextEvery) {
-                saveSnapshot(periodicPath(cpu.now()));
-                nextEvery += opt.ckptEvery;
-            }
+        if (result.completed || cpu.now() >= spec.maxCycles)
+            break;
+        if (!ckptOutSaved && cpu.now() >= ckptAt) {
+            saveSnapshot(opt.ckptOut);
+            ckptOutSaved = true;
         }
-    } else {
-        result = cpu.run();
+        if (cpu.now() >= nextEvery) {
+            saveSnapshot(periodicPath(cpu.now()));
+            nextEvery += opt.ckptEvery;
+        }
     }
-    if (!opt.ckptOut.empty() && !ckptOutSaved)
-        saveSnapshot(opt.ckptOut);
+    sampler.finish();
     // --ckpt-at 0 (or a bound past the run's end): snapshot the final
     // state, which restores as a completed machine.
-    if (!opt.ckptOut.empty() && opt.ckptAt == 0)
+    if (!ckptOutSaved)
         saveSnapshot(opt.ckptOut);
     simScope.reset();
 
@@ -677,6 +666,8 @@ simulate(const Options &opt)
         stats.dump(std::cout);
     if (opt.jsonStats)
         stats.dumpJson(std::cout);
+    if (!result.completed)
+        throw std::runtime_error(runner::cycleBudgetError(spec.maxCycles));
     return 0;
 }
 

@@ -23,6 +23,7 @@
 #include "compiler/pipeline.hh"
 #include "compiler/regalloc.hh"
 #include "compiler/schedule.hh"
+#include "exec/trace.hh"
 #include "harness/figure6.hh"
 #include "prog/builder.hh"
 #include "prog/verify.hh"
@@ -729,10 +730,12 @@ TEST(Pipeline, HardwareMapCarriesGlobals)
 }
 
 /**
- * FNV-1a digests of prog::dumpProgram() of every benchmark's binary at
- * scale 0.05 under five compile configurations. A refactor of the
- * compiler driver must leave every entry unchanged; an intended change
- * to code generation updates the table and says why.
+ * FNV-1a digests of prog::dumpProgram() of every benchmark's binary
+ * under seven compile configurations: five at scale 0.05, where the
+ * profiling run reaches the end of main, and two at scale 4, where the
+ * profiling run's instruction cap stops it. A refactor of the compiler
+ * driver must leave every entry unchanged; an intended change to code
+ * generation updates the table and says why.
  */
 struct BinaryDigest
 {
@@ -747,31 +750,43 @@ constexpr BinaryDigest kBinaryDigests[] = {
     {"compress", "roundrobin/2", 0x150b5a80795998cdull},
     {"compress", "multilevel/4", 0x76276c6fccce3bf3ull},
     {"compress", "local/2+unroll2+sb", 0x0f70f25cfd7672cbull},
+    {"compress", "local/2@4", 0x87a8c11eb9949ec0ull},
+    {"compress", "multilevel/4@4", 0x5e0dc5ae9b15b886ull},
     {"doduc", "native/1", 0x12f76c64286f0213ull},
     {"doduc", "local/2", 0xc114c44a7c3adbd3ull},
     {"doduc", "roundrobin/2", 0x663c02cc3c65b71dull},
     {"doduc", "multilevel/4", 0x99bf199266180140ull},
     {"doduc", "local/2+unroll2+sb", 0x964b5d18a28904faull},
+    {"doduc", "local/2@4", 0x5d0b96105fc01d5eull},
+    {"doduc", "multilevel/4@4", 0xd5c1857c506d6a5bull},
     {"gcc1", "native/1", 0x081a799a2f02863cull},
     {"gcc1", "local/2", 0xf944c08820391788ull},
     {"gcc1", "roundrobin/2", 0xcf7467ff7c283a64ull},
     {"gcc1", "multilevel/4", 0x79b19fc3b091e6b6ull},
     {"gcc1", "local/2+unroll2+sb", 0x9d58c6b710fa86e2ull},
+    {"gcc1", "local/2@4", 0x046509fc45eee918ull},
+    {"gcc1", "multilevel/4@4", 0x39e19f8bef6c4df3ull},
     {"ora", "native/1", 0x9fcc945d998a313eull},
     {"ora", "local/2", 0x3a472ff9147c287dull},
     {"ora", "roundrobin/2", 0xf0b20b417e03c5cfull},
     {"ora", "multilevel/4", 0x27a5f9750308756eull},
     {"ora", "local/2+unroll2+sb", 0xb798ba13a66f8a70ull},
+    {"ora", "local/2@4", 0x7dff5690393e78efull},
+    {"ora", "multilevel/4@4", 0x72c5394b9d895ac5ull},
     {"su2cor", "native/1", 0x53ad50aa1cec3989ull},
     {"su2cor", "local/2", 0x4f02c375db7e8ff8ull},
     {"su2cor", "roundrobin/2", 0x2caa8cda631c5ce4ull},
     {"su2cor", "multilevel/4", 0xa0bfe38e1479a476ull},
     {"su2cor", "local/2+unroll2+sb", 0xaf976615db653de7ull},
+    {"su2cor", "local/2@4", 0x7c41d2b408b60e4full},
+    {"su2cor", "multilevel/4@4", 0x58852cf11b56cfabull},
     {"tomcatv", "native/1", 0x7afe452214fb52e5ull},
     {"tomcatv", "local/2", 0x568e7762b60353c7ull},
     {"tomcatv", "roundrobin/2", 0xed7c502fe3dd5368ull},
     {"tomcatv", "multilevel/4", 0xc08b27462da55da0ull},
     {"tomcatv", "local/2+unroll2+sb", 0x76522507386edd32ull},
+    {"tomcatv", "local/2@4", 0x04ef9c713fe1c2b5ull},
+    {"tomcatv", "multilevel/4@4", 0xec8e741894f7918aull},
 };
 
 /** The compile configurations kBinaryDigests pins, in table order. */
@@ -782,26 +797,38 @@ struct PinnedConfig
     unsigned clusters;
     unsigned unrollFactor;
     bool superblocks;
+    double scale;
 };
 
 constexpr PinnedConfig kPinnedConfigs[] = {
-    {"native/1", "native", 1, 1, false},
-    {"local/2", "local", 2, 1, false},
-    {"roundrobin/2", "roundrobin", 2, 1, false},
-    {"multilevel/4", "multilevel", 4, 1, false},
-    {"local/2+unroll2+sb", "local", 2, 2, true},
+    {"native/1", "native", 1, 1, false, 0.05},
+    {"local/2", "local", 2, 1, false, 0.05},
+    {"roundrobin/2", "roundrobin", 2, 1, false, 0.05},
+    {"multilevel/4", "multilevel", 4, 1, false, 0.05},
+    {"local/2+unroll2+sb", "local", 2, 2, true, 0.05},
+    {"local/2@4", "local", 2, 1, false, 4.0},
+    {"multilevel/4@4", "multilevel", 4, 1, false, 4.0},
 };
+
+/** The profiling run's instruction cap (kProfileMaxInsts in
+ *  src/compiler/pass.cc). */
+constexpr std::uint64_t kProfileCap = 200'000;
 
 TEST(CompilerOutput, BinariesMatchPinnedDigests)
 {
     std::size_t row = 0;
     for (const auto &bench : workloads::allBenchmarks()) {
-        const auto p = bench.make(workloads::WorkloadParams{0.05});
         for (const auto &config : kPinnedConfigs) {
+            const auto p = bench.make(workloads::WorkloadParams{config.scale});
             auto copt = compiler::compileOptionsFor(config.scheduler,
                                                     config.clusters);
             copt.unrollFactor = config.unrollFactor;
             copt.superblocks = config.superblocks;
+            // Scale 4 pins the partition of a profile the cap cut short.
+            EXPECT_EQ(exec::profileProgram(p, copt.profileSeed, kProfileCap)
+                          .completed,
+                      config.scale < 1.0)
+                << bench.name << " " << config.name;
             const std::string text =
                 prog::dumpProgram(compiler::compile(p, copt).binary);
             const std::uint64_t digest =

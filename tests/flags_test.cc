@@ -3,8 +3,8 @@
  * Tests for the typed flag table (src/runner/flags.hh): every value
  * parser turns a malformed or out-of-range value into a usage error
  * naming the flag, `--clusters N` is exactly the named machine with N
- * clusters, and a point spelled for mcasim and for mcarun is one
- * JobSpec.
+ * clusters, a point spelled for mcasim and for mcarun is one JobSpec,
+ * and `--jobs` takes 1..4096 or `auto`.
  */
 
 #include <string>
@@ -63,7 +63,11 @@ TEST(Flags, MalformedValuesAreUsageErrorsNamingTheFlag)
         {false, {"--unroll", "0"}},
         {false, {"--unroll", "65"}},
         {true, {"--max-cycles", "0"}},
+        {false, {"--max-cycles", "0"}},
         {true, {"--sample-detail", "0"}},
+        {false, {"--sample-detail", "0"}},
+        {false, {"--sample-period", "-1"}},
+        {true, {"--sample-periods", "20000,x"}},
         // Overrides reject 0 where ProcessorConfig::validate (or the
         // machine) cannot take it, so 0 can mean "the machine's own".
         {false, {"--dq", "0"}},
@@ -93,6 +97,8 @@ TEST(Flags, MalformedValuesAreUsageErrorsNamingTheFlag)
         {true, {"--benchmarks", "compress,,ora"}},
         {true, {"--sample-periods", ""}},
         {true, {"--trace-seed", "7"}},
+        {true, {"--sample-period", "20000"}},
+        {false, {"--sample-periods", "20000"}},
         {false, {"--scale"}},
     };
     for (const auto &c : cases) {
@@ -134,6 +140,9 @@ TEST(Flags, McasimAndMcarunSpellingsNameTheSamePoint)
     const Args shared = {"--scale",      "0.3",    "--unroll",    "2",
                          "--predictor",  "gshare", "--max-insts", "1234",
                          "--fill-ports", "1",
+                         // The sampling plan and the cycle budget.
+                         "--sample-detail", "3000", "--sample-warmup", "500",
+                         "--max-cycles", "777777",
                          // The machine overrides.
                          "--icache-kb", "32", "--dcache-kb", "16",
                          "--dq", "48", "--otb", "4", "--rtb", "6",
@@ -144,7 +153,7 @@ TEST(Flags, McasimAndMcarunSpellingsNameTheSamePoint)
     const std::vector<std::pair<std::string, std::string>> axes = {
         {"benchmark", "gcc1"},  {"machine", "quad8"},
         {"scheduler", "multilevel"}, {"threshold", "8"},
-        {"trace-seed", "7"}};
+        {"trace-seed", "7"}, {"sample-period", "20000"}};
     const Args memory = {"--l2-kb", "256", "--l2-lat", "9", "--mem-lat", "32"};
     Args one = shared;
     Args many = shared;
@@ -167,6 +176,9 @@ TEST(Flags, McasimAndMcarunSpellingsNameTheSamePoint)
     EXPECT_EQ(spec.profileSeed, 7u);
     EXPECT_EQ(spec.otbEntries, 4u);
     EXPECT_TRUE(spec.reserveOldest);
+    EXPECT_EQ(spec.samplePeriod, 20000u);
+    EXPECT_EQ(spec.sampleWarmup, 500u);
+    EXPECT_EQ(spec.maxCycles, 777777u);
 }
 
 TEST(Flags, GridMachineOverrideFailsAtTheNamedPoint)
@@ -204,16 +216,23 @@ TEST(Flags, GridAxesTakeListsAllAndAppendedPartitioners)
 
 TEST(Flags, CheckPointNamesTheInfeasiblePoint)
 {
-    runner::JobSpec spec;
-    spec.samplePeriod = 5000;
-    spec.sampleDetail = 8000;
-    try {
-        runner::checkPoint(spec);
-        FAIL() << "an overlapping sample plan passed";
-    } catch (const runner::UsageError &e) {
-        EXPECT_NE(std::string(e.what()).find("compress/dual8/local"),
-                  std::string::npos)
-            << e.what();
+    // Plans whose warmup + detail exceed the period: plainly, and by a
+    // sum that wraps past 2^64.
+    const std::vector<Args> plans = {
+        {"--sample-period", "5000", "--sample-detail", "8000"},
+        {"--sample-period", "20000", "--sample-detail", "1",
+         "--sample-warmup", "18446744073709551615"}};
+    for (const Args &plan : plans) {
+        runner::JobSpec spec;
+        runner::parseFlags(runner::pointFlags(spec), plan);
+        try {
+            runner::checkPoint(spec);
+            FAIL() << "an overlapping sample plan passed: " << plan[1];
+        } catch (const runner::UsageError &e) {
+            EXPECT_NE(std::string(e.what()).find("compress/dual8/local"),
+                      std::string::npos)
+                << e.what();
+        }
     }
     EXPECT_EQ(runner::checkPoint(runner::JobSpec{}).numClusters, 2u);
 }
@@ -240,6 +259,29 @@ TEST(Flags, CheckPointRejectsAnOperandBufferTooSmallForTheMachine)
     spec.machine = "dual8";
     spec.otbEntries = 1;
     EXPECT_EQ(runner::checkPoint(spec).operandBufferEntries, 1u);
+}
+
+TEST(Flags, JobsTakesOneTo4096OrAuto)
+{
+    unsigned jobs = 0;
+    const runner::FlagTable table = runner::jobsFlags(jobs);
+    for (const Args &args : {Args{"--jobs", "0"}, Args{"--jobs", "4097"},
+                             Args{"-j", "x"}, Args{"-j", "-2"}}) {
+        try {
+            runner::parseFlags(table, args);
+            FAIL() << args[0] << " " << args[1] << " parsed";
+        } catch (const runner::UsageError &e) {
+            EXPECT_EQ(std::string(e.what()).rfind(args[0] + ": ", 0), 0u)
+                << e.what();
+        }
+    }
+    // Parsing a width starts no thread.
+    runner::parseFlags(table, {"--jobs", "4096"});
+    EXPECT_EQ(jobs, 4096u);
+    runner::parseFlags(table, {"-j", "3"});
+    EXPECT_EQ(jobs, 3u);
+    runner::parseFlags(table, {"--jobs", "auto"});
+    EXPECT_GE(jobs, 1u);
 }
 
 } // namespace

@@ -150,9 +150,8 @@ TEST_F(ProfTest, MergeIsDeterministicAcrossThreadPoolWidths)
     sample::SampledDriver driver(out.binary, cfg, 42, 40'000);
 
     auto profiledRun = [&](unsigned jobs) {
-        sample::SampleSpec spec = sample::SampleSpec::parse(
-            "systematic:period=8000,detail=1000,warmup=200,jobs=" +
-            std::to_string(jobs));
+        const sample::SampleSpec spec = {
+            .period = 8000, .detail = 1000, .warmup = 200, .jobs = jobs};
         prof::reset();
         prof::setEnabled(true);
         const auto rep = driver.run(spec);

@@ -275,6 +275,26 @@ TEST(RunJob, CycleBudgetExhaustionIsTimeout)
     EXPECT_NE(result.error.find("cycle budget"), std::string::npos);
 }
 
+TEST(RunJob, SampledRunThatMeasuresNoWindowFails)
+{
+    // The systematic phase falls past the end of compress's 58932
+    // instructions, so no window is measured: the job fails by name
+    // instead of reporting a 0-cycle estimate.
+    JobSpec spec = tinySpec();
+    spec.scale = 0.2;
+    spec.maxInsts = 60'000;
+    spec.samplePeriod = 70'000;
+    spec.sampleDetail = 4'000;
+    spec.sampleWarmup = 1'000;
+    const JobResult result = runner::runJob(spec);
+    EXPECT_EQ(result.status, JobStatus::Failed);
+    EXPECT_EQ(result.error.rfind("sample: no window measured", 0), 0u)
+        << result.error;
+    // A period the trace covers measures windows.
+    spec.samplePeriod = 20'000;
+    EXPECT_EQ(runner::runJob(spec).status, JobStatus::Ok);
+}
+
 /**
  * A point whose replays never let the oldest instruction retire: two
  * OTB entries per cluster on the 4-cluster machine.

@@ -3,12 +3,11 @@
  * Sampled-simulation tests (src/sample).
  *
  * The contracts under test:
- *  - the spec grammar round-trips and rejects infeasible plans;
+ *  - a plan's validation rejects infeasible plans;
  *  - sampled CPI tracks the full detailed run's CPI closely;
  *  - a sampled run is deterministic, and parallel measurement
  *    (jobs > 1) is bit-identical to serial (jobs = 1);
  *  - every measured interval's cycle stack conserves retire slots;
- *  - periodic mode starts intervals exactly where asked;
  *  - functional warming a basic block at a time leaves the machine
  *    byte-identical to warming an instruction at a time, and it reads
  *    only program traces.
@@ -86,7 +85,6 @@ sample::SampleSpec
 testSpec(unsigned jobs = 1)
 {
     sample::SampleSpec spec;
-    spec.mode = sample::SampleSpec::Mode::Systematic;
     spec.period = 15'000;
     spec.detail = 3'000;
     spec.warmup = 1'000;
@@ -94,53 +92,26 @@ testSpec(unsigned jobs = 1)
     return spec;
 }
 
-// --- spec grammar ----------------------------------------------------
-
-TEST(SampleSpec, ParseFullForm)
-{
-    const auto spec = sample::SampleSpec::parse(
-        "periodic:period=5000,detail=1000,warmup=200,offset=42,jobs=3");
-    EXPECT_EQ(spec.mode, sample::SampleSpec::Mode::Periodic);
-    EXPECT_EQ(spec.period, 5000u);
-    EXPECT_EQ(spec.detail, 1000u);
-    EXPECT_EQ(spec.warmup, 200u);
-    EXPECT_EQ(spec.offset, 42u);
-    EXPECT_EQ(spec.jobs, 3u);
-}
-
-TEST(SampleSpec, ModeAloneUsesDefaults)
-{
-    const auto spec = sample::SampleSpec::parse("systematic");
-    EXPECT_EQ(spec.mode, sample::SampleSpec::Mode::Systematic);
-    EXPECT_GE(spec.period, spec.warmup + spec.detail);
-}
-
-TEST(SampleSpec, CanonicalRoundTrips)
-{
-    const auto spec = sample::SampleSpec::parse(
-        "periodic:period=5000,detail=1000,warmup=200,offset=42");
-    const auto again = sample::SampleSpec::parse(spec.canonical());
-    EXPECT_EQ(again.canonical(), spec.canonical());
-    EXPECT_EQ(again.period, spec.period);
-    EXPECT_EQ(again.offset, spec.offset);
-}
+// --- plan validation -------------------------------------------------
 
 TEST(SampleSpec, RejectsBadInput)
 {
-    EXPECT_THROW(sample::SampleSpec::parse("random:period=10"),
-                 std::runtime_error);
-    EXPECT_THROW(sample::SampleSpec::parse("systematic:periods=10"),
-                 std::runtime_error);
-    EXPECT_THROW(sample::SampleSpec::parse("systematic:period=ten"),
-                 std::runtime_error);
-    EXPECT_THROW(sample::SampleSpec::parse("systematic:period"),
-                 std::runtime_error);
-    EXPECT_THROW(sample::SampleSpec::parse("systematic:detail=0"),
-                 std::runtime_error);
-    // warmup + detail must fit inside one period.
-    EXPECT_THROW(sample::SampleSpec::parse(
-                     "systematic:period=1000,detail=900,warmup=200"),
-                 std::runtime_error);
+    const auto plan = [](std::uint64_t period, std::uint64_t detail,
+                         std::uint64_t warmup, unsigned jobs = 1) {
+        return sample::SampleSpec{.period = period,
+                                  .detail = detail,
+                                  .warmup = warmup,
+                                  .jobs = jobs};
+    };
+    EXPECT_NO_THROW(plan(1000, 800, 200).validate());
+    EXPECT_THROW(plan(0, 1, 0).validate(), std::runtime_error);
+    EXPECT_THROW(plan(1000, 0, 0).validate(), std::runtime_error);
+    EXPECT_THROW(plan(1000, 800, 200, 0).validate(), std::runtime_error);
+    // warmup + detail must fit inside one period, also where the sum
+    // wraps past 2^64.
+    EXPECT_THROW(plan(1000, 900, 200).validate(), std::runtime_error);
+    EXPECT_THROW(plan(1000, 1001, 0).validate(), std::runtime_error);
+    EXPECT_THROW(plan(20000, 1, UINT64_MAX).validate(), std::runtime_error);
 }
 
 // --- sampled execution ----------------------------------------------
@@ -220,21 +191,6 @@ TEST(SampledRun, EveryIntervalConservesCycleStack)
         EXPECT_GT(iv.instructions, 0u);
         EXPECT_GT(iv.cycles, 0u);
     }
-}
-
-TEST(SampledRun, PeriodicModeStartsAtOffset)
-{
-    const auto c = compileBenchmark("doduc", 2);
-    sample::SampledDriver driver(c.binary, dualConfig(c.map), kTraceSeed,
-                                 kMaxInsts);
-    auto spec = testSpec();
-    spec.mode = sample::SampleSpec::Mode::Periodic;
-    spec.offset = 7'777;
-    const auto rep = driver.run(spec);
-
-    ASSERT_GE(rep.intervals.size(), 2u);
-    EXPECT_EQ(rep.intervals[0].startInst, 7'777u);
-    EXPECT_EQ(rep.intervals[1].startInst, 7'777u + spec.period);
 }
 
 TEST(SampledRun, SingleClusterAlsoSamples)
